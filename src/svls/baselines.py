@@ -24,7 +24,7 @@ import numpy as np
 from .measurements import MeasurementDesign, MeasurementSet, _freeze
 from .recovery import (
     RecoveryResult,
-    _block_residuals,
+    block_residuals,
     estimate_col_space,
     estimate_row_space,
     relative_error,
@@ -84,9 +84,11 @@ def apply_operator(op: GaussianOperator, x: np.ndarray) -> np.ndarray:
     return op.op @ np.asarray(x, dtype=np.float64).ravel()
 
 
-def _truncate_svd(x: np.ndarray, r: int) -> np.ndarray:
+def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(left, right)`` of the best rank-r approximation
+    ``left @ right.T`` of ``x``."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return (u[:, :r] * s[:r]) @ vt[:r]
+    return u[:, :r] * s[:r], vt[:r].T
 
 
 def svp_recover(
@@ -132,7 +134,8 @@ def svp_recover(
         resid = op.op @ x.ravel() - b
         history.append(float(resid @ resid))
         grad = (op.op.T @ resid).reshape(m, n)
-        x_new = _truncate_svd(x - eta * grad, r)
+        left, right = _truncate_svd(x - eta * grad, r)
+        x_new = left @ right.T
         step = np.linalg.norm(x_new - x)
         x = x_new
         if step <= cfg.tol * max(np.linalg.norm(x), 1e-300):
@@ -141,12 +144,15 @@ def svp_recover(
     final_objective = float(final_resid @ final_resid)
     history.append(final_objective)
     runtime = time.perf_counter() - t0
+    left = _freeze(left)
+    right.flags.writeable = False  # a transposed view of this call's SVD output
     return RecoveryResult(
-        x_hat=_freeze(x),
+        left=left,
+        right=right,
         rank_used=r,
         algorithm="svp",
         runtime_seconds=runtime,
-        relative_error=None if truth is None else relative_error(x, truth),
+        relative_error=None if truth is None else relative_error(left, right, truth),
         iterations=iterations,
         final_objective=final_objective,
         objective_history=tuple(history),
@@ -247,15 +253,17 @@ def als_recover(
         if step <= cfg.tol * max(np.linalg.norm(x), 1e-300):
             break
     runtime = time.perf_counter() - t0
-    row_res, col_res = _block_residuals(x, design, meas)
+    left, right = _freeze(left), _freeze(right)
+    row_res, col_res = block_residuals(left, right, design, meas)
     return RecoveryResult(
-        x_hat=_freeze(x),
+        left=left,
+        right=right,
         rank_used=r,
         algorithm="als",
         runtime_seconds=runtime,
         row_residual=row_res,
         col_residual=col_res,
-        relative_error=None if truth is None else relative_error(x, truth),
+        relative_error=None if truth is None else relative_error(left, right, truth),
         iterations=iterations,
         final_objective=history[-1],
         objective_history=tuple(history),

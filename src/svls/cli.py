@@ -6,8 +6,12 @@ Subcommands chain into reproducible pipelines::
     svls gen-design --kind gaussian --m 50 --n 50 --k1 3 --k2 3 --seed 1 --out design/
     svls measure --x x.csv --design design/ --sigma 0 --noise-seed 2 --out meas/
     svls recover --meas meas/ --algo svls --rank 3 --truth x.csv --out rec/
-    svls sweep --config sweep.json --out records.csv
+    svls sweep --config sweep.json --out records.csv [--jobs N]
     svls summarize --in records.csv --out summary.csv
+
+``sweep`` runs its trials on one thread unless ``--jobs`` asks for more;
+small trials spend most of their time in Python, which threads do not
+overlap, so extra threads slow them down.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors (which
 print a single ``error: ...`` line to standard error).  When a ``--seed``
@@ -28,7 +32,7 @@ import numpy as np
 from . import matio, simulate
 from .baselines import GaussianOperator, als_recover, rowcol_operator_matrix, svp_recover
 from .measurements import DesignKind, gen_design, gen_low_rank, measure
-from .recovery import _block_residuals, cur_recover, estimate_rank, svls_recover
+from .recovery import block_residuals, cur_recover, estimate_rank, svls_recover
 
 
 def _positive_int(text: str) -> int:
@@ -127,7 +131,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         op = GaussianOperator(k=op_matrix.shape[0], op=op_matrix, seed=design.seed)
         b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
         result = svp_recover(b, op, design.m, design.n, rank, truth=truth)
-        row_res, col_res = _block_residuals(result.x_hat, design, meas)
+        row_res, col_res = block_residuals(result.left, result.right, design, meas)
         result = dataclasses.replace(
             result, row_residual=row_res, col_residual=col_res
         )
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON path")
     p.add_argument("--out", required=True, help="output records CSV path")
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
     p.add_argument(
         "--timing",
         action="store_true",

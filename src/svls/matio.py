@@ -25,7 +25,11 @@ from .measurements import (
     MeasurementSet,
     _freeze,
     _freeze_index,
+    _selection,
 )
+
+DESIGN_FIELDS = ("kind", "m", "n", "k1", "k2", "design_seed")
+NOISE_FIELDS = ("sigma", "noise_seed")
 
 
 def format_float(x: float) -> str:
@@ -101,7 +105,41 @@ def write_design(dirpath: str | Path, design: MeasurementDesign) -> None:
     write_json(dirpath / "manifest.json", _design_manifest(design))
 
 
+def _require_fields(dirpath: Path, manifest: dict, fields: tuple[str, ...]) -> None:
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{dirpath}: manifest is not a JSON object")
+    for field in fields:
+        if field not in manifest:
+            raise ValueError(f"{dirpath}: manifest missing field {field!r}")
+
+
+def _sample_indices(
+    dirpath: Path, manifest: dict, key: str, selection: np.ndarray, csv_name: str
+) -> np.ndarray | None:
+    """The manifest's index list ``key``, checked against the 0/1
+    ``selection`` matrix (one row per index) read from ``csv_name``."""
+    raw = manifest.get(key)
+    if raw is None:
+        return None
+    count, size = selection.shape
+    if not isinstance(raw, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in raw
+    ):
+        raise ValueError(f"{dirpath}: {key} must be a list of integers")
+    if len(raw) != count:
+        raise ValueError(f"{dirpath}: {key} has {len(raw)} entries, expected {count}")
+    if not all(0 <= i < size for i in raw):
+        raise ValueError(f"{dirpath}: {key} has an entry outside [0, {size})")
+    if len(set(raw)) != count:
+        raise ValueError(f"{dirpath}: {key} repeats an index")
+    indices = _freeze_index(np.array(raw))
+    if not np.array_equal(selection, _selection(indices, size)):
+        raise ValueError(f"{dirpath}: {key} disagrees with the 1 entries of {csv_name}")
+    return indices
+
+
 def _design_from_dir(dirpath: Path, manifest: dict) -> MeasurementDesign:
+    _require_fields(dirpath, manifest, DESIGN_FIELDS)
     kind = DesignKind(manifest["kind"])
     a_row = read_matrix(dirpath / "design_a_row.csv")
     a_col = read_matrix(dirpath / "design_a_col.csv")
@@ -109,14 +147,16 @@ def _design_from_dir(dirpath: Path, manifest: dict) -> MeasurementDesign:
         raise ValueError(f"{dirpath}: design_a_row.csv shape disagrees with manifest")
     if a_col.shape != (manifest["n"], manifest["k2"]):
         raise ValueError(f"{dirpath}: design_a_col.csv shape disagrees with manifest")
-    row_indices = manifest.get("row_indices")
-    col_indices = manifest.get("col_indices")
     return MeasurementDesign(
         kind=kind,
         a_row=a_row,
         a_col=a_col,
-        row_indices=None if row_indices is None else _freeze_index(np.array(row_indices)),
-        col_indices=None if col_indices is None else _freeze_index(np.array(col_indices)),
+        row_indices=_sample_indices(
+            dirpath, manifest, "row_indices", a_row, "design_a_row.csv"
+        ),
+        col_indices=_sample_indices(
+            dirpath, manifest, "col_indices", a_col.T, "design_a_col.csv"
+        ),
         seed=int(manifest["design_seed"]),
     )
 
@@ -147,9 +187,7 @@ def read_measurement_set(
 ) -> tuple[MeasurementSet, MeasurementDesign]:
     dirpath = Path(dirpath)
     manifest = read_json(dirpath / "manifest.json")
-    for field in ("kind", "m", "n", "k1", "k2", "sigma", "design_seed", "noise_seed"):
-        if field not in manifest:
-            raise ValueError(f"{dirpath}: manifest missing field {field!r}")
+    _require_fields(dirpath, manifest, NOISE_FIELDS)
     design = _design_from_dir(dirpath, manifest)
     b_row = read_matrix(dirpath / "b_row.csv")
     b_col = read_matrix(dirpath / "b_col.csv")

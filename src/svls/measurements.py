@@ -50,6 +50,13 @@ def _freeze_index(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _selection(indices: np.ndarray, size: int) -> np.ndarray:
+    """0/1 matrix whose row i has its one 1 at column ``indices[i]``."""
+    s = np.zeros((len(indices), size))
+    s[np.arange(len(indices)), indices] = 1.0
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """A rank-``rank`` target ``x = left_factor @ right_factor.T``."""
@@ -177,10 +184,8 @@ def gen_design(
             )
         row_indices = rng.choice(m, size=k1, replace=False)
         col_indices = rng.choice(n, size=k2, replace=False)
-        a_row = np.zeros((k1, m))
-        a_row[np.arange(k1), row_indices] = 1.0
-        a_col = np.zeros((n, k2))
-        a_col[col_indices, np.arange(k2)] = 1.0
+        a_row = _selection(row_indices, m)
+        a_col = _selection(col_indices, n).T
     return MeasurementDesign(
         kind=kind,
         a_row=_freeze(a_row),
@@ -203,6 +208,8 @@ def measure(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be a 2-d matrix")
+    if not np.isfinite(x).all():
+        raise ValueError("x entries must be finite")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if x.shape != (design.m, design.n):

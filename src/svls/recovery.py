@@ -7,10 +7,16 @@ squares problem for the r x r core ``M`` linking the two bases, giving
 reconstructs directly from the sampled rows, columns, and their overlap
 block (a skeleton decomposition), which is exact at the minimal
 measurement count.
+
+Estimates are returned as thin factors ``x_hat = left @ right.T``; the
+residuals and the error against a dense truth are computed from the
+factors, so no m x n matrix is formed unless ``RecoveryResult.x_hat`` is
+read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -26,6 +32,10 @@ CORE_EIG_RTOL = 1e-12
 
 ORTHONORMALITY_TOL = 1e-8
 
+# relative_error forms the estimate in row blocks of about this many
+# entries (2 MB of float64), so its scratch memory does not grow with m*n.
+ERROR_BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
@@ -39,14 +49,18 @@ class SubspaceBasis:
 class RecoveryResult:
     """Estimate plus diagnostics.
 
-    ``row_residual`` and ``col_residual`` are Frobenius-norm data misfits
-    of ``x_hat`` against the two measurement blocks; they are None only
-    for solvers that were not run against a row/column measurement set.
+    The estimate is held as factors, ``left`` (m x q) and ``right``
+    (n x q), with ``x_hat = left @ right.T``; the dense ``x_hat`` is
+    built on first access and cached.  ``row_residual`` and
+    ``col_residual`` are Frobenius-norm data misfits of the estimate
+    against the two measurement blocks; they are None only for solvers
+    that were not run against a row/column measurement set.
     ``iterations``, ``final_objective``, and ``objective_history`` are
     populated by the iterative baselines.
     """
 
-    x_hat: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     rank_used: int
     algorithm: str
     runtime_seconds: float
@@ -57,6 +71,11 @@ class RecoveryResult:
     iterations: int | None = None
     final_objective: float | None = None
     objective_history: tuple[float, ...] | None = None
+
+    @functools.cached_property
+    def x_hat(self) -> np.ndarray:
+        """The dense m x n estimate ``left @ right.T`` (read-only)."""
+        return _freeze(self.left @ self.right.T)
 
     def to_json_dict(self, x_hat_ref: str | None = None) -> dict:
         """JSON-serializable summary; optional fields are omitted when absent."""
@@ -78,13 +97,42 @@ class RecoveryResult:
         return out
 
 
-def relative_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    """Relative Frobenius error ``||x_hat - x_true||_F / ||x_true||_F``."""
-    denom = np.linalg.norm(x_true)
-    num = np.linalg.norm(x_hat - x_true)
+def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> float:
+    """Relative Frobenius error ``||left @ right.T - x_true||_F / ||x_true||_F``.
+
+    Both squared norms are summed over row blocks of about
+    ``ERROR_BLOCK_ENTRIES`` entries in one pass over ``x_true``, so no
+    m x n temporary is formed.
+    """
+    x_true = np.asarray(x_true, dtype=np.float64)
+    shape = (left.shape[0], right.shape[0])
+    if x_true.shape != shape:
+        raise ValueError(f"truth shape {x_true.shape} differs from estimate shape {shape}")
+    rows = max(1, ERROR_BLOCK_ENTRIES // max(1, x_true.shape[1]))
+    num_sq = denom_sq = 0.0
+    for i in range(0, x_true.shape[0], rows):
+        block = x_true[i : i + rows]
+        diff = (left[i : i + rows] @ right.T - block).ravel()
+        flat = block.ravel()
+        num_sq += diff.dot(diff)
+        denom_sq += flat.dot(flat)
+    num, denom = math.sqrt(num_sq), math.sqrt(denom_sq)
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return float(num / denom)
+
+
+def block_residuals(
+    left: np.ndarray,
+    right: np.ndarray,
+    design: MeasurementDesign,
+    meas: MeasurementSet,
+) -> tuple[float, float]:
+    """Frobenius misfits of ``left @ right.T`` against ``b_row`` and
+    ``b_col``, computed through the thin factors."""
+    row_res = float(np.linalg.norm((design.a_row @ left) @ right.T - meas.b_row))
+    col_res = float(np.linalg.norm(left @ (right.T @ design.a_col) - meas.b_col))
+    return row_res, col_res
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
@@ -221,14 +269,6 @@ def core_objective(
     )
 
 
-def _block_residuals(
-    x_hat: np.ndarray, design: MeasurementDesign, meas: MeasurementSet
-) -> tuple[float, float]:
-    row_res = float(np.linalg.norm(design.a_row @ x_hat - meas.b_row))
-    col_res = float(np.linalg.norm(x_hat @ design.a_col - meas.b_col))
-    return row_res, col_res
-
-
 def svls_recover(
     meas: MeasurementSet,
     design: MeasurementDesign,
@@ -261,18 +301,20 @@ def svls_recover(
     u = estimate_col_space(meas.b_col, r)
     v = estimate_row_space(meas.b_row, r)
     core = solve_core(u, v, design, meas)
-    x_hat = u.basis @ core @ v.basis.T
+    left = _freeze(u.basis @ core)
+    right = v.basis
     runtime = time.perf_counter() - t0
-    row_res, col_res = _block_residuals(x_hat, design, meas)
+    row_res, col_res = block_residuals(left, right, design, meas)
     return RecoveryResult(
-        x_hat=_freeze(x_hat),
+        left=left,
+        right=right,
         rank_used=r,
         algorithm="svls",
         runtime_seconds=runtime,
         core=_freeze(core),
         row_residual=row_res,
         col_residual=col_res,
-        relative_error=None if truth is None else relative_error(x_hat, truth),
+        relative_error=None if truth is None else relative_error(left, right, truth),
     )
 
 
@@ -282,7 +324,8 @@ def cur_recover(
     truth: np.ndarray | None = None,
 ) -> RecoveryResult:
     """Skeleton reconstruction ``x_hat = b_col @ pinv(W) @ b_row`` for
-    sampling designs, with ``W`` the k1 x k2 overlap block.
+    sampling designs, with ``W`` the k1 x k2 overlap block, held as the
+    factors ``left = b_col @ pinv(W)`` and ``right = b_row.T``.
 
     The overlap block is observed twice (once in each measurement
     block); the two noisy copies are averaged before pseudo-inversion.
@@ -310,18 +353,24 @@ def cur_recover(
     keep = sw > cutoff
     rank_used = int(np.count_nonzero(keep))
     w_pinv = vwt[keep].T @ np.diag(1.0 / sw[keep]) @ uw[:, keep].T
-    x_hat = meas.b_col @ w_pinv @ meas.b_row
+    left = _freeze(meas.b_col @ w_pinv)
+    # A column-major copy (b_row may be the caller's writable array), so
+    # right.T is laid out like b_row and ``left @ right.T`` is the same
+    # BLAS call, with the same bits, as ``left @ b_row``.
+    right = meas.b_row.T.copy(order="K")
+    right.flags.writeable = False
     runtime = time.perf_counter() - t0
-    row_res, col_res = _block_residuals(x_hat, design, meas)
+    row_res, col_res = block_residuals(left, right, design, meas)
     return RecoveryResult(
-        x_hat=_freeze(x_hat),
+        left=left,
+        right=right,
         rank_used=rank_used,
         algorithm="cur",
         runtime_seconds=runtime,
         core=None,
         row_residual=row_res,
         col_residual=col_res,
-        relative_error=None if truth is None else relative_error(x_hat, truth),
+        relative_error=None if truth is None else relative_error(left, right, truth),
     )
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from svls.cli import main
+from svls.cli import build_parser, main
 from svls.matio import read_matrix, write_design, write_matrix, write_measurement_set
 from svls.measurements import (
     DesignKind,
@@ -169,6 +169,49 @@ class TestMeasureAndRecover:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("row_indices", [99, 1, 2]),  # out of range for 30 rows
+            ("row_indices", [0, 0, 2]),  # repeated
+            ("row_indices", [0, 1]),  # wrong length
+            ("col_indices", [1, 2, 3]),  # disagrees with design_a_col.csv
+        ],
+        ids=["out_of_range", "repeated", "wrong_length", "disagrees"],
+    )
+    def test_recover_bad_sampling_indices(self, tmp_path, capsys, key, value):
+        truth = gen_low_rank(30, 20, 2, seed=1)
+        design = MeasurementDesign(
+            kind=DesignKind.ROW_COL_SAMPLE,
+            a_row=np.eye(30)[[0, 1, 2]],
+            a_col=np.eye(20)[:, [0, 1, 2]],
+            row_indices=np.array([0, 1, 2]),
+            col_indices=np.array([0, 1, 2]),
+            seed=0,
+        )
+        meas = tmp_path / "meas"
+        write_measurement_set(meas, measure(truth.x, design, 0.0, 0), design)
+        manifest = json.loads((meas / "manifest.json").read_text())
+        manifest[key] = value
+        (meas / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli("recover", "--meas", meas, "--algo", "cur", "--rank", 2,
+                       "--out", tmp_path / "rec")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "rec").exists()
+
+    def test_measure_design_missing_seed(self, pipeline, tmp_path, capsys):
+        x, design, _ = pipeline
+        manifest = json.loads((design / "manifest.json").read_text())
+        del manifest["design_seed"]
+        (design / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli("measure", "--x", x, "--design", design, "--sigma", 0,
+                       "--out", tmp_path / "meas2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "design_seed" in err
+
     def test_matrix_round_trip_through_cli(self, pipeline):
         x, _, _ = pipeline
         assert np.array_equal(read_matrix(x), gen_low_rank(12, 10, 2, 7).x)
@@ -190,6 +233,10 @@ class TestSweepAndSummarize:
         assert run_cli("sweep", "--config", config_path, "--out", a, "--jobs", 1) == 0
         assert run_cli("sweep", "--config", config_path, "--out", b, "--jobs", 3) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_jobs_defaults_to_one(self):
+        args = build_parser().parse_args(["sweep", "--config", "c.json", "--out", "r.csv"])
+        assert args.jobs == 1
 
     def test_summarize(self, config_path, tmp_path):
         records = tmp_path / "records.csv"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,77 @@ class TestMeasurementSetDirectory:
         (tmp_path / "meas" / "manifest.json").write_text("{no json")
         with pytest.raises(ValueError, match="malformed JSON"):
             read_measurement_set(tmp_path / "meas")
+
+
+def _tamper_manifest(dirpath, edit):
+    path = dirpath / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _shift_first_row_index(manifest):
+    # a valid, distinct index that the 1 entries of design_a_row.csv do not use
+    used = set(manifest["row_indices"])
+    manifest["row_indices"][0] = min(set(range(manifest["m"])) - used)
+
+
+def _shift_first_col_index(manifest):
+    used = set(manifest["col_indices"])
+    manifest["col_indices"][0] = min(set(range(manifest["n"])) - used)
+
+
+BAD_INDEX_EDITS = {
+    "out_of_range": (
+        lambda mf: mf.update(row_indices=[99] + mf["row_indices"][1:]), "outside"),
+    "negative": (
+        lambda mf: mf.update(col_indices=[-1] + mf["col_indices"][1:]), "outside"),
+    "repeated": (
+        lambda mf: mf.update(row_indices=mf["row_indices"][:1] * 3), "repeats"),
+    "wrong_length": (
+        lambda mf: mf.update(col_indices=mf["col_indices"][:-1]), "entries, expected"),
+    "not_integers": (
+        lambda mf: mf.update(row_indices=[1.5] + mf["row_indices"][1:]), "list of integers"),
+    "disagrees_with_a_row": (_shift_first_row_index, "design_a_row.csv"),
+    "disagrees_with_a_col": (_shift_first_col_index, "design_a_col.csv"),
+}
+
+
+class TestSamplingIndices:
+    @pytest.fixture
+    def meas_dir(self, tmp_path):
+        truth = gen_low_rank(30, 20, 2, seed=1)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 30, 20, 3, 3, seed=2)
+        write_measurement_set(tmp_path / "meas", measure(truth.x, design, 0.0, 0), design)
+        return tmp_path / "meas"
+
+    def test_valid_indices_round_trip(self, meas_dir):
+        _, design = read_measurement_set(meas_dir)
+        assert np.array_equal(design.a_row[np.arange(3), design.row_indices], np.ones(3))
+        assert np.array_equal(design.a_col[design.col_indices, np.arange(3)], np.ones(3))
+
+    @pytest.mark.parametrize("case", sorted(BAD_INDEX_EDITS))
+    def test_bad_indices_rejected(self, meas_dir, case):
+        edit, message = BAD_INDEX_EDITS[case]
+        _tamper_manifest(meas_dir, edit)
+        with pytest.raises(ValueError, match=message):
+            read_measurement_set(meas_dir)
+        with pytest.raises(ValueError, match=message):
+            read_design(meas_dir)
+
+
+class TestDesignManifestFields:
+    @pytest.mark.parametrize(
+        "field", ["kind", "m", "n", "k1", "k2", "design_seed"]
+    )
+    def test_missing_design_field_rejected(self, tmp_path, field):
+        write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
+        _tamper_manifest(tmp_path / "d", lambda mf: mf.pop(field))
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            read_design(tmp_path / "d")
+
+    def test_non_object_manifest_rejected(self, tmp_path):
+        write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
+        (tmp_path / "d" / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            read_design(tmp_path / "d")

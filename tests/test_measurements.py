@@ -174,6 +174,14 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(np.zeros((3, 3)), d, -1.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        d = gen_design(DesignKind.GAUSSIAN_AFFINE, 3, 3, 2, 2, seed=0)
+        x = np.ones((3, 3))
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            measure(x, d, 0.0, 0)
+
     def test_values_read_only(self):
         t = gen_low_rank(4, 4, 1, seed=0)
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from svls import recovery
+from svls.baselines import GaussianOperator, als_recover, rowcol_operator_matrix, svp_recover
 from svls.measurements import (
     DesignKind,
     MeasurementDesign,
@@ -13,16 +16,51 @@ from svls.measurements import (
 )
 from svls.recovery import (
     SubspaceBasis,
+    block_residuals,
     core_objective,
     cur_recover,
     estimate_col_space,
     estimate_rank,
     estimate_row_space,
+    relative_error,
     solve_core,
     solve_core_bruteforce,
     svls_recover,
     theoretical_bound,
 )
+
+
+def dense_relative_error(x_hat, x_true):
+    """The dense reference for relative_error: one m x n difference."""
+    return float(np.linalg.norm(x_hat - x_true) / np.linalg.norm(x_true))
+
+
+def dense_residuals(x_hat, design, meas):
+    """The dense reference for block_residuals."""
+    return (
+        float(np.linalg.norm(design.a_row @ x_hat - meas.b_row)),
+        float(np.linalg.norm(x_hat @ design.a_col - meas.b_col)),
+    )
+
+
+def recover_with(algo, truth, sigma=0.05):
+    """Run ``algo`` on a noisy 18 x 15 rank-2 instance; returns the
+    result with the design and measurements it used."""
+    kind = DesignKind.ROW_COL_SAMPLE if algo == "cur" else DesignKind.GAUSSIAN_AFFINE
+    design = gen_design(kind, 18, 15, 4, 4, seed=21)
+    meas = measure(truth.x, design, sigma, noise_seed=22)
+    if algo == "svls":
+        result = svls_recover(meas, design, 2, truth=truth.x)
+    elif algo == "cur":
+        result = cur_recover(meas, design, truth=truth.x)
+    elif algo == "als":
+        result = als_recover(meas, design, 2, truth=truth.x)
+    else:
+        op_matrix = rowcol_operator_matrix(design)
+        op = GaussianOperator(k=op_matrix.shape[0], op=op_matrix, seed=0)
+        b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
+        result = svp_recover(b, op, 18, 15, 2, truth=truth.x)
+    return result, design, meas
 
 
 def projector(basis):
@@ -455,3 +493,105 @@ class TestTheoreticalBound:
     def test_rank_deficient_spectrum_gives_infinite_bound(self):
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, seed=0)
         assert theoretical_bound(design, 0.1, 2, np.array([1.0, 0.0])) == math.inf
+
+
+class TestFactoredResult:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_svls_x_hat_is_dense_expression(self, seed):
+        truth = gen_low_rank(60, 45, 3, seed=seed)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 60, 45, 6, 5, seed=seed + 50)
+        meas = measure(truth.x, design, 0.01, noise_seed=seed + 90)
+        result = svls_recover(meas, design, 3)
+        u = estimate_col_space(meas.b_col, 3)
+        v = estimate_row_space(meas.b_row, 3)
+        core = solve_core(u, v, design, meas)
+        assert np.array_equal(result.x_hat, u.basis @ core @ v.basis.T)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cur_x_hat_is_skeleton_expression(self, seed):
+        truth = gen_low_rank(60, 45, 3, seed=seed)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 60, 45, 5, 4, seed=seed + 50)
+        meas = measure(truth.x, design, 0.01, noise_seed=seed + 90)
+        result = cur_recover(meas, design)
+        w = 0.5 * (meas.b_row[:, design.col_indices] + meas.b_col[design.row_indices, :])
+        uw, sw, vwt = np.linalg.svd(w, full_matrices=False)
+        keep = sw > max(1e-10 * sw[0], 3.0 * meas.sigma)
+        w_pinv = vwt[keep].T @ np.diag(1.0 / sw[keep]) @ uw[:, keep].T
+        assert np.array_equal(result.x_hat, meas.b_col @ w_pinv @ meas.b_row)
+
+    @pytest.mark.parametrize("algo", ["svls", "cur", "als", "svp"])
+    def test_factors_and_cached_read_only_x_hat(self, algo):
+        result, design, _ = recover_with(algo, gen_low_rank(18, 15, 2, seed=4))
+        assert result.left.shape[0] == design.m
+        assert result.right.shape[0] == design.n
+        assert result.left.shape[1] == result.right.shape[1]
+        assert not result.left.flags.writeable and not result.right.flags.writeable
+        x_hat = result.x_hat
+        assert x_hat is result.x_hat
+        assert not x_hat.flags.writeable
+        assert np.array_equal(x_hat, result.left @ result.right.T)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.x_hat = np.zeros_like(x_hat)
+
+    def test_factors_do_not_alias_inputs(self):
+        b_row = np.array([[1.0, 2.0, 3.0]])
+        b_col = np.array([[1.0], [2.0], [3.0]])
+        design = MeasurementDesign(
+            kind=DesignKind.ROW_COL_SAMPLE,
+            a_row=np.array([[1.0, 0.0, 0.0]]),
+            a_col=np.array([[1.0], [0.0], [0.0]]),
+            row_indices=np.array([0]),
+            col_indices=np.array([0]),
+            seed=0,
+        )
+        result = cur_recover(make_meas(b_row, b_col), design)
+        b_row[0, 1] = 100.0
+        assert np.array_equal(result.x_hat, np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("algo", ["svls", "cur", "als", "svp"])
+    def test_factor_residuals_match_dense(self, algo):
+        result, design, meas = recover_with(algo, gen_low_rank(18, 15, 2, seed=8))
+        dense = dense_residuals(result.x_hat, design, meas)
+        factored = block_residuals(result.left, result.right, design, meas)
+        assert np.allclose(factored, dense, rtol=0, atol=1e-10)
+        if algo != "svp":  # svp runs without the row/column blocks
+            assert np.allclose(
+                (result.row_residual, result.col_residual), dense, rtol=0, atol=1e-10
+            )
+
+
+class TestRelativeError:
+    @pytest.mark.parametrize("algo", ["svls", "cur", "als", "svp"])
+    def test_single_block_matches_dense_exactly(self, algo):
+        truth = gen_low_rank(18, 15, 2, seed=3)
+        result, _, _ = recover_with(algo, truth)
+        assert result.relative_error == dense_relative_error(result.x_hat, truth.x)
+
+    @pytest.mark.parametrize("shape", [(1100, 300), (3, 300_000)])
+    def test_blocked_matches_dense(self, shape):
+        m, n = shape
+        assert m * n > recovery.ERROR_BLOCK_ENTRIES
+        rng = np.random.default_rng(5)
+        left, right = rng.standard_normal((m, 3)), rng.standard_normal((n, 3))
+        x_true = left @ right.T + 1e-3 * rng.standard_normal((m, n))
+        got = relative_error(left, right, x_true)
+        want = dense_relative_error(left @ right.T, x_true)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 1000])
+    def test_block_size_does_not_change_value(self, monkeypatch, block):
+        rng = np.random.default_rng(6)
+        left, right = rng.standard_normal((23, 2)), rng.standard_normal((17, 2))
+        x_true = rng.standard_normal((23, 17))
+        want = dense_relative_error(left @ right.T, x_true)
+        monkeypatch.setattr(recovery, "ERROR_BLOCK_ENTRIES", block)
+        assert abs(relative_error(left, right, x_true) - want) <= 1e-12 * want
+
+    def test_zero_truth(self):
+        zeros = np.zeros((4, 1))
+        assert relative_error(zeros, zeros[:3], np.zeros((4, 3))) == 0.0
+        assert relative_error(np.ones((4, 1)), np.ones((3, 1)), np.zeros((4, 3))) == math.inf
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            relative_error(np.ones((4, 1)), np.ones((3, 1)), np.ones((3, 4)))
