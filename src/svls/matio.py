@@ -15,6 +15,7 @@ fields.  Manifests always suffice to re-derive the artifact from seeds.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,12 @@ from .measurements import (
 DESIGN_FIELDS = ("kind", "m", "n", "k1", "k2", "design_seed")
 NOISE_FIELDS = ("sigma", "noise_seed")
 
+# 17 significant digits round-trip every float64 exactly.
+FLOAT_FORMAT = "%.17g"
+
 
 def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    return FLOAT_FORMAT % float(x)
 
 
 def write_matrix(path: str | Path, a: np.ndarray) -> None:
@@ -42,27 +46,50 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
         raise ValueError("only nonempty 2-d matrices can be written")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    lines = [",".join(format_float(v) for v in row) for row in a]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    row = ",".join([FLOAT_FORMAT] * a.shape[1])
+    text = "\n".join([row % tuple(values) for values in a.tolist()])
+    Path(path).write_text(text + "\n", newline="\n")
+
+
+def _parses(text: str) -> bool:
+    if not text.strip():
+        return False
+    try:
+        np.loadtxt([text], delimiter=",", comments=None, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_malformed(path: Path, lines: list[str]) -> ValueError | None:
+    """The error for the first line of ``lines``, and its first field,
+    that numpy cannot parse; None when every line parses."""
+    for lineno, line in enumerate(lines, start=1):
+        if not _parses(line):
+            field = next((f for f in line.split(",") if not _parses(f)), line)
+            return ValueError(
+                f"{path}:{lineno}: malformed matrix row: "
+                f"could not convert string to float: {field!r}"
+            )
+    return None
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
-    rows = []
-    width = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed matrix row: {exc}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} != {width})")
-        rows.append(row)
-    if not rows:
+    lines = path.read_text().splitlines()
+    if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    a = np.array(rows, dtype=np.float64)
+    commas = lines[0].count(",")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.count(",") != commas:
+            # an earlier malformed line is reported first, as a line-by-line read would
+            raise _first_malformed(path, lines[:lineno]) or ValueError(
+                f"{path}:{lineno}: ragged row ({line.count(',') + 1} != {commas + 1})"
+            )
+    try:
+        a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        raise _first_malformed(path, lines) or exc from None
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: matrix entries must be finite")
     return _freeze(a)
@@ -113,6 +140,25 @@ def _require_fields(dirpath: Path, manifest: dict, fields: tuple[str, ...]) -> N
             raise ValueError(f"{dirpath}: manifest missing field {field!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _seed(dirpath: Path, manifest: dict, key: str) -> int:
+    if not _is_int(manifest[key]):
+        raise ValueError(f"{dirpath}: {key} must be an integer")
+    return manifest[key]
+
+
+def _sigma(dirpath: Path, manifest: dict) -> float:
+    sigma = manifest["sigma"]
+    if not (_is_int(sigma) or isinstance(sigma, float)) or not (
+        0 <= sigma <= sys.float_info.max
+    ):
+        raise ValueError(f"{dirpath}: sigma must be a finite nonnegative number")
+    return float(sigma)
+
+
 def _sample_indices(
     dirpath: Path, manifest: dict, key: str, selection: np.ndarray, csv_name: str
 ) -> np.ndarray | None:
@@ -122,9 +168,7 @@ def _sample_indices(
     if raw is None:
         return None
     count, size = selection.shape
-    if not isinstance(raw, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in raw
-    ):
+    if not isinstance(raw, list) or not all(_is_int(i) for i in raw):
         raise ValueError(f"{dirpath}: {key} must be a list of integers")
     if len(raw) != count:
         raise ValueError(f"{dirpath}: {key} has {len(raw)} entries, expected {count}")
@@ -157,7 +201,7 @@ def _design_from_dir(dirpath: Path, manifest: dict) -> MeasurementDesign:
         col_indices=_sample_indices(
             dirpath, manifest, "col_indices", a_col.T, "design_a_col.csv"
         ),
-        seed=int(manifest["design_seed"]),
+        seed=_seed(dirpath, manifest, "design_seed"),
     )
 
 
@@ -202,9 +246,9 @@ def read_measurement_set(
     meas = MeasurementSet(
         b_row=b_row,
         b_col=b_col,
-        sigma=float(manifest["sigma"]),
-        design_seed=int(manifest["design_seed"]),
-        noise_seed=int(manifest["noise_seed"]),
+        sigma=_sigma(dirpath, manifest),
+        design_seed=design.seed,
+        noise_seed=_seed(dirpath, manifest, "noise_seed"),
         total_measurements=total,
         distinct_measurements=distinct,
     )

@@ -30,6 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# measure's finiteness check and recovery.relative_error visit an m x n
+# matrix in row blocks of about this many entries (2 MB of float64), so
+# their scratch memory does not grow with m*n.
+ERROR_BLOCK_ENTRIES = 1 << 18
+
 
 class DesignKind(str, enum.Enum):
     """Measurement design family."""
@@ -208,8 +213,10 @@ def measure(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be a 2-d matrix")
-    if not np.isfinite(x).all():
-        raise ValueError("x entries must be finite")
+    rows = max(1, ERROR_BLOCK_ENTRIES // max(1, x.shape[1]))
+    for i in range(0, len(x), rows):
+        if not np.isfinite(x[i : i + rows]).all():
+            raise ValueError("x entries must be finite")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if x.shape != (design.m, design.n):

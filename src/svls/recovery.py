@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import DesignKind, MeasurementDesign, MeasurementSet, _freeze
+from .measurements import (
+    ERROR_BLOCK_ENTRIES,
+    DesignKind,
+    MeasurementDesign,
+    MeasurementSet,
+    _freeze,
+)
 
 # Relative eigenvalue cutoff for the rank-deficient core solve; the
 # brute-force solver uses sqrt of this as its lstsq rcond so the two
@@ -31,10 +37,6 @@ from .measurements import DesignKind, MeasurementDesign, MeasurementSet, _freeze
 CORE_EIG_RTOL = 1e-12
 
 ORTHONORMALITY_TOL = 1e-8
-
-# relative_error forms the estimate in row blocks of about this many
-# entries (2 MB of float64), so its scratch memory does not grow with m*n.
-ERROR_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +111,14 @@ def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> f
     if x_true.shape != shape:
         raise ValueError(f"truth shape {x_true.shape} differs from estimate shape {shape}")
     rows = max(1, ERROR_BLOCK_ENTRIES // max(1, x_true.shape[1]))
+    # one buffer holds every block's product and difference
+    scratch = np.empty((min(rows, shape[0]), shape[1]))
     num_sq = denom_sq = 0.0
     for i in range(0, x_true.shape[0], rows):
         block = x_true[i : i + rows]
-        diff = (left[i : i + rows] @ right.T - block).ravel()
+        diff = np.matmul(left[i : i + rows], right.T, out=scratch[: len(block)])
+        diff -= block
+        diff = diff.ravel()
         flat = block.ravel()
         num_sq += diff.dot(diff)
         denom_sq += flat.dot(flat)

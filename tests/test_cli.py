@@ -212,6 +212,41 @@ class TestMeasureAndRecover:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "design_seed" in err
 
+    @pytest.fixture
+    def rowcol_meas(self, tmp_path):
+        truth = gen_low_rank(30, 20, 2, seed=1)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 30, 20, 3, 3, seed=2)
+        meas = tmp_path / "meas"
+        write_measurement_set(meas, measure(truth.x, design, 0.0, 0), design)
+        return meas
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sigma", None), ("noise_seed", [1]), ("design_seed", None)],
+        ids=["sigma_null", "noise_seed_list", "design_seed_null"],
+    )
+    def test_recover_bad_manifest_scalar(self, rowcol_meas, tmp_path, capsys, key, value):
+        manifest = json.loads((rowcol_meas / "manifest.json").read_text())
+        manifest[key] = value
+        (rowcol_meas / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli("recover", "--meas", rowcol_meas, "--algo", "cur", "--rank", 2,
+                       "--out", tmp_path / "rec")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+    def test_measure_malformed_entry_names_line(self, pipeline, tmp_path, capsys):
+        x, design, _ = pipeline
+        lines = x.read_text().splitlines()
+        lines[2] = lines[2].replace(",", ",zap", 1)
+        x.write_text("\n".join(lines) + "\n")
+        code = run_cli("measure", "--x", x, "--design", design, "--sigma", 0,
+                       "--out", tmp_path / "meas2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{x}:3: malformed" in err
+
     def test_matrix_round_trip_through_cli(self, pipeline):
         x, _, _ = pipeline
         assert np.array_equal(read_matrix(x), gen_low_rank(12, 10, 2, 7).x)

@@ -1,7 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from svls.matio import (
     format_float,
@@ -63,6 +68,146 @@ class TestMatrixFormat:
         path.write_text("nan\n")
         with pytest.raises(ValueError):
             read_matrix(path)
+
+
+def oracle_write_matrix(path, a):
+    """Slow per-entry writer, the reference for write_matrix's bytes."""
+    lines = [",".join(f"{float(v):.17g}" for v in row) for row in np.asarray(a)]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def oracle_read_matrix(path):
+    """Slow per-entry reader, the reference for read_matrix."""
+    rows = []
+    width = None
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed matrix row: {exc}") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} != {width})")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    a = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return a
+
+
+def _oracle_matrices():
+    rng = np.random.default_rng(21)
+    wide = np.logspace(-300, 300, 41)
+    special = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max,
+               -np.finfo(np.float64).max, 1e16, -1e16, 1.0, -3.0, 123456789.0]
+    return {
+        "logspace_scaled": rng.standard_normal((9, 41)) * wide,
+        "logspace_scaled_rows": rng.standard_normal((41, 7)) * wide[:, None],
+        "special": np.array([special, special[::-1]]),
+        "integers": rng.integers(-10**6, 10**6, size=(5, 6)).astype(np.float64),
+        "1x1": np.array([[np.pi]]),
+        "1xn": rng.standard_normal((1, 13)),
+        "mx1": rng.standard_normal((13, 1)),
+    }
+
+
+ORACLE_MATRICES = _oracle_matrices()
+
+# text, the error kind, and the 1-based line the error names (None: no line)
+REJECTION_CORPUS = {
+    "empty_file": ("", "empty", None),
+    "blank_line_in_middle": ("1,2\n\n3,4\n", "malformed", 2),
+    "trailing_blank_line": ("1,2\n3,4\n\n", "malformed", 3),
+    "whitespace_only_line": ("1,2\n \t \n", "malformed", 2),
+    "comment": ("# x\n", "malformed", 1),
+    "quoted": ('1,2\n3,"1"\n', "malformed", 2),
+    "empty_field": ("1,,2\n", "malformed", 1),
+    "bad_entry_line_3": ("1,2\n3,4\n5,zap\n", "malformed", 3),
+    "ragged": ("1,2\n3,4\n5\n", "ragged", 3),
+    "malformed_before_ragged": ("1,2\n3,x\n5\n", "malformed", 2),
+    "nan": ("1,2\nnan,4\n", "finite", None),
+    "inf": ("inf\n", "finite", None),
+    "overflow": ("1e400,1\n", "finite", None),
+}
+
+
+def _error_kind_and_line(reader, path):
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    message = str(info.value)
+    kind = re.search(r"empty|malformed|ragged|finite", message).group(0)
+    line = re.match(rf"{re.escape(str(path))}:(\d+):", message)
+    return kind, line and int(line.group(1))
+
+
+class TestMatrixOracles:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    def test_writer_bytes_match_oracle(self, tmp_path, name):
+        a = ORACLE_MATRICES[name]
+        write_matrix(tmp_path / "new.csv", a)
+        oracle_write_matrix(tmp_path / "old.csv", a)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    def test_reader_bits_match_oracle(self, tmp_path, name):
+        a = ORACLE_MATRICES[name]
+        oracle_write_matrix(tmp_path / "a.csv", a)
+        got = read_matrix(tmp_path / "a.csv")
+        assert got.shape == a.shape
+        assert got.tobytes() == oracle_read_matrix(tmp_path / "a.csv").tobytes()
+        assert got.tobytes() == a.tobytes()
+
+    def test_format_float_matches_writer(self):
+        for value in ORACLE_MATRICES["special"][0]:
+            assert format_float(value) == f"{value:.17g}"
+
+    @pytest.mark.parametrize("case", sorted(REJECTION_CORPUS))
+    def test_rejections_match_oracle(self, tmp_path, case):
+        text, kind, line = REJECTION_CORPUS[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text, newline="")
+        assert _error_kind_and_line(oracle_read_matrix, path) == (kind, line)
+        assert _error_kind_and_line(read_matrix, path) == (kind, line)
+
+    @pytest.mark.parametrize("text", ["1_0\n", "1,\u0661\n", "\uff11\n"])
+    def test_spellings_only_python_float_accepted_are_rejected(self, tmp_path, text):
+        # underscores and non-ASCII digits: write_matrix never writes them
+        path = tmp_path / "odd.csv"
+        path.write_text(text, encoding="utf-8")
+        oracle_read_matrix(path)
+        assert _error_kind_and_line(read_matrix, path) == ("malformed", 1)
+
+
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+finite_matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+matrix_like_text = st.text(alphabet="0123456789,.-+eE \t\n\r_#\"naifNAIF\x0b\x85\u0661")
+
+
+class TestMatrixFuzz:
+    @FUZZ
+    @given(a=finite_matrices)
+    def test_round_trip_bit_exact(self, tmp_path_factory, a):
+        path = tmp_path_factory.getbasetemp() / "fuzz_round_trip.csv"
+        write_matrix(path, a)
+        assert read_matrix(path).tobytes() == a.tobytes()
+
+    @FUZZ
+    @given(text=st.one_of(matrix_like_text, st.text()))
+    def test_any_text_parses_or_raises_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_text.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            a = read_matrix(path)
+        except ValueError:
+            return
+        assert a.ndim == 2 and a.size > 0 and np.isfinite(a).all()
 
 
 class TestDesignDirectory:
@@ -145,6 +290,37 @@ class TestMeasurementSetDirectory:
         with pytest.raises(ValueError, match="missing field"):
             read_measurement_set(tmp_path / "meas")
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("noise_seed", None, "noise_seed must be an integer"),
+            ("noise_seed", False, "noise_seed must be an integer"),
+            ("noise_seed", 2.0, "noise_seed must be an integer"),
+            ("sigma", None, "sigma must be"),
+            ("sigma", True, "sigma must be"),
+            ("sigma", "0.1", "sigma must be"),
+            ("sigma", -0.5, "sigma must be"),
+            ("sigma", float("nan"), "sigma must be"),
+            ("sigma", float("inf"), "sigma must be"),
+            pytest.param("sigma", 10**400, "sigma must be", id="sigma-huge_int"),
+        ],
+    )
+    def test_bad_noise_scalar_rejected(self, tmp_path, key, value, message):
+        truth = gen_low_rank(4, 4, 1, seed=1)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, seed=1)
+        write_measurement_set(tmp_path / "meas", measure(truth.x, design, 0.0, 0), design)
+        _tamper_manifest(tmp_path / "meas", lambda mf: mf.update({key: value}))
+        with pytest.raises(ValueError, match=message):
+            read_measurement_set(tmp_path / "meas")
+
+    def test_integer_sigma_accepted(self, tmp_path):
+        truth = gen_low_rank(4, 4, 1, seed=1)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, seed=1)
+        write_measurement_set(tmp_path / "meas", measure(truth.x, design, 0.0, 0), design)
+        _tamper_manifest(tmp_path / "meas", lambda mf: mf.update(sigma=0))
+        meas, _ = read_measurement_set(tmp_path / "meas")
+        assert meas.sigma == 0.0 and isinstance(meas.sigma, float)
+
     def test_block_shape_disagreement_rejected(self, tmp_path):
         truth = gen_low_rank(4, 4, 1, seed=1)
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, seed=1)
@@ -226,6 +402,13 @@ class TestDesignManifestFields:
         write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
         _tamper_manifest(tmp_path / "d", lambda mf: mf.pop(field))
         with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            read_design(tmp_path / "d")
+
+    @pytest.mark.parametrize("value", [None, True, 1.0, "3", [1]])
+    def test_non_integer_design_seed_rejected(self, tmp_path, value):
+        write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
+        _tamper_manifest(tmp_path / "d", lambda mf: mf.update(design_seed=value))
+        with pytest.raises(ValueError, match="design_seed must be an integer"):
             read_design(tmp_path / "d")
 
     def test_non_object_manifest_rejected(self, tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svls.measurements import (
+    ERROR_BLOCK_ENTRIES,
     DesignKind,
     gen_design,
     gen_low_rank,
@@ -181,6 +184,28 @@ class TestMeasure:
         x[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             measure(x, d, 0.0, 0)
+
+    def test_non_finite_in_last_row_block_rejected(self):
+        m, n = 1100, 300
+        assert m * n > ERROR_BLOCK_ENTRIES
+        x = np.ones((m, n))
+        x[-1, -1] = np.nan
+        d = gen_design(DesignKind.GAUSSIAN_AFFINE, m, n, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            measure(x, d, 0.0, 0)
+
+    def test_finiteness_check_makes_no_m_by_n_temporary(self):
+        m = n = 2048
+        x = np.random.default_rng(0).standard_normal((m, n))
+        d = gen_design(DesignKind.GAUSSIAN_AFFINE, m, n, 4, 4, seed=0)
+        tracemalloc.start()
+        try:
+            measure(x, d, 0.0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a full np.isfinite(x) alone would allocate m*n bytes
+        assert peak < m * n // 4
 
     def test_values_read_only(self):
         t = gen_low_rank(4, 4, 1, seed=0)
