@@ -56,18 +56,10 @@ class IterativeSolverConfig:
             raise ValueError("step_size must be positive or 'auto'")
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianOperator:
-    """Dense affine sensing operator: k rows, each a flattened i.i.d.
-    standard normal sensing matrix acting on the row-major vec of X."""
-
-    k: int
-    op: np.ndarray
-    seed: int
-
-
-def gaussian_operator(m: int, n: int, k: int, seed: int) -> GaussianOperator:
-    """Draw a k x (m*n) dense Gaussian sensing operator."""
+def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
+    """Draw a read-only k x (m*n) dense Gaussian sensing operator: row i is
+    a flattened i.i.d. standard normal sensing matrix acting on the
+    row-major vec of X."""
     if min(m, n, k) < 1:
         raise ValueError("operator dimensions must be positive")
     if m * n > MAX_TARGET_ENTRIES:
@@ -76,12 +68,12 @@ def gaussian_operator(m: int, n: int, k: int, seed: int) -> GaussianOperator:
             f"{MAX_TARGET_ENTRIES}"
         )
     rng = np.random.default_rng(seed)
-    return GaussianOperator(k=k, op=_freeze(rng.standard_normal((k, m * n))), seed=seed)
+    return _freeze(rng.standard_normal((k, m * n)))
 
 
-def apply_operator(op: GaussianOperator, x: np.ndarray) -> np.ndarray:
-    """Measure ``x`` through the operator: ``op.op @ vec(x)`` (row-major vec)."""
-    return op.op @ np.asarray(x, dtype=np.float64).ravel()
+def apply_operator(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Measure ``x`` through the operator: ``op @ vec(x)`` (row-major vec)."""
+    return op @ np.asarray(x, dtype=np.float64).ravel()
 
 
 def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +85,7 @@ def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 def svp_recover(
     b: np.ndarray,
-    op: GaussianOperator,
+    op: np.ndarray,
     m: int,
     n: int,
     r: int,
@@ -101,7 +93,8 @@ def svp_recover(
     truth: np.ndarray | None = None,
 ) -> RecoveryResult:
     """Singular value projection: projected gradient descent on
-    ``||op @ vec(X) - b||^2`` over the rank-r set.
+    ``||op @ vec(X) - b||^2`` over the rank-r set, for a k x (m*n)
+    operator ``op`` acting on the row-major vec of X.
 
     Iterates ``X <- TruncSVD_r(X - eta * reshape(op.T @ (op @ vec(X) - b)))``
     from ``X = 0``; with the automatic step ``eta = 1/sigma_max(op)^2``
@@ -110,19 +103,17 @@ def svp_recover(
     """
     cfg = cfg or IterativeSolverConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
-    if op.op.shape != (op.k, m * n):
+    if op.ndim != 2 or op.shape[1] != m * n:
         raise ValueError("operator shape inconsistent with target dimensions")
-    if b.shape[0] != op.k:
-        raise ValueError(f"expected {op.k} measurements, got {b.shape[0]}")
+    k = op.shape[0]
+    if b.shape[0] != k:
+        raise ValueError(f"expected {k} measurements, got {b.shape[0]}")
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
     t0 = time.perf_counter()
     if cfg.step_size == "auto":
         # sigma_max^2 via the smaller Gram matrix; exact and deterministic.
-        if op.k <= m * n:
-            gram = op.op @ op.op.T
-        else:
-            gram = op.op.T @ op.op
+        gram = op @ op.T if k <= m * n else op.T @ op
         eta = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
     else:
         eta = float(cfg.step_size)
@@ -131,16 +122,16 @@ def svp_recover(
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
-        resid = op.op @ x.ravel() - b
+        resid = op @ x.ravel() - b
         history.append(float(resid @ resid))
-        grad = (op.op.T @ resid).reshape(m, n)
+        grad = (op.T @ resid).reshape(m, n)
         left, right = _truncate_svd(x - eta * grad, r)
         x_new = left @ right.T
         step = np.linalg.norm(x_new - x)
         x = x_new
         if step <= cfg.tol * max(np.linalg.norm(x), 1e-300):
             break
-    final_resid = op.op @ x.ravel() - b
+    final_resid = op @ x.ravel() - b
     final_objective = float(final_resid @ final_resid)
     history.append(final_objective)
     runtime = time.perf_counter() - t0

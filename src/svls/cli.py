@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matio, simulate
-from .baselines import GaussianOperator, als_recover, rowcol_operator_matrix, svp_recover
+from .baselines import als_recover, rowcol_operator_matrix, svp_recover
 from .measurements import DesignKind, gen_design, gen_low_rank, measure
 from .recovery import block_residuals, cur_recover, estimate_rank, svls_recover
 
@@ -60,8 +60,10 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
+    if not 0 <= value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative number, got {text}"
+        )
     return value
 
 
@@ -127,8 +129,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     elif args.algo == "als":
         result = als_recover(meas, design, rank, truth=truth)
     else:  # svp on the flattened row/column operator
-        op_matrix = rowcol_operator_matrix(design)
-        op = GaussianOperator(k=op_matrix.shape[0], op=op_matrix, seed=design.seed)
+        op = rowcol_operator_matrix(design)
         b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
         result = svp_recover(b, op, design.m, design.n, rank, truth=truth)
         row_res, col_res = block_residuals(result.left, result.right, design, meas)

@@ -150,11 +150,14 @@ def _seed(dirpath: Path, manifest: dict, key: str) -> int:
     return manifest[key]
 
 
+def _is_finite_nonnegative(value) -> bool:
+    """A JSON number (not a bool) in ``[0, float max]``; huge ints included."""
+    return (_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max
+
+
 def _sigma(dirpath: Path, manifest: dict) -> float:
     sigma = manifest["sigma"]
-    if not (_is_int(sigma) or isinstance(sigma, float)) or not (
-        0 <= sigma <= sys.float_info.max
-    ):
+    if not _is_finite_nonnegative(sigma):
         raise ValueError(f"{dirpath}: sigma must be a finite nonnegative number")
     return float(sigma)
 

@@ -26,6 +26,7 @@ across threads.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,8 +218,8 @@ def measure(
     for i in range(0, len(x), rows):
         if not np.isfinite(x[i : i + rows]).all():
             raise ValueError("x entries must be finite")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma <= sys.float_info.max:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if x.shape != (design.m, design.n):
         raise ValueError(
             f"design expects a {design.m}x{design.n} target, got {x.shape[0]}x{x.shape[1]}"

@@ -14,65 +14,43 @@ Record CSVs use a fixed column order (parameters first, then metrics),
 timings are kept on the in-memory records but left out of the canonical
 CSV so that repeated runs of one configuration are byte-identical; an
 opt-in flag appends the timing column for benchmarking use.
+
+Each field list is declared once, as a dataclass: ``TrialRecord`` and
+``SummaryRow`` extend ``TrialPoint``.  The CSV columns, the record
+equality key, the sort and group keys, the seed key and the CSV reader
+all derive from ``dataclasses.fields``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .baselines import als_recover, apply_operator, gaussian_operator, svp_recover
-from .matio import format_float
+from .matio import _is_finite_nonnegative, _is_int, format_float
 from .measurements import DesignKind, gen_design, gen_low_rank, measure
 from .recovery import cur_recover, svls_recover
 
 ALGORITHMS = ("svls", "cur", "svp", "als")
 
-RECORD_COLUMNS = (
-    "m",
-    "n",
-    "rank",
-    "design",
-    "k1",
-    "k2",
-    "sigma",
-    "algorithm",
-    "trial_index",
-    "seed",
-    "relative_error",
-    "success",
-    "iterations",
-    "error",
-)
-
-SUMMARY_COLUMNS = (
-    "m",
-    "n",
-    "rank",
-    "design",
-    "k1",
-    "k2",
-    "sigma",
-    "algorithm",
-    "trials",
-    "mean_relative_error",
-    "median_relative_error",
-    "success_rate",
-    "mean_runtime_seconds",
-)
-
 
 @dataclass(frozen=True)
 class TrialPoint:
-    """One fully instantiated parameter combination."""
+    """One fully instantiated parameter combination.
+
+    ``TrialRecord`` and ``SummaryRow`` extend it and hold ``design`` as
+    the kind's value (``"gaussian"``), as their CSV cells do.
+    """
 
     m: int
     n: int
@@ -85,24 +63,16 @@ class TrialPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialRecord:
+class TrialRecord(TrialPoint):
     """Outcome of a single trial.
 
-    ``runtime_seconds`` is excluded from equality comparisons (two runs
-    of the same trial are the same experiment even though the clock
-    differs) and from the canonical CSV.  A failed trial carries the
-    error tag, ``relative_error = nan``, and ``success = False``; nan
-    compares equal to nan here so repeated failed trials stay equal.
+    Two records are equal when their canonical CSV rows are, so
+    ``runtime_seconds`` is excluded (two runs of the same trial are the
+    same experiment even though the clock differs) and nan equals nan.
+    A failed trial carries the error tag, ``relative_error = nan``, and
+    ``success = False``.
     """
 
-    m: int
-    n: int
-    rank: int
-    design: str
-    k1: int
-    k2: int
-    sigma: float
-    algorithm: str
     trial_index: int
     seed: int
     relative_error: float
@@ -111,36 +81,83 @@ class TrialRecord:
     error: str = ""
     runtime_seconds: float = field(default=math.nan, compare=False)
 
-    def _key(self) -> tuple:
-        return (
-            self.m,
-            self.n,
-            self.rank,
-            self.design,
-            self.k1,
-            self.k2,
-            format_float(self.sigma),
-            self.algorithm,
-            self.trial_index,
-            self.seed,
-            format_float(self.relative_error),
-            self.success,
-            self.iterations,
-            self.error,
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrialRecord):
             return NotImplemented
-        return self._key() == other._key()
+        return _record_key(self) == _record_key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(_record_key(self))
+
+
+@dataclass(frozen=True)
+class SummaryRow(TrialPoint):
+    """Aggregate over all trials sharing one parameter tuple.
+
+    Error statistics pool the non-failed trials; the success rate counts
+    failed trials in its denominator.
+    """
+
+    trials: int
+    mean_relative_error: float
+    median_relative_error: float
+    success_rate: float
+    mean_runtime_seconds: float = field(compare=False)
+
+
+_POINT_FIELDS = tuple(f.name for f in fields(TrialPoint))
+RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.compare)
+_TIMED_RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+# How a value becomes a CSV cell or a seed-key part, and how a records CSV
+# cell becomes a value, chosen by the field's annotation.  Strings (design
+# kinds included, which join as their value) pass through unchanged, and
+# the csv module writes ints itself.
+_CSV_CELL = {"float": format_float, "bool": int}
+_KEY_PART = {"int": str, "float": format_float}
+_FROM_CELL = {"int": int, "float": float, "bool": lambda cell: bool(int(cell))}
+
+
+def _converters(cls: type, columns: Sequence[str], table: dict) -> tuple:
+    """A getter of ``columns`` and the ``(index, function)`` pairs that
+    ``table`` gives for the columns it converts."""
+    types = {f.name: f.type for f in fields(cls)}
+    convert = [
+        (i, table[types[name]]) for i, name in enumerate(columns) if types[name] in table
+    ]
+    return attrgetter(*columns), convert
+
+
+def _row(obj: object, converters: tuple) -> list:
+    get, convert = converters
+    row = list(get(obj))
+    for i, fn in convert:
+        row[i] = fn(row[i])
+    return row
+
+
+_RECORD_CELLS = _converters(TrialRecord, RECORD_COLUMNS, _CSV_CELL)
+_TIMED_RECORD_CELLS = _converters(TrialRecord, _TIMED_RECORD_COLUMNS, _CSV_CELL)
+_SUMMARY_CELLS = _converters(SummaryRow, SUMMARY_COLUMNS, _CSV_CELL)
+_POINT_KEY_PARTS = _converters(TrialPoint, _POINT_FIELDS, _KEY_PART)
+_READ = {f.name: _FROM_CELL.get(f.type, str) for f in fields(TrialRecord)}
+_point_values = attrgetter(*_POINT_FIELDS)
+_record_order = attrgetter(*_POINT_FIELDS, "trial_index")
+
+
+def _record_key(rec: TrialRecord) -> tuple:
+    return tuple(_row(rec, _RECORD_CELLS))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative sweep specification."""
+    """Declarative sweep specification.
+
+    Integer fields must be ints (not bools), every tuple field nonempty,
+    ``sigmas`` finite and nonnegative, and ``success_threshold`` finite
+    and positive; anything else raises ``ValueError``.
+    """
 
     m: int
     n: int
@@ -154,56 +171,58 @@ class ExperimentConfig:
     success_threshold: float = 1e-4
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ValueError(f"{f.name} must be an integer")
+            nonempty = isinstance(value, (tuple, list)) and len(value) > 0
+            if f.type.startswith("tuple") and not nonempty:
+                raise ValueError(f"{f.name} must be a nonempty sequence")
         if min(self.m, self.n) < 1:
             raise ValueError("m and n must be positive")
-        for name in ("ranks", "design_kinds", "k_values", "sigmas", "algorithms"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
+        if not all(map(_is_int, self.ranks)):
+            raise ValueError("ranks must be integers")
+        if not all(isinstance(kind, DesignKind) for kind in self.design_kinds):
+            raise ValueError("design_kinds must be DesignKind members")
+        if not all(
+            isinstance(ks, (tuple, list)) and len(ks) == 2 and all(map(_is_int, ks))
+            for ks in self.k_values
+        ):
+            raise ValueError("k_values must be [k1, k2] integer pairs")
+        if not all(map(_is_finite_nonnegative, self.sigmas)):
+            raise ValueError("sigmas must be finite and nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.success_threshold <= 0:
-            raise ValueError("success_threshold must be positive")
+        threshold = self.success_threshold
+        if not (_is_finite_nonnegative(threshold) and threshold > 0):
+            raise ValueError("success_threshold must be finite and positive")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+    def from_json_dict(cls, payload: object) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ValueError("sweep config must be a JSON object")
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for name in ("m", "n", "ranks", "design_kinds", "k_values", "sigmas",
-                     "algorithms", "trials", "base_seed"):
-            if name not in payload:
-                raise ValueError(f"config missing field {name!r}")
-        return cls(
-            m=int(payload["m"]),
-            n=int(payload["n"]),
-            ranks=tuple(int(r) for r in payload["ranks"]),
-            design_kinds=tuple(DesignKind(k) for k in payload["design_kinds"]),
-            k_values=tuple((int(k1), int(k2)) for k1, k2 in payload["k_values"]),
-            sigmas=tuple(float(s) for s in payload["sigmas"]),
-            algorithms=tuple(payload["algorithms"]),
-            trials=int(payload["trials"]),
-            base_seed=int(payload["base_seed"]),
-            success_threshold=float(payload.get("success_threshold", 1e-4)),
-        )
+        config = dict(payload)
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in payload:
+                raise ValueError(f"config missing field {f.name!r}")
+            if f.type.startswith("tuple"):
+                if not isinstance(payload[f.name], list):
+                    raise ValueError(f"{f.name} must be a list")
+                config[f.name] = tuple(
+                    tuple(v) if isinstance(v, list) else v for v in payload[f.name]
+                )
+        config["design_kinds"] = tuple(map(DesignKind, config["design_kinds"]))
+        return cls(**config)
 
 
-def _point_key(point: TrialPoint) -> str:
-    return "|".join(
-        (
-            str(point.m),
-            str(point.n),
-            str(point.rank),
-            point.design.value,
-            str(point.k1),
-            str(point.k2),
-            format_float(point.sigma),
-            point.algorithm,
-        )
-    )
+def _seed_prefix(base_seed: int, point: TrialPoint) -> str:
+    return f"{base_seed}|{'|'.join(_row(point, _POINT_KEY_PARTS))}|"
 
 
 def _hash64(text: str) -> int:
@@ -213,7 +232,7 @@ def _hash64(text: str) -> int:
 
 def trial_seed(base_seed: int, point: TrialPoint, trial_index: int) -> int:
     """Stable 64-bit per-trial seed from the sweep coordinates."""
-    return _hash64(f"{base_seed}|{_point_key(point)}|{trial_index}")
+    return _hash64(f"{_seed_prefix(base_seed, point)}{trial_index}")
 
 
 def _subseed(seed: int, label: str) -> int:
@@ -234,18 +253,7 @@ def run_trial(
     blocks directly.  Any exception from a component is captured in the
     record's error tag.
     """
-    base = dict(
-        m=point.m,
-        n=point.n,
-        rank=point.rank,
-        design=point.design.value,
-        k1=point.k1,
-        k2=point.k2,
-        sigma=point.sigma,
-        algorithm=point.algorithm,
-        trial_index=trial_index,
-        seed=seed,
-    )
+    base = dict(vars(point), design=point.design.value, trial_index=trial_index, seed=seed)
     try:
         truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
         design_seed = _subseed(seed, "design")
@@ -278,7 +286,6 @@ def run_trial(
             success=False,
             iterations=0,
             error=f"{type(exc).__name__}: {exc}",
-            runtime_seconds=math.nan,
         )
     rel = result.relative_error
     return TrialRecord(
@@ -286,22 +293,7 @@ def run_trial(
         relative_error=rel,
         success=bool(rel < success_threshold),
         iterations=result.iterations or 0,
-        error="",
         runtime_seconds=result.runtime_seconds,
-    )
-
-
-def _record_sort_key(rec: TrialRecord):
-    return (
-        rec.m,
-        rec.n,
-        rec.rank,
-        rec.design,
-        rec.k1,
-        rec.k2,
-        rec.sigma,
-        rec.algorithm,
-        rec.trial_index,
     )
 
 
@@ -312,25 +304,15 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
     then trial index) whatever the parallelism level.
     """
     tasks = []
-    for rank in config.ranks:
-        for kind in config.design_kinds:
-            for k1, k2 in config.k_values:
-                for sigma in config.sigmas:
-                    for algo in config.algorithms:
-                        point = TrialPoint(
-                            m=config.m,
-                            n=config.n,
-                            rank=rank,
-                            design=kind,
-                            k1=k1,
-                            k2=k2,
-                            sigma=sigma,
-                            algorithm=algo,
-                        )
-                        for trial in range(config.trials):
-                            tasks.append(
-                                (point, trial_seed(config.base_seed, point, trial), trial)
-                            )
+    for rank, kind, (k1, k2), sigma, algo in itertools.product(
+        config.ranks, config.design_kinds, config.k_values, config.sigmas, config.algorithms
+    ):
+        point = TrialPoint(
+            m=config.m, n=config.n, rank=rank, design=kind, k1=k1, k2=k2, sigma=sigma,
+            algorithm=algo,
+        )
+        prefix = _seed_prefix(config.base_seed, point)  # trial_seed, once per point
+        tasks.extend((point, _hash64(f"{prefix}{t}"), t) for t in range(config.trials))
 
     def run(task):
         point, seed, trial = task
@@ -341,38 +323,15 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
             records = list(pool.map(run, tasks))
     else:
         records = [run(task) for task in tasks]
-    records.sort(key=_record_sort_key)
+    records.sort(key=_record_order)
     return records
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """Aggregate over all trials sharing one parameter tuple.
-
-    Error statistics pool the non-failed trials; the success rate counts
-    failed trials in its denominator.
-    """
-
-    m: int
-    n: int
-    rank: int
-    design: str
-    k1: int
-    k2: int
-    sigma: float
-    algorithm: str
-    trials: int
-    mean_relative_error: float
-    median_relative_error: float
-    success_rate: float
-    mean_runtime_seconds: float = field(compare=False)
 
 
 def aggregate(records: Iterable[TrialRecord]) -> list[SummaryRow]:
     """Group records by parameter tuple, in canonical order."""
     groups: dict[tuple, list[TrialRecord]] = {}
     for rec in records:
-        groups.setdefault(_record_sort_key(rec)[:-1], []).append(rec)
+        groups.setdefault(_point_values(rec), []).append(rec)
     rows = []
     for key in sorted(groups):
         recs = groups[key]
@@ -380,14 +339,7 @@ def aggregate(records: Iterable[TrialRecord]) -> list[SummaryRow]:
         times = [r.runtime_seconds for r in recs if not math.isnan(r.runtime_seconds)]
         rows.append(
             SummaryRow(
-                m=key[0],
-                n=key[1],
-                rank=key[2],
-                design=key[3],
-                k1=key[4],
-                k2=key[5],
-                sigma=key[6],
-                algorithm=key[7],
+                *key,
                 trials=len(recs),
                 mean_relative_error=statistics.fmean(errs) if errs else math.nan,
                 median_relative_error=statistics.median(errs) if errs else math.nan,
@@ -398,84 +350,47 @@ def aggregate(records: Iterable[TrialRecord]) -> list[SummaryRow]:
     return rows
 
 
-def write_records_csv(
-    path: str | Path, records: Sequence[TrialRecord], include_runtime: bool = False
+def _write_csv(
+    path: str | Path, columns: Sequence[str], converters: tuple, objs: Iterable
 ) -> None:
-    columns = RECORD_COLUMNS + (("runtime_seconds",) if include_runtime else ())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for rec in records:
-            row = [
-                rec.m,
-                rec.n,
-                rec.rank,
-                rec.design,
-                rec.k1,
-                rec.k2,
-                format_float(rec.sigma),
-                rec.algorithm,
-                rec.trial_index,
-                rec.seed,
-                format_float(rec.relative_error),
-                int(rec.success),
-                rec.iterations,
-                rec.error,
-            ]
-            if include_runtime:
-                row.append(format_float(rec.runtime_seconds))
-            writer.writerow(row)
+        writer.writerows(_row(obj, converters) for obj in objs)
+
+
+def write_records_csv(
+    path: str | Path, records: Sequence[TrialRecord], include_runtime: bool = False
+) -> None:
+    if include_runtime:
+        _write_csv(path, _TIMED_RECORD_COLUMNS, _TIMED_RECORD_CELLS, records)
+    else:
+        _write_csv(path, RECORD_COLUMNS, _RECORD_CELLS, records)
 
 
 def read_records_csv(path: str | Path) -> list[TrialRecord]:
-    records = []
+    """Read a records CSV by column name; ``runtime_seconds`` is optional."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(RECORD_COLUMNS) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(RECORD_COLUMNS) - set(header)
         if missing:
             raise ValueError(f"{path}: records CSV missing columns {sorted(missing)}")
+        cells = [
+            (header.index(name), _READ[name])
+            for name in _TIMED_RECORD_COLUMNS
+            if name in header
+        ]
+        records = []
         for row in reader:
-            records.append(
-                TrialRecord(
-                    m=int(row["m"]),
-                    n=int(row["n"]),
-                    rank=int(row["rank"]),
-                    design=row["design"],
-                    k1=int(row["k1"]),
-                    k2=int(row["k2"]),
-                    sigma=float(row["sigma"]),
-                    algorithm=row["algorithm"],
-                    trial_index=int(row["trial_index"]),
-                    seed=int(row["seed"]),
-                    relative_error=float(row["relative_error"]),
-                    success=bool(int(row["success"])),
-                    iterations=int(row["iterations"]),
-                    error=row["error"],
-                    runtime_seconds=float(row.get("runtime_seconds", "nan") or "nan"),
+            if row and len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields"
                 )
-            )
+            if row:  # blank lines are skipped
+                records.append(TrialRecord(*[fn(row[i]) for i, fn in cells]))
     return records
 
 
 def write_summary_csv(path: str | Path, rows: Sequence[SummaryRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.m,
-                    row.n,
-                    row.rank,
-                    row.design,
-                    row.k1,
-                    row.k2,
-                    format_float(row.sigma),
-                    row.algorithm,
-                    row.trials,
-                    format_float(row.mean_relative_error),
-                    format_float(row.median_relative_error),
-                    format_float(row.success_rate),
-                    format_float(row.mean_runtime_seconds),
-                ]
-            )
+    _write_csv(path, SUMMARY_COLUMNS, _SUMMARY_CELLS, rows)

@@ -160,6 +160,15 @@ class TestMeasureAndRecover:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_measure_infinite_sigma_is_usage_error(self, pipeline, tmp_path):
+        x, design, _ = pipeline
+        out = tmp_path / "meas-inf"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("measure", "--x", x, "--design", design, "--sigma", "inf",
+                    "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_measure_dimension_mismatch(self, tmp_path, capsys):
         x_path = tmp_path / "x.csv"
         write_matrix(x_path, np.zeros((3, 3)))
@@ -293,6 +302,18 @@ class TestSweepAndSummarize:
         code = run_cli("sweep", "--config", bad, "--out", tmp_path / "r.csv")
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["5", "null", '{"m": null}'])
+    def test_ill_typed_config_is_runtime_error(self, config_path, tmp_path, capsys, text):
+        if text.startswith("{"):  # one field of the valid config made null
+            config = json.loads(config_path.read_text())
+            config.update(json.loads(text))
+            text = json.dumps(config)
+        config_path.write_text(text)
+        code = run_cli("sweep", "--config", config_path, "--out", tmp_path / "r.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

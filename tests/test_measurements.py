@@ -177,6 +177,12 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(np.zeros((3, 3)), d, -1.0, 0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        d = gen_design(DesignKind.GAUSSIAN_AFFINE, 3, 3, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            measure(np.zeros((3, 3)), d, sigma, 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_target_rejected(self, bad):
         d = gen_design(DesignKind.GAUSSIAN_AFFINE, 3, 3, 2, 2, seed=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from svls import recovery
-from svls.baselines import GaussianOperator, als_recover, rowcol_operator_matrix, svp_recover
+from svls.baselines import als_recover, rowcol_operator_matrix, svp_recover
 from svls.measurements import (
     DesignKind,
     MeasurementDesign,
@@ -56,8 +56,7 @@ def recover_with(algo, truth, sigma=0.05):
     elif algo == "als":
         result = als_recover(meas, design, 2, truth=truth.x)
     else:
-        op_matrix = rowcol_operator_matrix(design)
-        op = GaussianOperator(k=op_matrix.shape[0], op=op_matrix, seed=0)
+        op = rowcol_operator_matrix(design)
         b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
         result = svp_recover(b, op, 18, 15, 2, truth=truth.x)
     return result, design, meas

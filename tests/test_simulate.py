@@ -1,9 +1,13 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svls.measurements import DesignKind
 from svls.simulate import (
+    ALGORITHMS,
     ExperimentConfig,
     TrialPoint,
     aggregate,
@@ -13,6 +17,24 @@ from svls.simulate import (
     trial_seed,
     write_records_csv,
     write_summary_csv,
+)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # nan and infinities included, as Python's json reads them
+    st.text(max_size=8),
+    st.sampled_from(["gaussian", "rowcol", *ALGORITHMS]),
+)
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
 )
 
 
@@ -129,9 +151,22 @@ class TestSweep:
     def test_seed_derivation_stable(self):
         # frozen value: the seed schedule is part of the reproducibility
         # contract, so a refactor that changes it must fail loudly
-        assert trial_seed(77, point(), 0) == trial_seed(77, point(), 0)
+        assert trial_seed(77, point(), 0) == 1543507526266491094
         assert trial_seed(77, point(), 0) != trial_seed(78, point(), 0)
         assert trial_seed(77, point(), 0) != trial_seed(77, point(sigma=0.1), 0)
+
+
+VALID_CONFIG = {
+    "m": 10,
+    "n": 10,
+    "ranks": [2],
+    "design_kinds": ["gaussian"],
+    "k_values": [[2, 2]],
+    "sigmas": [0.0],
+    "algorithms": ["svls"],
+    "trials": 2,
+    "base_seed": 0,
+}
 
 
 class TestExperimentConfig:
@@ -162,27 +197,60 @@ class TestExperimentConfig:
             {"algorithms": ["bogus"]},
             {"sigmas": []},
             {"success_threshold": 0.0},
+            {"m": None},
+            {"ranks": 5},
+            {"k_values": [3]},
+            {"success_threshold": None},
+            {"trials": 1.5},
+            {"m": True},
+            {"sigmas": [math.nan]},
+            {"sigmas": [math.inf]},
         ],
     )
     def test_invalid_config_rejected(self, bad):
-        payload = {
-            "m": 10,
-            "n": 10,
-            "ranks": [2],
-            "design_kinds": ["gaussian"],
-            "k_values": [[2, 2]],
-            "sigmas": [0.0],
-            "algorithms": ["svls"],
-            "trials": 2,
-            "base_seed": 0,
-        }
-        payload.update(bad)
+        payload = dict(VALID_CONFIG, **bad)
         with pytest.raises(ValueError):
             ExperimentConfig.from_json_dict(payload)
+
+    @pytest.mark.parametrize("payload", [5, None])
+    def test_non_object_config_rejected(self, payload):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"sigmas": (math.nan,)}, {"sigmas": (-1.0,)}, {"success_threshold": math.inf}],
+    )
+    def test_direct_construction_checked(self, bad):
+        with pytest.raises(ValueError):
+            small_config(**bad)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_json_dict({"m": 3, "bogus": 1})
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        payload=st.one_of(
+            JSON_VALUES,
+            # the valid config with one field, or the one entry of a list
+            # field, replaced by any JSON value
+            st.tuples(
+                st.sampled_from([*VALID_CONFIG, "success_threshold"]), JSON_VALUES
+            ).map(lambda item: dict(VALID_CONFIG, **{item[0]: item[1]})),
+            st.tuples(
+                st.sampled_from([k for k, v in VALID_CONFIG.items() if type(v) is list]),
+                JSON_VALUES,
+            ).map(lambda item: dict(VALID_CONFIG, **{item[0]: [item[1]]})),
+        )
+    )
+    def test_any_json_gives_config_or_value_error(self, payload):
+        try:
+            cfg = ExperimentConfig.from_json_dict(payload)
+        except ValueError:
+            return
+        assert cfg.m >= 1 and cfg.trials >= 1
+        assert all(0 <= s < math.inf for s in cfg.sigmas)
 
 
 class TestAggregate:
@@ -249,6 +317,27 @@ class TestRecordsCsv:
         assert b"\r" not in raw
         assert b"0.10000000000000001" in raw  # 17 significant digits
 
+    def test_timed_csv_round_trip(self, tmp_path):
+        cfg = small_config(algorithms=("svls", "cur"), trials=2)
+        records = sweep(cfg)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_records_csv(a, records, include_runtime=True)
+        loaded = read_records_csv(a)
+        assert loaded == records
+        # 17 digits round-trip every runtime exactly; repr makes nan == nan
+        assert [repr(r.runtime_seconds) for r in loaded] == [
+            repr(r.runtime_seconds) for r in records
+        ]
+        write_records_csv(b, loaded, include_runtime=True)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(path, sweep(small_config(trials=1)))
+        path.write_text(path.read_text() + "1,2,3\n")
+        with pytest.raises(ValueError, match="fields"):
+            read_records_csv(path)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("m,n\n1,2\n")
@@ -263,6 +352,37 @@ class TestRecordsCsv:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("m,n,rank,design,k1,k2,sigma,algorithm,trials")
         assert len(lines) == 1 + len(rows)
+
+
+class TestGoldenOutputs:
+    """SHA-256 of the harness output for a small sweep that covers both
+    designs, all four algorithms, noise and contained errors.  The digests
+    pin numpy 2.4 with OpenBLAS 0.3 on x86-64; on another numerical stack
+    they must be retaken from a harness whose output is known to be right."""
+
+    RECORDS_SHA256 = "3190bd6b8c6e0544693c7350351030d279ab00bd1005e7f83e78548ac83816fa"
+    SUMMARY_SHA256 = "18f1608ef960b039307a709a66dcd70ade09a1719f0971650ebf1a0ad5ae7785"
+
+    def test_records_and_summary_bytes(self, tmp_path):
+        cfg = small_config(
+            n=10,
+            design_kinds=tuple(DesignKind),
+            k_values=((1, 1), (3, 3)),
+            sigmas=(0.0, 1e-3),
+            algorithms=ALGORITHMS,
+            trials=1,
+            base_seed=2024,
+        )
+        records = sweep(cfg)
+        assert any(r.error for r in records) and any(r.success for r in records)
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RECORDS_SHA256
+        write_summary_csv(path, aggregate(records))
+        # mean_runtime_seconds, the last column, is wall-clock time
+        lines = path.read_text().splitlines()
+        text = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SUMMARY_SHA256
 
 
 class TestExactnessProbability:
