@@ -4,11 +4,14 @@
 thresholding) on a dense affine operator over the flattened target; it
 is the standard-design baseline and, by the parity rule used in the
 simulation harness, is allotted ``k1*n + k2*m`` scalar measurements to
-match the row/column budget.  ``als_recover`` alternately refits the two
-factors of ``X = L @ R.T`` against the row/column blocks, starting from
-the one-shot SVD+LS estimate (so it isolates the value of iterative
+match the row/column budget.  Its automatic step is a Barzilai-Borwein
+trial with a fallback to ``1/sigma_max(op)^2`` that keeps the objective
+nonincreasing.  ``als_recover`` alternately refits the two factors of
+``X = L @ R.T`` against the row/column blocks, starting from the
+one-shot SVD+LS estimate (so it isolates the value of iterative
 refinement); random or user-supplied initialization is available for
-fairness experiments.
+fairness experiments.  Both report ``converged``: whether the ``tol``
+stopping rule fired before ``max_iters``.
 
 Both solvers materialize dense systems and exist for desk-scale
 comparison, not production sensing; targets are capped at 1e5 entries.
@@ -16,6 +19,7 @@ comparison, not production sensing; targets are capped at 1e5 entries.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,8 +43,10 @@ class IterativeSolverConfig:
     """Stopping rule shared by the iterative solvers.
 
     ``tol`` is the relative change in the iterate between sweeps;
-    ``step_size`` applies to SVP only ("auto" picks 1/sigma_max(op)^2,
-    which makes the objective nonincreasing).
+    ``step_size`` applies to SVP only: a float is the fixed step, and
+    "auto" tries the Barzilai-Borwein step of the last update and falls
+    back to 1/sigma_max(op)^2 when the trial would raise the objective,
+    so the objective is nonincreasing (see ``svp_recover``).
     """
 
     max_iters: int = 500
@@ -52,8 +58,8 @@ class IterativeSolverConfig:
             raise ValueError("max_iters must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.step_size != "auto" and float(self.step_size) <= 0:
-            raise ValueError("step_size must be positive or 'auto'")
+        if self.step_size != "auto" and not 0 < float(self.step_size) < math.inf:
+            raise ValueError("step_size must be positive and finite, or 'auto'")
 
 
 def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
@@ -83,6 +89,22 @@ def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r] * s[:r], vt[:r].T
 
 
+def _projected_step(
+    x: np.ndarray, grad: np.ndarray, eta: float, op: np.ndarray, b: np.ndarray, r: int
+) -> tuple:
+    """One SVP update ``TruncSVD_r(x - eta * grad)`` as ``(left, right,
+    x_new, resid, objective)``; the objective is inf, and nothing else is
+    computed, when the gradient step is not finite (LAPACK's SVD does not
+    return on infinite input)."""
+    y = x - eta * grad
+    if not np.isfinite(y).all():
+        return None, None, None, None, math.inf
+    left, right = _truncate_svd(y, r)
+    x_new = left @ right.T
+    resid = op @ x_new.ravel() - b
+    return left, right, x_new, resid, float(resid @ resid)
+
+
 def svp_recover(
     b: np.ndarray,
     op: np.ndarray,
@@ -97,9 +119,20 @@ def svp_recover(
     operator ``op`` acting on the row-major vec of X.
 
     Iterates ``X <- TruncSVD_r(X - eta * reshape(op.T @ (op @ vec(X) - b)))``
-    from ``X = 0``; with the automatic step ``eta = 1/sigma_max(op)^2``
-    the objective is nonincreasing.  Nonconvergence is not an error: the
-    result carries the iteration count and final objective either way.
+    from ``X = 0``.  A float ``step_size`` fixes ``eta``.  The automatic
+    step first tries the Barzilai-Borwein step
+    ``||dX||^2 / ||op @ vec(dX)||^2`` of the last update, kept at or
+    above the safe step ``1/sigma_max(op)^2``; if that trial would raise
+    the objective, the iteration is redone at the safe step, which by
+    majorization cannot.  The first iteration, and any whose last update
+    lies in the null space of ``op``, take the safe step.  So the
+    objective is nonincreasing, and an accepted trial costs the same two
+    operator products as a fixed step.
+
+    Nonconvergence is not an error: the result carries the iteration
+    count, the final objective and ``converged`` either way.  A step
+    that drives the objective to inf or nan stops the iteration at the
+    last finite iterate, with ``converged=False``.
     """
     cfg = cfg or IterativeSolverConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -111,29 +144,41 @@ def svp_recover(
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
     t0 = time.perf_counter()
-    if cfg.step_size == "auto":
+    auto = cfg.step_size == "auto"
+    if auto:
         # sigma_max^2 via the smaller Gram matrix; exact and deterministic.
         gram = op @ op.T if k <= m * n else op.T @ op
-        eta = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
+        safe = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
     else:
-        eta = float(cfg.step_size)
+        safe = float(cfg.step_size)
     x = np.zeros((m, n))
-    history = []
+    left, right = np.zeros((m, r)), np.zeros((n, r))
+    resid = -b  # op @ vec(0) - b
+    history = [float(resid @ resid)]
+    bb = 0.0  # Barzilai-Borwein step of the last update; 0 means none
     iterations = 0
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        resid = op @ x.ravel() - b
-        history.append(float(resid @ resid))
-        grad = (op.T @ resid).reshape(m, n)
-        left, right = _truncate_svd(x - eta * grad, r)
-        x_new = left @ right.T
-        step = np.linalg.norm(x_new - x)
-        x = x_new
-        if step <= cfg.tol * max(np.linalg.norm(x), 1e-300):
-            break
-    final_resid = op @ x.ravel() - b
-    final_objective = float(final_resid @ final_resid)
-    history.append(final_objective)
+    converged = False
+    # Overflow is caught below as a non-finite objective, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iters):
+            grad = (op.T @ resid).reshape(m, n)
+            eta = max(safe, bb) if auto else safe
+            trial = _projected_step(x, grad, eta, op, b, r)
+            if eta > safe and not trial[-1] <= history[-1]:
+                trial = _projected_step(x, grad, safe, op, b, r)
+            if not math.isfinite(trial[-1]):
+                break
+            left, right, x_new, resid_new, objective = trial
+            iterations += 1
+            history.append(objective)
+            step = float(np.linalg.norm(x_new - x))
+            dr = resid_new - resid
+            dr_sq = float(dr @ dr)
+            bb = step * step / dr_sq if dr_sq > 0 else 0.0
+            x, resid = x_new, resid_new
+            if step <= cfg.tol * max(np.linalg.norm(x), 1e-300):
+                converged = True
+                break
     runtime = time.perf_counter() - t0
     left = _freeze(left)
     right.flags.writeable = False  # a transposed view of this call's SVD output
@@ -145,8 +190,9 @@ def svp_recover(
         runtime_seconds=runtime,
         relative_error=None if truth is None else relative_error(left, right, truth),
         iterations=iterations,
-        final_objective=final_objective,
+        final_objective=history[-1],
         objective_history=tuple(history),
+        converged=converged,
     )
 
 
@@ -232,6 +278,7 @@ def als_recover(
     history = [_factor_objective(left, right, design, meas)]
     x = left @ right.T
     iterations = 0
+    converged = False
     for _ in range(cfg.max_iters):
         iterations += 1
         right = _solve_right(left, design, meas)
@@ -242,6 +289,7 @@ def als_recover(
         step = np.linalg.norm(x_new - x)
         x = x_new
         if step <= cfg.tol * max(np.linalg.norm(x), 1e-300):
+            converged = True
             break
     runtime = time.perf_counter() - t0
     left, right = _freeze(left), _freeze(right)
@@ -258,6 +306,7 @@ def als_recover(
         iterations=iterations,
         final_objective=history[-1],
         objective_history=tuple(history),
+        converged=converged,
     )
 
 

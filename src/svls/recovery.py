@@ -57,8 +57,10 @@ class RecoveryResult:
     ``col_residual`` are Frobenius-norm data misfits of the estimate
     against the two measurement blocks; they are None only for solvers
     that were not run against a row/column measurement set.
-    ``iterations``, ``final_objective``, and ``objective_history`` are
-    populated by the iterative baselines.
+    ``iterations``, ``final_objective``, ``objective_history`` and
+    ``converged`` are populated by the iterative baselines; ``converged``
+    is True when the ``tol`` stopping rule fired and False when the
+    solver stopped at ``max_iters`` or on a non-finite objective.
     """
 
     left: np.ndarray
@@ -73,6 +75,7 @@ class RecoveryResult:
     iterations: int | None = None
     final_objective: float | None = None
     objective_history: tuple[float, ...] | None = None
+    converged: bool | None = None
 
     @functools.cached_property
     def x_hat(self) -> np.ndarray:
@@ -94,6 +97,8 @@ class RecoveryResult:
             out["iterations"] = self.iterations
         if self.final_objective is not None:
             out["final_objective"] = self.final_objective
+        if self.converged is not None:
+            out["converged"] = self.converged
         if x_hat_ref is not None:
             out["x_hat"] = x_hat_ref
         return out

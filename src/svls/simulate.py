@@ -251,9 +251,11 @@ def run_trial(
     ``k1*n + k2*m`` scalar measurements (budget parity with the
     row/column design); the other algorithms consume the row/column
     blocks directly.  Any exception from a component is captured in the
-    record's error tag.
+    record's error tag, an unknown ``point.design`` string included.
     """
-    base = dict(vars(point), design=point.design.value, trial_index=trial_index, seed=seed)
+    kind = point.design
+    design = kind.value if isinstance(kind, DesignKind) else str(kind)
+    base = dict(vars(point), design=design, trial_index=trial_index, seed=seed)
     try:
         truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
         design_seed = _subseed(seed, "design")

@@ -114,6 +114,21 @@ class TestRunTrial:
         assert not rec.success
         assert rec.relative_error > 1e-4
 
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_string_design_matches_member(self, kind):
+        by_member = run_trial(point(design=kind), seed=7)
+        by_string = run_trial(point(design=kind.value), seed=7)
+        assert by_string == by_member
+        assert by_string.design == kind.value
+        assert by_string.error == ""
+
+    def test_unknown_design_contained(self):
+        rec = run_trial(point(design="bogus"), seed=7)
+        assert rec.design == "bogus"
+        assert rec.error.startswith("ValueError")
+        assert not rec.success
+        assert math.isnan(rec.relative_error)
+
 
 class TestSweep:
     def test_cartesian_cardinality(self):
@@ -360,8 +375,8 @@ class TestGoldenOutputs:
     pin numpy 2.4 with OpenBLAS 0.3 on x86-64; on another numerical stack
     they must be retaken from a harness whose output is known to be right."""
 
-    RECORDS_SHA256 = "3190bd6b8c6e0544693c7350351030d279ab00bd1005e7f83e78548ac83816fa"
-    SUMMARY_SHA256 = "18f1608ef960b039307a709a66dcd70ade09a1719f0971650ebf1a0ad5ae7785"
+    RECORDS_SHA256 = "f5c4ed20c14483c993b6100ef71edef21b45370de0e5b77798a3267d6c1a0cf5"
+    SUMMARY_SHA256 = "d90c7ccbca5946de9b3e87a99b979c45d416b02684f8b064889e99526304a986"
 
     def test_records_and_summary_bytes(self, tmp_path):
         cfg = small_config(
