@@ -62,17 +62,22 @@ class IterativeSolverConfig:
             raise ValueError("step_size must be positive and finite, or 'auto'")
 
 
+def _check_dense_size(m: int, n: int) -> None:
+    """Reject an m x n target too large for a dense system over its m*n entries."""
+    if m * n > MAX_TARGET_ENTRIES:
+        raise ValueError(
+            f"target has {m * n} entries, above the dense-operator cap of "
+            f"{MAX_TARGET_ENTRIES}"
+        )
+
+
 def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
     """Draw a read-only k x (m*n) dense Gaussian sensing operator: row i is
     a flattened i.i.d. standard normal sensing matrix acting on the
     row-major vec of X."""
     if min(m, n, k) < 1:
         raise ValueError("operator dimensions must be positive")
-    if m * n > MAX_TARGET_ENTRIES:
-        raise ValueError(
-            f"target has {m * n} entries, above the dense-operator cap of "
-            f"{MAX_TARGET_ENTRIES}"
-        )
+    _check_dense_size(m, n)
     rng = np.random.default_rng(seed)
     return _freeze(rng.standard_normal((k, m * n)))
 
@@ -204,8 +209,8 @@ def _factor_objective(
 ) -> float:
     x = left @ right.T
     return float(
-        np.linalg.norm(design.a_row @ x - meas.b_row) ** 2
-        + np.linalg.norm(x @ design.a_col - meas.b_col) ** 2
+        np.linalg.norm(design.rows(x) - meas.b_row) ** 2
+        + np.linalg.norm(design.cols(x) - meas.b_col) ** 2
     )
 
 
@@ -215,8 +220,8 @@ def _solve_right(
     # minimize over R (n x r), row-major vec: rows of both blocks are
     # reordered so each stacks as a Kronecker product.
     n, r = design.n, left.shape[1]
-    g = design.a_row @ left  # k1 x r
-    d = np.vstack([np.kron(np.eye(n), g), np.kron(design.a_col.T, left)])
+    g = design.rows(left)  # k1 x r
+    d = np.vstack([np.kron(np.eye(n), g), np.kron(design.cols(np.eye(n)).T, left)])
     rhs = np.concatenate([meas.b_row.T.ravel(), meas.b_col.T.ravel()])
     sol, _, _, _ = np.linalg.lstsq(d, rhs, rcond=None)
     return sol.reshape(n, r)
@@ -226,8 +231,8 @@ def _solve_left(
     right: np.ndarray, design: MeasurementDesign, meas: MeasurementSet
 ) -> np.ndarray:
     m, r = design.m, right.shape[1]
-    h = right.T @ design.a_col  # r x k2
-    d = np.vstack([np.kron(design.a_row, right), np.kron(np.eye(m), h.T)])
+    h = design.cols(right.T)  # r x k2
+    d = np.vstack([np.kron(design.rows(np.eye(m)), right), np.kron(np.eye(m), h.T)])
     rhs = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
     sol, _, _, _ = np.linalg.lstsq(d, rhs, rcond=None)
     return sol.reshape(m, r)
@@ -256,11 +261,7 @@ def als_recover(
             f"rank {r} outside valid range [1, "
             f"{min(design.m, design.n, design.k1, design.k2)}]"
         )
-    if design.m * design.n > MAX_TARGET_ENTRIES:
-        raise ValueError(
-            f"target has {design.m * design.n} entries, above the cap of "
-            f"{MAX_TARGET_ENTRIES}"
-        )
+    _check_dense_size(design.m, design.n)
     t0 = time.perf_counter()
     if init == "svls":
         u = estimate_col_space(meas.b_col, r)
@@ -317,11 +318,7 @@ def rowcol_operator_matrix(design: MeasurementDesign) -> np.ndarray:
     Rows are ordered as ``b_row.ravel()`` followed by ``b_col.ravel()``,
     so ``op @ vec(X)`` equals the concatenated measurement blocks.
     """
-    if design.m * design.n > MAX_TARGET_ENTRIES:
-        raise ValueError(
-            f"target has {design.m * design.n} entries, above the cap of "
-            f"{MAX_TARGET_ENTRIES}"
-        )
-    top = np.kron(design.a_row, np.eye(design.n))
-    bottom = np.kron(np.eye(design.m), design.a_col.T)
+    _check_dense_size(design.m, design.n)
+    top = np.kron(design.rows(np.eye(design.m)), np.eye(design.n))
+    bottom = np.kron(np.eye(design.m), design.cols(np.eye(design.n)).T)
     return np.vstack([top, bottom])

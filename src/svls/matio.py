@@ -4,12 +4,16 @@ Matrix files are bit-exact: one matrix row per line, fields separated by
 a single comma, numbers rendered with 17 significant decimal digits
 (lossless for 64-bit floats), ``\\n`` terminated, no header.
 
-A measurement set on disk is a directory containing ``b_row.csv``,
-``b_col.csv``, ``design_a_row.csv``, ``design_a_col.csv``, and a
-``manifest.json`` with the fields ``{kind, m, n, k1, k2, sigma,
-design_seed, noise_seed, row_indices?, col_indices?}``.  A design-only
-directory holds the two design files and a manifest without the noise
-fields.  Manifests always suffice to re-derive the artifact from seeds.
+A design on disk is a directory with a ``manifest.json`` holding the
+fields ``{kind, m, n, k1, k2, design_seed}``.  A sampling design is its
+manifest, which also lists ``row_indices`` and ``col_indices``; a
+Gaussian design adds its sensing matrices as ``design_a_row.csv`` and
+``design_a_col.csv``.  A measurement set is a design directory that
+also holds ``b_row.csv`` and ``b_col.csv``, with ``sigma`` and
+``noise_seed`` in its manifest.  Manifests always suffice to re-derive
+the artifact from seeds.  Sampling directories written with the 0/1
+selection matrices as ``design_a_*.csv`` still read: those files are
+ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .measurements import (
     MeasurementSet,
     _freeze,
     _freeze_index,
-    _selection,
 )
 
 DESIGN_FIELDS = ("kind", "m", "n", "k1", "k2", "design_seed")
@@ -127,8 +130,9 @@ def _design_manifest(design: MeasurementDesign) -> dict:
 def write_design(dirpath: str | Path, design: MeasurementDesign) -> None:
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    write_matrix(dirpath / "design_a_row.csv", design.a_row)
-    write_matrix(dirpath / "design_a_col.csv", design.a_col)
+    if design.a_row is not None:
+        write_matrix(dirpath / "design_a_row.csv", design.a_row)
+        write_matrix(dirpath / "design_a_col.csv", design.a_col)
     write_json(dirpath / "manifest.json", _design_manifest(design))
 
 
@@ -162,15 +166,18 @@ def _sigma(dirpath: Path, manifest: dict) -> float:
     return float(sigma)
 
 
+def _positive(dirpath: Path, manifest: dict, key: str) -> int:
+    value = manifest[key]
+    if not (_is_int(value) and 1 <= value <= sys.maxsize):
+        raise ValueError(f"{dirpath}: {key} must be a positive integer below 2**63")
+    return value
+
+
 def _sample_indices(
-    dirpath: Path, manifest: dict, key: str, selection: np.ndarray, csv_name: str
-) -> np.ndarray | None:
-    """The manifest's index list ``key``, checked against the 0/1
-    ``selection`` matrix (one row per index) read from ``csv_name``."""
-    raw = manifest.get(key)
-    if raw is None:
-        return None
-    count, size = selection.shape
+    dirpath: Path, manifest: dict, key: str, count: int, size: int
+) -> np.ndarray:
+    """The manifest's list ``key`` of ``count`` distinct indices in ``[0, size)``."""
+    raw = manifest[key]
     if not isinstance(raw, list) or not all(_is_int(i) for i in raw):
         raise ValueError(f"{dirpath}: {key} must be a list of integers")
     if len(raw) != count:
@@ -179,33 +186,30 @@ def _sample_indices(
         raise ValueError(f"{dirpath}: {key} has an entry outside [0, {size})")
     if len(set(raw)) != count:
         raise ValueError(f"{dirpath}: {key} repeats an index")
-    indices = _freeze_index(np.array(raw))
-    if not np.array_equal(selection, _selection(indices, size)):
-        raise ValueError(f"{dirpath}: {key} disagrees with the 1 entries of {csv_name}")
-    return indices
+    return _freeze_index(np.array(raw))
 
 
 def _design_from_dir(dirpath: Path, manifest: dict) -> MeasurementDesign:
+    """The design a manifest describes.  A sampling design is its index
+    lists; a Gaussian one reads its two sensing matrices from CSV."""
     _require_fields(dirpath, manifest, DESIGN_FIELDS)
     kind = DesignKind(manifest["kind"])
+    m, n, k1, k2 = (_positive(dirpath, manifest, k) for k in ("m", "n", "k1", "k2"))
+    seed = _seed(dirpath, manifest, "design_seed")
+    if kind is DesignKind.ROW_COL_SAMPLE:
+        _require_fields(dirpath, manifest, ("row_indices", "col_indices"))
+        rows = _sample_indices(dirpath, manifest, "row_indices", k1, m)
+        cols = _sample_indices(dirpath, manifest, "col_indices", k2, n)
+        return MeasurementDesign(kind, m, n, seed, row_indices=rows, col_indices=cols)
+    if "row_indices" in manifest or "col_indices" in manifest:
+        raise ValueError(f"{dirpath}: a gaussian design has no sampling indices")
     a_row = read_matrix(dirpath / "design_a_row.csv")
     a_col = read_matrix(dirpath / "design_a_col.csv")
-    if a_row.shape != (manifest["k1"], manifest["m"]):
+    if a_row.shape != (k1, m):
         raise ValueError(f"{dirpath}: design_a_row.csv shape disagrees with manifest")
-    if a_col.shape != (manifest["n"], manifest["k2"]):
+    if a_col.shape != (n, k2):
         raise ValueError(f"{dirpath}: design_a_col.csv shape disagrees with manifest")
-    return MeasurementDesign(
-        kind=kind,
-        a_row=a_row,
-        a_col=a_col,
-        row_indices=_sample_indices(
-            dirpath, manifest, "row_indices", a_row, "design_a_row.csv"
-        ),
-        col_indices=_sample_indices(
-            dirpath, manifest, "col_indices", a_col.T, "design_a_col.csv"
-        ),
-        seed=_seed(dirpath, manifest, "design_seed"),
-    )
+    return MeasurementDesign(kind, m, n, seed, a_row=a_row, a_col=a_col)
 
 
 def read_design(dirpath: str | Path) -> MeasurementDesign:
@@ -218,11 +222,9 @@ def write_measurement_set(
     dirpath: str | Path, meas: MeasurementSet, design: MeasurementDesign
 ) -> None:
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
+    write_design(dirpath, design)
     write_matrix(dirpath / "b_row.csv", meas.b_row)
     write_matrix(dirpath / "b_col.csv", meas.b_col)
-    write_matrix(dirpath / "design_a_row.csv", design.a_row)
-    write_matrix(dirpath / "design_a_col.csv", design.a_col)
     manifest = _design_manifest(design)
     manifest["sigma"] = meas.sigma
     manifest["noise_seed"] = meas.noise_seed
@@ -242,17 +244,11 @@ def read_measurement_set(
         raise ValueError(f"{dirpath}: b_row.csv shape disagrees with manifest")
     if b_col.shape != (design.m, design.k2):
         raise ValueError(f"{dirpath}: b_col.csv shape disagrees with manifest")
-    total = design.k1 * design.n + design.k2 * design.m
-    distinct = None
-    if design.kind is DesignKind.ROW_COL_SAMPLE:
-        distinct = total - design.k1 * design.k2
     meas = MeasurementSet(
         b_row=b_row,
         b_col=b_col,
         sigma=_sigma(dirpath, manifest),
         design_seed=design.seed,
         noise_seed=_seed(dirpath, manifest, "noise_seed"),
-        total_measurements=total,
-        distinct_measurements=distinct,
     )
     return meas, design

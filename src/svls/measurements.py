@@ -6,8 +6,13 @@ A target matrix ``X`` (m x n) is observed through two blocks::
     b_col = X @ a_col + noise      (m x k2, mixes entries within rows)
 
 Two designs are supported: dense i.i.d. standard-normal sensing matrices
-(``GAUSSIAN_AFFINE``, unnormalized by convention) and 0/1 row/column
-selection (``ROW_COL_SAMPLE``).
+(``GAUSSIAN_AFFINE``, unnormalized by convention) and row/column
+sampling (``ROW_COL_SAMPLE``), whose measurements are single entries of
+X: that design is its two index vectors, applied by the gathers
+``X[rows]`` and ``X[:, cols]``, which for finite input give the same
+bits as products with 0/1 selection matrices.  ``MeasurementDesign.rows``
+and ``cols`` are the only places a design is applied.  A ground truth is
+held as its factors.
 
 All randomness flows through numpy's PCG64 generator
 (``numpy.random.default_rng``) with a fixed stream order, so every value
@@ -26,6 +31,7 @@ across threads.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -56,90 +62,105 @@ def _freeze_index(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _selection(indices: np.ndarray, size: int) -> np.ndarray:
-    """0/1 matrix whose row i has its one 1 at column ``indices[i]``."""
-    s = np.zeros((len(indices), size))
-    s[np.arange(len(indices)), indices] = 1.0
-    return s
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """A rank-``rank`` target ``x = left_factor @ right_factor.T``."""
+    """A rank-``rank`` target held as its factors; the dense
+    ``x = left_factor @ right_factor.T`` is built on first access and
+    cached."""
 
-    x: np.ndarray
-    rank: int
     left_factor: np.ndarray
     right_factor: np.ndarray
     seed: int
 
-    def __post_init__(self) -> None:
-        m, n = self.x.shape
-        if self.left_factor.shape != (m, self.rank):
-            raise ValueError("left_factor shape inconsistent with x and rank")
-        if self.right_factor.shape != (n, self.rank):
-            raise ValueError("right_factor shape inconsistent with x and rank")
+    @property
+    def rank(self) -> int:
+        return self.left_factor.shape[1]
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        """The dense m x n target (read-only)."""
+        return _freeze(self.left_factor @ self.right_factor.T)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementDesign:
-    """The sensing operator pair ``(a_row, a_col)`` plus its kind.
+    """A row/column measurement design for an m x n target.
 
-    For ``ROW_COL_SAMPLE`` designs, ``a_row`` has exactly one 1 per row
-    (at ``row_indices[i]``) and ``a_col`` exactly one 1 per column (at
-    ``col_indices[j]``); for Gaussian designs the index lists are None.
+    A Gaussian design holds the dense sensing matrices ``a_row``
+    (k1 x m) and ``a_col`` (n x k2).  A ``ROW_COL_SAMPLE`` design holds
+    only the sampled ``row_indices`` (k1) and ``col_indices`` (k2): its
+    operators are gathers, applied by :meth:`rows` and :meth:`cols`.
     """
 
     kind: DesignKind
-    a_row: np.ndarray
-    a_col: np.ndarray
-    row_indices: np.ndarray | None
-    col_indices: np.ndarray | None
+    m: int
+    n: int
     seed: int
+    a_row: np.ndarray | None = None
+    a_col: np.ndarray | None = None
+    row_indices: np.ndarray | None = None
+    col_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.a_row.ndim != 2 or self.a_col.ndim != 2:
-            raise ValueError("a_row and a_col must be 2-d matrices")
+        held, absent = (self.a_row, self.a_col), (self.row_indices, self.col_indices)
         if self.kind is DesignKind.ROW_COL_SAMPLE:
-            if self.row_indices is None or self.col_indices is None:
-                raise ValueError("sampling design requires row and column indices")
-        else:
-            if self.row_indices is not None or self.col_indices is not None:
-                raise ValueError("Gaussian design must not carry index lists")
-
-    @property
-    def m(self) -> int:
-        return self.a_row.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.a_col.shape[0]
+            held, absent = absent, held
+        if any(a is None for a in held) or any(a is not None for a in absent):
+            raise ValueError(
+                "a Gaussian design holds a_row and a_col only, a sampling "
+                "design row_indices and col_indices only"
+            )
+        if self.a_row is not None and not (
+            self.a_row.ndim == 2 == self.a_col.ndim
+            and self.a_row.shape[1] == self.m
+            and self.a_col.shape[0] == self.n
+        ):
+            raise ValueError("a_row must be k1 x m and a_col n x k2")
 
     @property
     def k1(self) -> int:
-        return self.a_row.shape[0]
+        return len(self.row_indices) if self.a_row is None else self.a_row.shape[0]
 
     @property
     def k2(self) -> int:
-        return self.a_col.shape[1]
+        return len(self.col_indices) if self.a_col is None else self.a_col.shape[1]
+
+    @property
+    def total_measurements(self) -> int:
+        """Scalar observations in both blocks, ``k1*n + k2*m``."""
+        return self.k1 * self.n + self.k2 * self.m
+
+    @property
+    def distinct_measurements(self) -> int | None:
+        """For sampling designs, the observations without the k1 x k2
+        overlap block, which both blocks observe; None for Gaussian ones."""
+        if self.kind is not DesignKind.ROW_COL_SAMPLE:
+            return None
+        return self.total_measurements - self.k1 * self.k2
+
+    def rows(self, y: np.ndarray) -> np.ndarray:
+        """``a_row @ y`` for an m x p ``y``: the k1 row combinations."""
+        if self.a_row is None:
+            return y[self.row_indices]
+        return self.a_row @ y
+
+    def cols(self, y: np.ndarray) -> np.ndarray:
+        """``y @ a_col`` for a p x n ``y``: the k2 column combinations."""
+        if self.a_col is None:
+            return y[:, self.col_indices]
+        return y @ self.a_col
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Observed blocks ``b_row`` (k1 x n) and ``b_col`` (m x k2).
-
-    ``total_measurements`` is ``k1*n + k2*m``.  For sampling designs the
-    k1 x k2 overlap block is observed twice, so the number of distinct
-    scalar observations ``k1*n + k2*m - k1*k2`` is recorded as well.
-    """
+    """Observed blocks ``b_row`` (k1 x n) and ``b_col`` (m x k2); the
+    measurement counts are properties of the design."""
 
     b_row: np.ndarray
     b_col: np.ndarray
     sigma: float
     design_seed: int
     noise_seed: int
-    total_measurements: int
-    distinct_measurements: int | None
 
 
 def gen_low_rank(m: int, n: int, r: int, seed: int) -> GroundTruth:
@@ -156,11 +177,7 @@ def gen_low_rank(m: int, n: int, r: int, seed: int) -> GroundTruth:
     left = rng.standard_normal((m, r))
     right = rng.standard_normal((n, r))
     return GroundTruth(
-        x=_freeze(left @ right.T),
-        rank=r,
-        left_factor=_freeze(left),
-        right_factor=_freeze(right),
-        seed=seed,
+        left_factor=_freeze(left), right_factor=_freeze(right), seed=seed
     )
 
 
@@ -172,34 +189,24 @@ def gen_design(
     Gaussian designs fill ``a_row`` (k1 x m) and ``a_col`` (n x k2) with
     i.i.d. standard normal entries.  Sampling designs draw k1 distinct
     row indices and k2 distinct column indices uniformly without
-    replacement and build the 0/1 selection matrices.
+    replacement.
     """
     kind = DesignKind(kind)
     if min(m, n, k1, k2) < 1:
         raise ValueError("design dimensions must be positive")
     rng = np.random.default_rng(seed)
     if kind is DesignKind.GAUSSIAN_AFFINE:
-        a_row = rng.standard_normal((k1, m))
-        a_col = rng.standard_normal((n, k2))
-        row_indices = col_indices = None
-    else:
-        if k1 > m or k2 > n:
-            raise ValueError(
-                f"sampling design needs k1 <= m and k2 <= n, got "
-                f"k1={k1}, m={m}, k2={k2}, n={n}"
-            )
-        row_indices = rng.choice(m, size=k1, replace=False)
-        col_indices = rng.choice(n, size=k2, replace=False)
-        a_row = _selection(row_indices, m)
-        a_col = _selection(col_indices, n).T
-    return MeasurementDesign(
-        kind=kind,
-        a_row=_freeze(a_row),
-        a_col=_freeze(a_col),
-        row_indices=None if row_indices is None else _freeze_index(row_indices),
-        col_indices=None if col_indices is None else _freeze_index(col_indices),
-        seed=seed,
-    )
+        a_row = _freeze(rng.standard_normal((k1, m)))
+        a_col = _freeze(rng.standard_normal((n, k2)))
+        return MeasurementDesign(kind, m, n, seed, a_row=a_row, a_col=a_col)
+    if k1 > m or k2 > n:
+        raise ValueError(
+            f"sampling design needs k1 <= m and k2 <= n, got "
+            f"k1={k1}, m={m}, k2={k2}, n={n}"
+        )
+    rows = _freeze_index(rng.choice(m, size=k1, replace=False))
+    cols = _freeze_index(rng.choice(n, size=k2, replace=False))
+    return MeasurementDesign(kind, m, n, seed, row_indices=rows, col_indices=cols)
 
 
 def measure(
@@ -208,8 +215,8 @@ def measure(
     """Apply the affine measurement operator, adding i.i.d. Gaussian
     noise of standard deviation ``sigma`` to every scalar observation.
 
-    With ``sigma = 0`` the blocks equal ``a_row @ x`` and ``x @ a_col``
-    exactly (no noise stream is consumed).
+    With ``sigma = 0`` the blocks equal ``design.rows(x)`` and
+    ``design.cols(x)`` exactly (no noise stream is consumed).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -224,23 +231,16 @@ def measure(
         raise ValueError(
             f"design expects a {design.m}x{design.n} target, got {x.shape[0]}x{x.shape[1]}"
         )
-    b_row = design.a_row @ x
-    b_col = x @ design.a_col
+    b_row = design.rows(x)
+    b_col = design.cols(x)
     if sigma > 0:
         rng = np.random.default_rng(noise_seed)
         b_row = b_row + sigma * rng.standard_normal(b_row.shape)
         b_col = b_col + sigma * rng.standard_normal(b_col.shape)
-    k1, k2 = design.k1, design.k2
-    total = k1 * design.n + k2 * design.m
-    distinct = None
-    if design.kind is DesignKind.ROW_COL_SAMPLE:
-        distinct = total - k1 * k2
     return MeasurementSet(
         b_row=_freeze(b_row),
         b_col=_freeze(b_col),
         sigma=float(sigma),
         design_seed=design.seed,
         noise_seed=noise_seed,
-        total_measurements=total,
-        distinct_measurements=distinct,
     )

@@ -141,8 +141,8 @@ def block_residuals(
 ) -> tuple[float, float]:
     """Frobenius misfits of ``left @ right.T`` against ``b_row`` and
     ``b_col``, computed through the thin factors."""
-    row_res = float(np.linalg.norm((design.a_row @ left) @ right.T - meas.b_row))
-    col_res = float(np.linalg.norm(left @ (right.T @ design.a_col) - meas.b_col))
+    row_res = float(np.linalg.norm(design.rows(left) @ right.T - meas.b_row))
+    col_res = float(np.linalg.norm(left @ design.cols(right.T) - meas.b_col))
     return row_res, col_res
 
 
@@ -203,8 +203,8 @@ def _core_inputs(
         design.k2,
     ):
         raise ValueError("measurement block dimensions inconsistent with design")
-    au = design.a_row @ ub  # k1 x r
-    va = vb.T @ design.a_col  # r x k2
+    au = design.rows(ub)  # k1 x r
+    va = design.cols(vb.T)  # r x k2
     return ub, vb, au, va
 
 
@@ -275,8 +275,8 @@ def core_objective(
     """Value of the core least-squares objective at ``m_core``."""
     x = u.basis @ m_core @ v.basis.T
     return float(
-        np.linalg.norm(design.a_row @ x - meas.b_row) ** 2
-        + np.linalg.norm(x @ design.a_col - meas.b_col) ** 2
+        np.linalg.norm(design.rows(x) - meas.b_row) ** 2
+        + np.linalg.norm(design.cols(x) - meas.b_col) ** 2
     )
 
 

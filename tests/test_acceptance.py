@@ -63,7 +63,7 @@ def test_criterion_2_minimal_measurement_scheme():
             meas = measure(truth.x, design, 0.0, 0)
             result = cur_recover(meas, design, truth=truth.x)
             worst = max(worst, result.relative_error)
-            counts_ok &= meas.distinct_measurements == r * (m + n - r)
+            counts_ok &= design.distinct_measurements == r * (m + n - r)
     report(
         "2 minimal-measurement exactness",
         worst <= 1e-10 and counts_ok,

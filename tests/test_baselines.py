@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from svls import baselines
 from svls.baselines import (
     IterativeSolverConfig,
     als_recover,
@@ -304,6 +305,35 @@ class TestRowcolOperatorMatrix:
         assert op.shape == (3 * 7 + 2 * 6, 6 * 7)
         stacked = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
         assert np.allclose(op @ truth.x.ravel(), stacked, atol=1e-12)
+
+
+def dense_builders(m, n):
+    """The three callers of the dense-size cap, on an m x n target."""
+    design = gen_design(DesignKind.GAUSSIAN_AFFINE, m, n, 2, 2, seed=1)
+    meas = measure(np.zeros((m, n)), design, 0.0, 0)
+    return {
+        "gaussian_operator": lambda: gaussian_operator(m, n, 2, seed=0),
+        "als_recover": lambda: als_recover(meas, design, 1),
+        "rowcol_operator_matrix": lambda: rowcol_operator_matrix(design),
+    }
+
+
+class TestDenseSizeCap:
+    @pytest.mark.parametrize("name", sorted(dense_builders(1, 1)))
+    def test_above_cap_rejected(self, name):
+        m, n = 400, 251
+        assert m * n > baselines.MAX_TARGET_ENTRIES
+        with pytest.raises(ValueError, match="above the dense-operator cap"):
+            dense_builders(m, n)[name]()
+
+    @pytest.mark.parametrize("name", sorted(dense_builders(1, 1)))
+    def test_cap_is_inclusive(self, monkeypatch, name):
+        monkeypatch.setattr(baselines, "MAX_TARGET_ENTRIES", 30)
+        dense_builders(5, 6)[name]()
+        with pytest.raises(ValueError, match="35 entries"):
+            dense_builders(5, 7)[name]()
+        with pytest.raises(ValueError, match="31 entries"):
+            dense_builders(1, 31)[name]()
 
 
 class TestIterativeSolverConfig:

@@ -103,11 +103,11 @@ class TestMeasureAndRecover:
         write_matrix(x_path, np.full((2, 2), 1.0))
         design = MeasurementDesign(
             kind=DesignKind.ROW_COL_SAMPLE,
-            a_row=np.array([[1.0, 0.0]]),
-            a_col=np.array([[1.0], [0.0]]),
+            m=2,
+            n=2,
+            seed=0,
             row_indices=np.array([0]),
             col_indices=np.array([0]),
-            seed=0,
         )
         meas = measure(np.full((2, 2), 1.0), design, 0.0, 0)
         meas_dir = tmp_path / "meas"
@@ -186,19 +186,18 @@ class TestMeasureAndRecover:
             ("row_indices", [99, 1, 2]),  # out of range for 30 rows
             ("row_indices", [0, 0, 2]),  # repeated
             ("row_indices", [0, 1]),  # wrong length
-            ("col_indices", [1, 2, 3]),  # disagrees with design_a_col.csv
         ],
-        ids=["out_of_range", "repeated", "wrong_length", "disagrees"],
+        ids=["out_of_range", "repeated", "wrong_length"],
     )
     def test_recover_bad_sampling_indices(self, tmp_path, capsys, key, value):
         truth = gen_low_rank(30, 20, 2, seed=1)
         design = MeasurementDesign(
             kind=DesignKind.ROW_COL_SAMPLE,
-            a_row=np.eye(30)[[0, 1, 2]],
-            a_col=np.eye(20)[:, [0, 1, 2]],
+            m=30,
+            n=20,
+            seed=0,
             row_indices=np.array([0, 1, 2]),
             col_indices=np.array([0, 1, 2]),
-            seed=0,
         )
         meas = tmp_path / "meas"
         write_measurement_set(meas, measure(truth.x, design, 0.0, 0), design)
@@ -245,6 +244,23 @@ class TestMeasureAndRecover:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("m", "30"), ("n", None), ("k1", True), ("k2", 0), ("m", 2**63)],
+        ids=["m_string", "n_null", "k1_bool", "k2_zero", "m_huge"],
+    )
+    def test_recover_bad_manifest_dimension(self, rowcol_meas, tmp_path, capsys, key, value):
+        # a sampling design is its manifest, so its sizes are checked there
+        manifest = json.loads((rowcol_meas / "manifest.json").read_text())
+        manifest[key] = value
+        (rowcol_meas / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli("recover", "--meas", rowcol_meas, "--algo", "cur", "--rank", 2,
+                       "--out", tmp_path / "rec")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not (tmp_path / "rec").exists()
 
     def test_measure_malformed_entry_names_line(self, pipeline, tmp_path, capsys):
         x, design, _ = pipeline

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from svls.matio import (
+    DESIGN_FIELDS,
+    NOISE_FIELDS,
     format_float,
     read_design,
     read_matrix,
@@ -17,7 +19,13 @@ from svls.matio import (
     write_matrix,
     write_measurement_set,
 )
-from svls.measurements import DesignKind, gen_design, gen_low_rank, measure
+from svls.measurements import (
+    DesignKind,
+    MeasurementDesign,
+    gen_design,
+    gen_low_rank,
+    measure,
+)
 
 
 class TestMatrixFormat:
@@ -210,21 +218,20 @@ class TestMatrixFuzz:
         assert a.ndim == 2 and a.size > 0 and np.isfinite(a).all()
 
 
+def assert_same_design(got, want):
+    assert (got.kind, got.m, got.n, got.seed) == (want.kind, want.m, want.n, want.seed)
+    for name in ("a_row", "a_col", "row_indices", "col_indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
 class TestDesignDirectory:
     @pytest.mark.parametrize("kind", list(DesignKind))
     def test_round_trip(self, tmp_path, kind):
         design = gen_design(kind, 6, 7, 3, 2, seed=11)
         write_design(tmp_path / "d", design)
         loaded = read_design(tmp_path / "d")
-        assert loaded.kind is kind
-        assert np.array_equal(loaded.a_row, design.a_row)
-        assert np.array_equal(loaded.a_col, design.a_col)
-        assert loaded.seed == design.seed
-        if kind is DesignKind.ROW_COL_SAMPLE:
-            assert np.array_equal(loaded.row_indices, design.row_indices)
-            assert np.array_equal(loaded.col_indices, design.col_indices)
-        else:
-            assert loaded.row_indices is None
+        assert_same_design(loaded, design)
 
     def test_manifest_contents(self, tmp_path):
         import json
@@ -258,23 +265,42 @@ class TestMeasurementSetDirectory:
         assert loaded_meas.sigma == 0.01
         assert loaded_meas.design_seed == 3
         assert loaded_meas.noise_seed == 9
-        assert loaded_meas.total_measurements == meas.total_measurements
-        assert loaded_meas.distinct_measurements == meas.distinct_measurements
-        assert np.array_equal(loaded_design.a_row, design.a_row)
+        assert_same_design(loaded_design, design)
 
-    def test_expected_files_present(self, tmp_path):
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_expected_files_present(self, tmp_path, kind):
         truth = gen_low_rank(5, 5, 1, seed=1)
-        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 5, 5, 2, 2, seed=1)
+        design = gen_design(kind, 5, 5, 2, 2, seed=1)
         meas = measure(truth.x, design, 0.0, 0)
         write_measurement_set(tmp_path / "meas", meas, design)
         names = sorted(p.name for p in (tmp_path / "meas").iterdir())
-        assert names == [
-            "b_col.csv",
-            "b_row.csv",
-            "design_a_col.csv",
-            "design_a_row.csv",
-            "manifest.json",
-        ]
+        # a sampling design is its manifest's index lists
+        design_files = ["design_a_col.csv", "design_a_row.csv"]
+        if kind is DesignKind.ROW_COL_SAMPLE:
+            design_files = []
+        assert names == ["b_col.csv", "b_row.csv", *design_files, "manifest.json"]
+
+    def test_directory_with_selection_csvs_still_reads(self, tmp_path):
+        # Sampling directories used to carry their 0/1 selection matrices
+        # as design_a_row.csv and design_a_col.csv; they read back the same.
+        truth = gen_low_rank(6, 8, 2, seed=2)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 6, 8, 3, 2, seed=3)
+        meas = measure(truth.x, design, 0.01, noise_seed=9)
+        write_measurement_set(tmp_path / "meas", meas, design)
+        write_matrix(tmp_path / "meas" / "design_a_row.csv", np.eye(6)[design.row_indices])
+        write_matrix(
+            tmp_path / "meas" / "design_a_col.csv", np.eye(8)[:, design.col_indices]
+        )
+        loaded_meas, loaded_design = read_measurement_set(tmp_path / "meas")
+        assert_same_design(loaded_design, design)
+        assert_same_design(read_design(tmp_path / "meas"), design)
+        assert np.array_equal(loaded_meas.b_row, meas.b_row)
+        assert np.array_equal(loaded_meas.b_col, meas.b_col)
+        assert (loaded_meas.sigma, loaded_meas.design_seed, loaded_meas.noise_seed) == (
+            meas.sigma,
+            meas.design_seed,
+            meas.noise_seed,
+        )
 
     def test_missing_manifest_field_rejected(self, tmp_path):
         import json
@@ -344,17 +370,6 @@ def _tamper_manifest(dirpath, edit):
     path.write_text(json.dumps(manifest))
 
 
-def _shift_first_row_index(manifest):
-    # a valid, distinct index that the 1 entries of design_a_row.csv do not use
-    used = set(manifest["row_indices"])
-    manifest["row_indices"][0] = min(set(range(manifest["m"])) - used)
-
-
-def _shift_first_col_index(manifest):
-    used = set(manifest["col_indices"])
-    manifest["col_indices"][0] = min(set(range(manifest["n"])) - used)
-
-
 BAD_INDEX_EDITS = {
     "out_of_range": (
         lambda mf: mf.update(row_indices=[99] + mf["row_indices"][1:]), "outside"),
@@ -366,8 +381,7 @@ BAD_INDEX_EDITS = {
         lambda mf: mf.update(col_indices=mf["col_indices"][:-1]), "entries, expected"),
     "not_integers": (
         lambda mf: mf.update(row_indices=[1.5] + mf["row_indices"][1:]), "list of integers"),
-    "disagrees_with_a_row": (_shift_first_row_index, "design_a_row.csv"),
-    "disagrees_with_a_col": (_shift_first_col_index, "design_a_col.csv"),
+    "missing": (lambda mf: mf.pop("col_indices"), "missing field 'col_indices'"),
 }
 
 
@@ -381,8 +395,7 @@ class TestSamplingIndices:
 
     def test_valid_indices_round_trip(self, meas_dir):
         _, design = read_measurement_set(meas_dir)
-        assert np.array_equal(design.a_row[np.arange(3), design.row_indices], np.ones(3))
-        assert np.array_equal(design.a_col[design.col_indices, np.arange(3)], np.ones(3))
+        assert_same_design(design, gen_design(DesignKind.ROW_COL_SAMPLE, 30, 20, 3, 3, seed=2))
 
     @pytest.mark.parametrize("case", sorted(BAD_INDEX_EDITS))
     def test_bad_indices_rejected(self, meas_dir, case):
@@ -411,8 +424,90 @@ class TestDesignManifestFields:
         with pytest.raises(ValueError, match="design_seed must be an integer"):
             read_design(tmp_path / "d")
 
+    def test_gaussian_manifest_with_indices_rejected(self, tmp_path):
+        write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
+        _tamper_manifest(tmp_path / "d", lambda mf: mf.update(row_indices=[0, 1]))
+        with pytest.raises(ValueError, match="no sampling indices"):
+            read_design(tmp_path / "d")
+
     def test_non_object_manifest_rejected(self, tmp_path):
         write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
         (tmp_path / "d" / "manifest.json").write_text("[1, 2]")
         with pytest.raises(ValueError, match="not a JSON object"):
             read_design(tmp_path / "d")
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", "30"), ("n", None), ("k1", True), ("k2", 0), ("m", -4), ("n", 5.0),
+         ("k1", 2**63), ("k2", [2])],
+    )
+    def test_bad_dimension_rejected(self, tmp_path, kind, field, value):
+        write_design(tmp_path / "d", gen_design(kind, 4, 5, 2, 2, 0))
+        _tamper_manifest(tmp_path / "d", lambda mf: mf.update({field: value}))
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            read_design(tmp_path / "d")
+
+
+MANIFEST_KEYS = (*DESIGN_FIELDS, *NOISE_FIELDS, "row_indices", "col_indices")
+DELETE = object()
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-2, 12) | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from([kind.value for kind in DesignKind])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+manifest_edits = st.dictionaries(
+    st.sampled_from(MANIFEST_KEYS), json_values | st.just(DELETE), max_size=4
+)
+
+
+class TestManifestFuzz:
+    """Any JSON in manifest.json gives a design (and measurement set) or
+    one ValueError, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def meas_dirs(self, tmp_path_factory):
+        dirs = {}
+        for kind in DesignKind:
+            design = gen_design(kind, 6, 5, 3, 2, seed=1)
+            meas = measure(gen_low_rank(6, 5, 2, seed=1).x, design, 0.01, 2)
+            dirs[kind] = tmp_path_factory.mktemp(kind.value)
+            write_measurement_set(dirs[kind], meas, design)
+        return dirs
+
+    @FUZZ
+    @given(
+        kind=st.sampled_from(DesignKind),
+        edits=manifest_edits,
+        whole=st.none() | json_values,
+    )
+    def test_any_manifest_reads_or_raises_value_error(self, meas_dirs, kind, edits, whole):
+        dirpath = meas_dirs[kind]
+        path = dirpath / "manifest.json"
+        original = path.read_text()
+        manifest = json.loads(original)
+        for key, value in edits.items():
+            if value is DELETE:
+                manifest.pop(key, None)
+            else:
+                manifest[key] = value
+        path.write_text(json.dumps(manifest if whole is None else whole))
+        try:
+            for read in (read_design, read_measurement_set):
+                try:
+                    got = read(dirpath)
+                except ValueError:
+                    continue
+                design = got if read is read_design else got[1]
+                assert isinstance(design, MeasurementDesign)
+                if read is read_measurement_set:
+                    assert got[0].b_row.shape == (design.k1, design.n)
+                    assert got[0].b_col.shape == (design.m, design.k2)
+        finally:
+            path.write_text(original)

@@ -6,6 +6,7 @@ import pytest
 from svls.measurements import (
     ERROR_BLOCK_ENTRIES,
     DesignKind,
+    MeasurementDesign,
     gen_design,
     gen_low_rank,
     measure,
@@ -41,6 +42,17 @@ class TestGenLowRank:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.left_factor, b.left_factor)
 
+    def test_truth_is_its_factors(self):
+        t = gen_low_rank(9, 6, 3, seed=4)
+        assert t.rank == 3
+        assert "x" not in vars(t)  # the dense target is built on first access
+        assert np.array_equal(t.x, t.left_factor @ t.right_factor.T)
+        assert t.x is t.x
+        # stream order: the left factor, then the right, each row-major
+        rng = np.random.default_rng(4)
+        assert np.array_equal(t.left_factor, rng.standard_normal((9, 3)))
+        assert np.array_equal(t.right_factor, rng.standard_normal((6, 3)))
+
     def test_factorization_invariant(self):
         t = gen_low_rank(9, 6, 3, seed=4)
         rebuilt = t.left_factor @ t.right_factor.T
@@ -59,20 +71,24 @@ class TestGenLowRank:
 class TestGenDesign:
     def test_sampling_selection_structure(self):
         d = gen_design(DesignKind.ROW_COL_SAMPLE, 3, 3, 1, 1, seed=5)
-        assert d.a_row.shape == (1, 3)
-        assert d.a_col.shape == (3, 1)
-        assert np.count_nonzero(d.a_row) == 1
-        assert np.count_nonzero(d.a_col) == 1
-        assert d.a_row[0, d.row_indices[0]] == 1.0
-        assert d.a_col[d.col_indices[0], 0] == 1.0
+        assert d.a_row is None and d.a_col is None  # the design is its indices
+        assert (d.m, d.n, d.k1, d.k2) == (3, 3, 1, 1)
+        # applied to the identity, the gathers give the 0/1 selections
+        a_row, a_col = d.rows(np.eye(3)), d.cols(np.eye(3))
+        assert a_row.shape == (1, 3)
+        assert a_col.shape == (3, 1)
+        assert np.count_nonzero(a_row) == 1
+        assert np.count_nonzero(a_col) == 1
+        assert a_row[0, d.row_indices[0]] == 1.0
+        assert a_col[d.col_indices[0], 0] == 1.0
 
     def test_sampling_indices_distinct(self):
         d = gen_design(DesignKind.ROW_COL_SAMPLE, 10, 12, 7, 9, seed=3)
         assert len(set(d.row_indices.tolist())) == 7
         assert len(set(d.col_indices.tolist())) == 9
-        # each row of a_row / column of a_col selects exactly one entry
-        assert np.array_equal(d.a_row.sum(axis=1), np.ones(7))
-        assert np.array_equal(d.a_col.sum(axis=0), np.ones(9))
+        # each row combination / column combination selects exactly one entry
+        assert np.array_equal(d.rows(np.eye(10)).sum(axis=1), np.ones(7))
+        assert np.array_equal(d.cols(np.eye(12)).sum(axis=0), np.ones(9))
 
     def test_gaussian_deterministic_and_dense(self):
         a = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, seed=3)
@@ -81,6 +97,23 @@ class TestGenDesign:
         assert np.array_equal(a.a_row, b.a_row)
         assert np.array_equal(a.a_col, b.a_col)
         assert a.row_indices is None and a.col_indices is None
+
+    @pytest.mark.parametrize(
+        "kind, operators",
+        [
+            (DesignKind.ROW_COL_SAMPLE, dict(a_row=np.eye(3)[:1], a_col=np.eye(3)[:, :1])),
+            (DesignKind.ROW_COL_SAMPLE, dict(row_indices=np.array([0]))),
+            (DesignKind.GAUSSIAN_AFFINE, dict(row_indices=[0], col_indices=[0])),
+            (DesignKind.GAUSSIAN_AFFINE, dict(a_row=np.ones((1, 3)))),
+            (DesignKind.GAUSSIAN_AFFINE, dict(a_row=np.ones((1, 4)), a_col=np.ones((3, 1)))),
+            (DesignKind.GAUSSIAN_AFFINE, dict(a_row=np.ones(3), a_col=np.ones((3, 1)))),
+        ],
+        ids=["sampling_matrices", "sampling_one_list", "gaussian_lists",
+             "gaussian_one_matrix", "gaussian_wrong_m", "gaussian_1d"],
+    )
+    def test_inconsistent_design_rejected(self, kind, operators):
+        with pytest.raises(ValueError):
+            MeasurementDesign(kind, 3, 3, 0, **operators)
 
     def test_sampling_k1_above_m_rejected(self):
         with pytest.raises(ValueError):
@@ -160,12 +193,12 @@ class TestMeasure:
         x = gen_low_rank(8, 9, 2, seed=1).x
         dg = gen_design(DesignKind.GAUSSIAN_AFFINE, 8, 9, 3, 4, seed=2)
         mg = measure(x, dg, 0.0, 0)
-        assert mg.total_measurements == 3 * 9 + 4 * 8
-        assert mg.distinct_measurements is None
+        assert mg.b_row.size + mg.b_col.size == dg.total_measurements == 3 * 9 + 4 * 8
+        assert dg.distinct_measurements is None
         ds = gen_design(DesignKind.ROW_COL_SAMPLE, 8, 9, 3, 4, seed=2)
         ms = measure(x, ds, 0.0, 0)
-        assert ms.total_measurements == 3 * 9 + 4 * 8
-        assert ms.distinct_measurements == 3 * 9 + 4 * 8 - 3 * 4
+        assert ms.b_row.size + ms.b_col.size == ds.total_measurements == 3 * 9 + 4 * 8
+        assert ds.distinct_measurements == 3 * 9 + 4 * 8 - 3 * 4
 
     def test_shape_mismatch_rejected(self):
         d = gen_design(DesignKind.GAUSSIAN_AFFINE, 5, 4, 2, 2, seed=0)

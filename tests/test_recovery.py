@@ -35,11 +35,20 @@ def dense_relative_error(x_hat, x_true):
     return float(np.linalg.norm(x_hat - x_true) / np.linalg.norm(x_true))
 
 
+def dense_operators(design):
+    """``(a_row, a_col)`` as dense matrices; for a sampling design, the
+    0/1 selections its index vectors stand for."""
+    if design.kind is DesignKind.ROW_COL_SAMPLE:
+        return np.eye(design.m)[design.row_indices], np.eye(design.n)[:, design.col_indices]
+    return design.a_row, design.a_col
+
+
 def dense_residuals(x_hat, design, meas):
     """The dense reference for block_residuals."""
+    a_row, a_col = dense_operators(design)
     return (
-        float(np.linalg.norm(design.a_row @ x_hat - meas.b_row)),
-        float(np.linalg.norm(x_hat @ design.a_col - meas.b_col)),
+        float(np.linalg.norm(a_row @ x_hat - meas.b_row)),
+        float(np.linalg.norm(x_hat @ a_col - meas.b_col)),
     )
 
 
@@ -94,8 +103,6 @@ def make_meas(b_row, b_col, sigma=0.0):
         sigma=sigma,
         design_seed=0,
         noise_seed=0,
-        total_measurements=b_row.size + b_col.size,
-        distinct_measurements=None,
     )
 
 
@@ -177,11 +184,11 @@ class TestSolveCore:
         v = estimate_col_space(rng.standard_normal((n, 4)), r)
         design = MeasurementDesign(
             kind=DesignKind.GAUSSIAN_AFFINE,
+            m=m,
+            n=n,
+            seed=0,
             a_row=np.eye(m),
             a_col=np.eye(n),
-            row_indices=None,
-            col_indices=None,
-            seed=0,
         )
         b_row = rng.standard_normal((m, n))
         b_col = rng.standard_normal((m, n))
@@ -198,11 +205,11 @@ class TestSolveCore:
         v = estimate_col_space(rng.standard_normal((n, 3)), r)
         design = MeasurementDesign(
             kind=DesignKind.GAUSSIAN_AFFINE,
+            m=m,
+            n=n,
+            seed=0,
             a_row=np.eye(m),
             a_col=np.zeros((n, k2)),
-            row_indices=None,
-            col_indices=None,
-            seed=0,
         )
         b_row = rng.standard_normal((m, n))
         meas = make_meas(b_row, np.zeros((m, k2)))
@@ -312,11 +319,11 @@ class TestSvlsRecover:
         x = np.full((2, 2), 1.0)
         design = MeasurementDesign(
             kind=DesignKind.ROW_COL_SAMPLE,
-            a_row=np.array([[1.0, 0.0]]),
-            a_col=np.array([[1.0], [0.0]]),
+            m=2,
+            n=2,
+            seed=0,
             row_indices=np.array([0]),
             col_indices=np.array([0]),
-            seed=0,
         )
         meas = measure(x, design, 0.0, 0)
         result = svls_recover(meas, design, 1, truth=x)
@@ -374,11 +381,11 @@ class TestCurRecover:
         x = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]])
         design = MeasurementDesign(
             kind=DesignKind.ROW_COL_SAMPLE,
-            a_row=np.array([[1.0, 0.0, 0.0]]),
-            a_col=np.array([[1.0], [0.0], [0.0]]),
+            m=3,
+            n=3,
+            seed=0,
             row_indices=np.array([0]),
             col_indices=np.array([0]),
-            seed=0,
         )
         meas = measure(x, design, 0.0, 0)
         result = cur_recover(meas, design, truth=x)
@@ -388,11 +395,11 @@ class TestCurRecover:
     def test_full_observation_of_identity(self):
         design = MeasurementDesign(
             kind=DesignKind.ROW_COL_SAMPLE,
-            a_row=np.eye(2),
-            a_col=np.eye(2),
+            m=2,
+            n=2,
+            seed=0,
             row_indices=np.array([0, 1]),
             col_indices=np.array([0, 1]),
-            seed=0,
         )
         meas = measure(np.eye(2), design, 0.0, 0)
         result = cur_recover(meas, design)
@@ -417,17 +424,13 @@ class TestCurRecover:
         u2[rows] = 0.0
         x = np.outer(u1, v1) + np.outer(u2, v2)
         assert np.linalg.matrix_rank(x) == 2
-        a_row = np.zeros((2, 6))
-        a_row[np.arange(2), rows] = 1.0
-        a_col = np.zeros((6, 2))
-        a_col[cols, np.arange(2)] = 1.0
         design = MeasurementDesign(
             kind=DesignKind.ROW_COL_SAMPLE,
-            a_row=a_row,
-            a_col=a_col,
+            m=6,
+            n=6,
+            seed=0,
             row_indices=rows,
             col_indices=cols,
-            seed=0,
         )
         meas = measure(x, design, 0.0, 0)
         result = cur_recover(meas, design, truth=x)
@@ -537,11 +540,11 @@ class TestFactoredResult:
         b_col = np.array([[1.0], [2.0], [3.0]])
         design = MeasurementDesign(
             kind=DesignKind.ROW_COL_SAMPLE,
-            a_row=np.array([[1.0, 0.0, 0.0]]),
-            a_col=np.array([[1.0], [0.0], [0.0]]),
+            m=3,
+            n=3,
+            seed=0,
             row_indices=np.array([0]),
             col_indices=np.array([0]),
-            seed=0,
         )
         result = cur_recover(make_meas(b_row, b_col), design)
         b_row[0, 1] = 100.0
@@ -557,6 +560,35 @@ class TestFactoredResult:
             assert np.allclose(
                 (result.row_residual, result.col_residual), dense, rtol=0, atol=1e-10
             )
+
+
+class TestGatherOracle:
+    """A design's rows/cols against products with the dense matrices it
+    stands for, at the shapes measure, block_residuals, core_objective
+    and _core_inputs pass (a C-ordered target, thin factors in both
+    memory orders, and transposed orthonormal bases)."""
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_rows_and_cols_equal_dense_products(self, kind):
+        m, n, r = 9, 7, 2
+        design = gen_design(kind, m, n, 4, 3, seed=5)
+        a_row, a_col = dense_operators(design)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((m, n))
+        left, right = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+        u = estimate_col_space(rng.standard_normal((m, 4)), r).basis
+        v = estimate_col_space(rng.standard_normal((n, 4)), r).basis
+        for y in (x, left, np.asfortranarray(left), u):
+            assert np.array_equal(design.rows(y), a_row @ y)
+        for y in (x, right.T, np.asfortranarray(right).T, v.T):
+            assert np.array_equal(design.cols(y), y @ a_col)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_rowcol_operator_matrix_equals_kron_construction(self, kind):
+        design = gen_design(kind, 6, 7, 3, 2, seed=10)
+        a_row, a_col = dense_operators(design)
+        want = np.vstack([np.kron(a_row, np.eye(7)), np.kron(np.eye(6), a_col.T)])
+        assert np.array_equal(rowcol_operator_matrix(design), want)
 
 
 class TestRelativeError:
