@@ -13,8 +13,9 @@ refinement); random or user-supplied initialization is available for
 fairness experiments.  Both report ``converged``: whether the ``tol``
 stopping rule fired before ``max_iters``.
 
-Both solvers materialize dense systems and exist for desk-scale
-comparison, not production sensing; targets are capped at 1e5 entries.
+ALS's half-steps are PSD Sylvester equations, solved by ``solve_core``'s
+solver.  The cap of 1e5 target entries applies only to the dense
+operators of SVP and of ``rowcol_operator_matrix``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,15 @@ import numpy as np
 
 from .measurements import MeasurementDesign, MeasurementSet, _freeze
 from .recovery import (
+    CORE_EIG_RTOL,
     RecoveryResult,
+    _factor_objective,
     block_residuals,
     estimate_col_space,
     estimate_row_space,
     relative_error,
     solve_core,
+    solve_psd_sylvester,
 )
 
 MAX_TARGET_ENTRIES = 100_000
@@ -201,41 +205,35 @@ def svp_recover(
     )
 
 
-def _factor_objective(
-    left: np.ndarray,
-    right: np.ndarray,
-    design: MeasurementDesign,
-    meas: MeasurementSet,
-) -> float:
-    x = left @ right.T
-    return float(
-        np.linalg.norm(design.rows(x) - meas.b_row) ** 2
-        + np.linalg.norm(design.cols(x) - meas.b_col) ** 2
-    )
-
-
-def _solve_right(
-    left: np.ndarray, design: MeasurementDesign, meas: MeasurementSet
+def _refit(
+    fixed: np.ndarray,
+    b_row: np.ndarray,
+    b_col: np.ndarray,
+    row_op: tuple[np.ndarray, np.ndarray, np.ndarray],
+    col_op: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    # minimize over R (n x r), row-major vec: rows of both blocks are
-    # reordered so each stacks as a Kronecker product.
-    n, r = design.n, left.shape[1]
-    g = design.rows(left)  # k1 x r
-    d = np.vstack([np.kron(np.eye(n), g), np.kron(design.cols(np.eye(n)).T, left)])
-    rhs = np.concatenate([meas.b_row.T.ravel(), meas.b_col.T.ravel()])
-    sol, _, _, _ = np.linalg.lstsq(d, rhs, rcond=None)
-    return sol.reshape(n, r)
+    """Minimum-norm R (n x r) minimizing ``||a_row fixed R.T - b_row||^2 +
+    ||fixed R.T a_col - b_col||^2``, given the thin SVDs ``(v, s, zt)`` of
+    ``a_row.T`` and ``a_col``; the other factor's refit is this one on the
+    transposed problem.
 
-
-def _solve_left(
-    right: np.ndarray, design: MeasurementDesign, meas: MeasurementSet
-) -> np.ndarray:
-    m, r = design.m, right.shape[1]
-    h = design.cols(right.T)  # r x k2
-    d = np.vstack([np.kron(design.rows(np.eye(m)), right), np.kron(np.eye(m), h.T)])
-    rhs = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
-    sol, _, _, _ = np.linalg.lstsq(d, rhs, rcond=None)
-    return sol.reshape(m, r)
+    The normal equation ``R G.T G + S R fixed.T fixed = C``, with
+    ``G = a_row fixed`` and ``S = a_col a_col.T``, is whitened by
+    ``fixed = U diag(w) W.T`` (w above ``sqrt(CORE_EIG_RTOL) * w_max``):
+    ``Y = R W diag(w)`` solves ``(H.T H) Y.T + Y.T S = C'`` with
+    ``H = a_row U``, and S's eigenpairs come from the SVD of ``a_col``.
+    """
+    u, w, wt = np.linalg.svd(fixed, full_matrices=False)
+    keep = w > math.sqrt(CORE_EIG_RTOL) * w[0]
+    if not keep.any():  # the objective does not depend on R
+        return np.zeros((b_row.shape[1], fixed.shape[1]))
+    u, w, wt = u[:, keep], w[keep], wt[keep]
+    v_r, s_r, zt_r = row_op
+    v_c, s_c, zt_c = col_op
+    h = (zt_r.T * s_r) @ (v_r.T @ u)  # a_row @ u
+    c = h.T @ b_row + ((u.T @ b_col) @ zt_c.T * s_c) @ v_c.T
+    y_t = solve_psd_sylvester(np.linalg.eigh(h.T @ h), (s_c**2, v_c), c)
+    return y_t.T @ (wt / w[:, None])
 
 
 def als_recover(
@@ -250,10 +248,11 @@ def als_recover(
     """Alternating least squares on the factors of ``X = L @ R.T``.
 
     Each half-step solves an exact linear least-squares problem for one
-    factor against both measurement blocks, so the objective is
-    nonincreasing across half-steps.  ``init`` is ``"svls"`` (default:
-    start from the one-shot SVD+LS estimate), ``"random"`` (seeded by
-    ``init_seed``), or an explicit ``(L0, R0)`` pair.
+    factor against both measurement blocks (its minimum-norm solution,
+    see ``_refit``), so the objective is nonincreasing across
+    half-steps.  ``init`` is ``"svls"`` (default: start from the
+    one-shot SVD+LS estimate), ``"random"`` (seeded by ``init_seed``),
+    or an explicit, finite ``(L0, R0)`` pair.
     """
     cfg = cfg or IterativeSolverConfig()
     if not 1 <= r <= min(design.m, design.n, design.k1, design.k2):
@@ -261,7 +260,6 @@ def als_recover(
             f"rank {r} outside valid range [1, "
             f"{min(design.m, design.n, design.k1, design.k2)}]"
         )
-    _check_dense_size(design.m, design.n)
     t0 = time.perf_counter()
     if init == "svls":
         u = estimate_col_space(meas.b_col, r)
@@ -276,15 +274,22 @@ def als_recover(
         left, right = (np.asarray(f, dtype=np.float64) for f in init)
         if left.shape != (design.m, r) or right.shape != (design.n, r):
             raise ValueError("initial factors have wrong shapes")
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise ValueError("initial factors must be finite")
+    # thin SVDs of a_row.T and a_col, the operators of both refits
+    a_row, a_col = design.operators()
+    row_op = np.linalg.svd(a_row.T, full_matrices=False)
+    col_op = np.linalg.svd(a_col, full_matrices=False)
+    b_row, b_col = meas.b_row, meas.b_col
     history = [_factor_objective(left, right, design, meas)]
     x = left @ right.T
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
         iterations += 1
-        right = _solve_right(left, design, meas)
+        right = _refit(left, b_row, b_col, row_op, col_op)
         history.append(_factor_objective(left, right, design, meas))
-        left = _solve_left(right, design, meas)
+        left = _refit(right, b_col.T, b_row.T, col_op, row_op)
         history.append(_factor_objective(left, right, design, meas))
         x_new = left @ right.T
         step = np.linalg.norm(x_new - x)
@@ -319,6 +324,7 @@ def rowcol_operator_matrix(design: MeasurementDesign) -> np.ndarray:
     so ``op @ vec(X)`` equals the concatenated measurement blocks.
     """
     _check_dense_size(design.m, design.n)
-    top = np.kron(design.rows(np.eye(design.m)), np.eye(design.n))
-    bottom = np.kron(np.eye(design.m), design.cols(np.eye(design.n)).T)
+    a_row, a_col = design.operators()
+    top = np.kron(a_row, np.eye(design.n))
+    bottom = np.kron(np.eye(design.m), a_col.T)
     return np.vstack([top, bottom])

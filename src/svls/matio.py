@@ -29,7 +29,6 @@ from .measurements import (
     MeasurementDesign,
     MeasurementSet,
     _freeze,
-    _freeze_index,
 )
 
 DESIGN_FIELDS = ("kind", "m", "n", "k1", "k2", "design_seed")
@@ -173,20 +172,15 @@ def _positive(dirpath: Path, manifest: dict, key: str) -> int:
     return value
 
 
-def _sample_indices(
-    dirpath: Path, manifest: dict, key: str, count: int, size: int
-) -> np.ndarray:
-    """The manifest's list ``key`` of ``count`` distinct indices in ``[0, size)``."""
+def _sample_indices(dirpath: Path, manifest: dict, key: str, count: int) -> list:
+    """The manifest's list ``key`` of ``count`` integers; the design they
+    are passed to checks their range and distinctness."""
     raw = manifest[key]
     if not isinstance(raw, list) or not all(_is_int(i) for i in raw):
         raise ValueError(f"{dirpath}: {key} must be a list of integers")
     if len(raw) != count:
         raise ValueError(f"{dirpath}: {key} has {len(raw)} entries, expected {count}")
-    if not all(0 <= i < size for i in raw):
-        raise ValueError(f"{dirpath}: {key} has an entry outside [0, {size})")
-    if len(set(raw)) != count:
-        raise ValueError(f"{dirpath}: {key} repeats an index")
-    return _freeze_index(np.array(raw))
+    return raw
 
 
 def _design_from_dir(dirpath: Path, manifest: dict) -> MeasurementDesign:
@@ -198,9 +192,12 @@ def _design_from_dir(dirpath: Path, manifest: dict) -> MeasurementDesign:
     seed = _seed(dirpath, manifest, "design_seed")
     if kind is DesignKind.ROW_COL_SAMPLE:
         _require_fields(dirpath, manifest, ("row_indices", "col_indices"))
-        rows = _sample_indices(dirpath, manifest, "row_indices", k1, m)
-        cols = _sample_indices(dirpath, manifest, "col_indices", k2, n)
-        return MeasurementDesign(kind, m, n, seed, row_indices=rows, col_indices=cols)
+        rows = _sample_indices(dirpath, manifest, "row_indices", k1)
+        cols = _sample_indices(dirpath, manifest, "col_indices", k2)
+        try:
+            return MeasurementDesign(kind, m, n, seed, row_indices=rows, col_indices=cols)
+        except ValueError as exc:
+            raise ValueError(f"{dirpath}: {exc}") from None
     if "row_indices" in manifest or "col_indices" in manifest:
         raise ValueError(f"{dirpath}: a gaussian design has no sampling indices")
     a_row = read_matrix(dirpath / "design_a_row.csv")

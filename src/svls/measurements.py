@@ -11,7 +11,8 @@ sampling (``ROW_COL_SAMPLE``), whose measurements are single entries of
 X: that design is its two index vectors, applied by the gathers
 ``X[rows]`` and ``X[:, cols]``, which for finite input give the same
 bits as products with 0/1 selection matrices.  ``MeasurementDesign.rows``
-and ``cols`` are the only places a design is applied.  A ground truth is
+and ``cols`` are the only places a design is applied, and ``operators``
+builds the dense matrices for the solvers that need them.  A ground truth is
 held as its factors.
 
 All randomness flows through numpy's PCG64 generator
@@ -56,12 +57,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze_index(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """A rank-``rank`` target held as its factors; the dense
@@ -88,8 +83,10 @@ class MeasurementDesign:
 
     A Gaussian design holds the dense sensing matrices ``a_row``
     (k1 x m) and ``a_col`` (n x k2).  A ``ROW_COL_SAMPLE`` design holds
-    only the sampled ``row_indices`` (k1) and ``col_indices`` (k2): its
-    operators are gathers, applied by :meth:`rows` and :meth:`cols`.
+    only the sampled ``row_indices`` (k1) and ``col_indices`` (k2),
+    checked to be distinct and in range and kept as read-only int64
+    copies: its operators are gathers, applied by :meth:`rows` and
+    :meth:`cols`.
     """
 
     kind: DesignKind
@@ -116,6 +113,21 @@ class MeasurementDesign:
             and self.a_col.shape[0] == self.n
         ):
             raise ValueError("a_row must be k1 x m and a_col n x k2")
+        if self.row_indices is None:
+            return
+        for name, size in (("row_indices", self.m), ("col_indices", self.n)):
+            idx = np.asarray(getattr(self, name))
+            if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be a nonempty 1-d integer vector")
+            entries = idx.tolist()
+            if min(entries) < 0 or max(entries) >= size:
+                raise ValueError(f"{name} has an entry outside [0, {size})")
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} repeats an index")
+            # a read-only copy, so the checked indices cannot change
+            idx = idx.astype(np.int64)
+            idx.flags.writeable = False
+            object.__setattr__(self, name, idx)
 
     @property
     def k1(self) -> int:
@@ -149,6 +161,17 @@ class MeasurementDesign:
         if self.a_col is None:
             return y[:, self.col_indices]
         return y @ self.a_col
+
+    def operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense ``(a_row, a_col)``, for the solvers that need them; a
+        sampling design builds its 0/1 selections in O(k1*m + n*k2)."""
+        if self.a_row is not None:
+            return self.a_row, self.a_col
+        a_row = np.zeros((self.k1, self.m))
+        a_row[np.arange(self.k1), self.row_indices] = 1.0
+        a_col = np.zeros((self.n, self.k2))
+        a_col[self.col_indices, np.arange(self.k2)] = 1.0
+        return a_row, a_col
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +227,8 @@ def gen_design(
             f"sampling design needs k1 <= m and k2 <= n, got "
             f"k1={k1}, m={m}, k2={k2}, n={n}"
         )
-    rows = _freeze_index(rng.choice(m, size=k1, replace=False))
-    cols = _freeze_index(rng.choice(n, size=k2, replace=False))
+    rows = rng.choice(m, size=k1, replace=False)
+    cols = rng.choice(n, size=k2, replace=False)
     return MeasurementDesign(kind, m, n, seed, row_indices=rows, col_indices=cols)
 
 

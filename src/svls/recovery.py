@@ -146,6 +146,17 @@ def block_residuals(
     return row_res, col_res
 
 
+def _factor_objective(
+    left: np.ndarray,
+    right: np.ndarray,
+    design: MeasurementDesign,
+    meas: MeasurementSet,
+) -> float:
+    """Squared data misfit of ``left @ right.T``, from :func:`block_residuals`."""
+    row_res, col_res = block_residuals(left, right, design, meas)
+    return row_res**2 + col_res**2
+
+
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
     # SVD is sign-ambiguous per column; make the largest-magnitude entry
     # of each column positive so outputs are deterministic.
@@ -208,6 +219,33 @@ def _core_inputs(
     return ub, vb, au, va
 
 
+def solve_psd_sylvester(
+    a_eig: tuple[np.ndarray, np.ndarray],
+    b_eig: tuple[np.ndarray, np.ndarray],
+    c: np.ndarray,
+) -> np.ndarray:
+    """Minimum-norm X (p x n) with ``A @ X + X @ B = C``, for PSD A and B
+    given as eigenpairs ``a_eig = (lam, E_a)`` and ``b_eig = (mu, E_b)``.
+
+    The coefficients of X in the eigenbases whose eigenvalue sum
+    ``lam_i + mu_j`` is at or below ``CORE_EIG_RTOL * (max lam + max mu)``
+    are zero.  A thin ``E_b`` (n x k) means B is zero on the complement
+    of its columns, where the equation is ``A @ X = C``.
+    """
+    lam, ea = a_eig
+    mu, eb = b_eig
+    ca = ea.T @ c
+    c_t = ca @ eb
+    denom = lam[:, None] + mu[None, :]
+    cutoff = CORE_EIG_RTOL * (lam.max() + mu.max())
+    x_t = np.divide(c_t, denom, out=np.zeros_like(c_t), where=denom > cutoff)
+    if eb.shape[0] == eb.shape[1]:
+        return ea @ x_t @ eb.T
+    # thin E_b: add A^+ C (I - E_b E_b.T), the solution on the complement
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cutoff)[:, None]
+    return ea @ ((x_t - inv * c_t) @ eb.T + inv * ca)
+
+
 def solve_core(
     u: SubspaceBasis,
     v: SubspaceBasis,
@@ -221,21 +259,15 @@ def solve_core(
     obtained from its normal equation ``P @ M + M @ Q = C`` with
     ``P = (a_row U).T (a_row U)`` and ``Q = (V.T a_col)(V.T a_col).T``.
     Both P and Q are r x r PSD, so the Sylvester equation is solved
-    exactly through their eigendecompositions, dropping coefficients
-    whose eigenvalue sum is numerically zero (rank-deficient designs).
+    exactly through their eigendecompositions by
+    :func:`solve_psd_sylvester`, which drops coefficients whose
+    eigenvalue sum is numerically zero (rank-deficient designs).
     """
     ub, vb, au, va = _core_inputs(u, v, design, meas)
     p = au.T @ au
     q = va @ va.T
     c = au.T @ meas.b_row @ vb + ub.T @ meas.b_col @ va.T
-    lam, ep = np.linalg.eigh(p)
-    mu, eq = np.linalg.eigh(q)
-    c_t = ep.T @ c @ eq
-    denom = lam[:, None] + mu[None, :]
-    cutoff = CORE_EIG_RTOL * (lam.max() + mu.max())
-    keep = denom > cutoff
-    m_t = np.where(keep, c_t / np.where(keep, denom, 1.0), 0.0)
-    return ep @ m_t @ eq.T
+    return solve_psd_sylvester(np.linalg.eigh(p), np.linalg.eigh(q), c)
 
 
 def solve_core_bruteforce(
@@ -273,11 +305,7 @@ def core_objective(
     meas: MeasurementSet,
 ) -> float:
     """Value of the core least-squares objective at ``m_core``."""
-    x = u.basis @ m_core @ v.basis.T
-    return float(
-        np.linalg.norm(design.rows(x) - meas.b_row) ** 2
-        + np.linalg.norm(design.cols(x) - meas.b_col) ** 2
-    )
+    return _factor_objective(u.basis @ m_core, v.basis, design, meas)
 
 
 def svls_recover(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,63 @@ class TestSvpRecover:
             svp_recover(np.zeros(10), op, 4, 4, 5)
 
 
+def kron_refit_right(left, design, meas):
+    """Slow oracle for ALS's R half-step: the minimum-norm least-squares R
+    from one dense Kronecker system over its row-major vec, solved by
+    ``lstsq``; the rows of both blocks are reordered so each stacks as a
+    Kronecker product."""
+    n, r = design.n, left.shape[1]
+    g = design.rows(left)  # k1 x r
+    d = np.vstack([np.kron(np.eye(n), g), np.kron(design.cols(np.eye(n)).T, left)])
+    rhs = np.concatenate([meas.b_row.T.ravel(), meas.b_col.T.ravel()])
+    sol, _, _, _ = np.linalg.lstsq(d, rhs, rcond=None)
+    return sol.reshape(n, r)
+
+
+def kron_refit_left(right, design, meas):
+    """Slow oracle for ALS's L half-step, as :func:`kron_refit_right`."""
+    m, r = design.m, right.shape[1]
+    h = design.cols(right.T)  # r x k2
+    d = np.vstack([np.kron(design.rows(np.eye(m)), right), np.kron(np.eye(m), h.T)])
+    rhs = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
+    sol, _, _, _ = np.linalg.lstsq(d, rhs, rcond=None)
+    return sol.reshape(m, r)
+
+
+def assert_close(got, want, rtol=1e-10):
+    """Relative Frobenius agreement; an all-zero ``want`` needs an exact zero."""
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestAlsHalfSteps:
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize(
+        "m, n, r, k", [(12, 10, 2, 3), (9, 14, 3, 3), (10, 8, 1, 2)],
+        ids=["m_neq_n", "k_eq_r", "r_1"],
+    )
+    @pytest.mark.parametrize("fixed", ["full_rank", "rank_1", "zero"])
+    def test_half_steps_match_kronecker_oracles(self, kind, m, n, r, k, fixed):
+        # One sweep from (L0, R0): R is refit against L0, then L against
+        # that R.  A rank-1 or zero L0 gives a fixed factor of the same
+        # rank in both half-steps.
+        design = gen_design(kind, m, n, k, k, seed=3)
+        meas = measure(gen_low_rank(m, n, r, seed=4).x, design, 1e-2, noise_seed=5)
+        rng = np.random.default_rng(6)
+        left0 = rng.standard_normal((m, r))
+        if fixed == "rank_1":
+            left0 = np.outer(left0[:, 0], np.arange(1.0, r + 1))
+        elif fixed == "zero":
+            left0 = np.zeros((m, r))
+        result = als_recover(
+            meas, design, r, cfg=IterativeSolverConfig(max_iters=1),
+            init=(left0, np.zeros((n, r))),
+        )
+        assert_close(result.right, kron_refit_right(left0, design, meas))
+        assert_close(result.left, kron_refit_left(result.right, design, meas))
+        if fixed != "full_rank":
+            assert np.linalg.matrix_rank(result.right) == {"rank_1": 1, "zero": 0}[fixed]
+
+
 class TestAlsRecover:
     def test_truth_initialization_converges_immediately(self):
         truth = gen_low_rank(12, 10, 2, seed=7)
@@ -288,6 +347,42 @@ class TestAlsRecover:
         result = als_recover(meas, design, 2)
         assert np.linalg.matrix_rank(result.x_hat, tol=1e-8) <= 2
 
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_factors_rejected(self, which, bad):
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 8, 7, 3, 3, seed=1)
+        meas = measure(gen_low_rank(8, 7, 2, 0).x, design, 0.0, 0)
+        init = [np.ones((8, 2)), np.ones((7, 2))]
+        init[which][1, 1] = bad
+        with pytest.raises(ValueError, match="initial factors must be finite"):
+            als_recover(meas, design, 2, init=tuple(init))
+
+    def test_target_above_dense_operator_cap(self):
+        # ALS solves structured half-steps, so the dense cap does not apply
+        m, n = 400, 251
+        assert m * n > baselines.MAX_TARGET_ENTRIES
+        truth = gen_low_rank(m, n, 2, seed=1)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, m, n, 4, 4, seed=2)
+        meas = measure(truth.x, design, 0.0, 0)
+        result = als_recover(meas, design, 2, truth=truth.x)
+        assert result.converged
+        assert result.relative_error < 1e-8
+
+    def test_tall_target_forms_no_square_identity(self):
+        # np.eye(m) alone would take 128 MB here; the target takes 1.3 MB
+        m, n = 4000, 40
+        truth = gen_low_rank(m, n, 2, seed=1)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, m, n, 4, 4, seed=2)
+        meas = measure(truth.x, design, 0.0, 0)
+        tracemalloc.start()
+        try:
+            result = als_recover(meas, design, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert result.converged
+
     def test_invalid_rank_rejected(self):
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 8, 8, 2, 2, seed=1)
         meas = measure(gen_low_rank(8, 8, 2, 0).x, design, 0.0, 0)
@@ -308,12 +403,10 @@ class TestRowcolOperatorMatrix:
 
 
 def dense_builders(m, n):
-    """The three callers of the dense-size cap, on an m x n target."""
+    """The two callers of the dense-size cap, on an m x n target."""
     design = gen_design(DesignKind.GAUSSIAN_AFFINE, m, n, 2, 2, seed=1)
-    meas = measure(np.zeros((m, n)), design, 0.0, 0)
     return {
         "gaussian_operator": lambda: gaussian_operator(m, n, 2, seed=0),
-        "als_recover": lambda: als_recover(meas, design, 1),
         "rowcol_operator_matrix": lambda: rowcol_operator_matrix(design),
     }
 

@@ -115,6 +115,29 @@ class TestGenDesign:
         with pytest.raises(ValueError):
             MeasurementDesign(kind, 3, 3, 0, **operators)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([-1], "outside"),
+            ([1, 1], "repeats"),
+            ([4], "outside"),
+            ([0.5], "integer"),
+            ([], "nonempty"),
+            ([[0]], "1-d"),
+        ],
+        ids=["negative", "repeated", "past_end", "float", "empty", "2d"],
+    )
+    def test_bad_sampling_indices_rejected(self, rows, message):
+        # a gather would silently wrap -1 to row 3 and measure row 1 twice
+        with pytest.raises(ValueError, match=message):
+            MeasurementDesign(
+                DesignKind.ROW_COL_SAMPLE, 4, 3, 0, row_indices=rows, col_indices=[0]
+            )
+        with pytest.raises(ValueError, match=f"col_indices .*{message}"):
+            MeasurementDesign(
+                DesignKind.ROW_COL_SAMPLE, 3, 4, 0, row_indices=[0], col_indices=rows
+            )
+
     def test_sampling_k1_above_m_rejected(self):
         with pytest.raises(ValueError):
             gen_design(DesignKind.ROW_COL_SAMPLE, 2, 2, 3, 1, seed=0)

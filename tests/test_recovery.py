@@ -283,6 +283,59 @@ class TestSolveCore:
             solve_core_bruteforce(bad, v, design, meas)
 
 
+def solve_core_eigen_reference(u, v, design, meas):
+    """An independent copy of solve_core's eigen-solve, which solve_core
+    must reproduce bit for bit: the svls rows of every sweep CSV depend
+    on its bits."""
+    ub, vb, au, va = recovery._core_inputs(u, v, design, meas)
+    p = au.T @ au
+    q = va @ va.T
+    c = au.T @ meas.b_row @ vb + ub.T @ meas.b_col @ va.T
+    lam, ep = np.linalg.eigh(p)
+    mu, eq = np.linalg.eigh(q)
+    c_t = ep.T @ c @ eq
+    denom = lam[:, None] + mu[None, :]
+    cutoff = recovery.CORE_EIG_RTOL * (lam.max() + mu.max())
+    keep = denom > cutoff
+    m_t = np.where(keep, c_t / np.where(keep, denom, 1.0), 0.0)
+    return ep @ m_t @ eq.T
+
+
+class TestSolveCoreBits:
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("m, n, r, k", [(12, 10, 2, 3), (40, 30, 3, 5), (100, 100, 4, 6)])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    def test_bit_identical_to_reference(self, kind, m, n, r, k, sigma):
+        truth = gen_low_rank(m, n, r, seed=m + r)
+        design = gen_design(kind, m, n, k, k, seed=n + k)
+        meas = measure(truth.x, design, sigma, noise_seed=7)
+        u = estimate_col_space(meas.b_col, r)
+        v = estimate_row_space(meas.b_row, r)
+        core = solve_core(u, v, design, meas)
+        assert np.array_equal(core, solve_core_eigen_reference(u, v, design, meas))
+
+
+class TestSolvePsdSylvester:
+    @pytest.mark.parametrize("k", [2, 5], ids=["thin_b", "square_b"])
+    def test_matches_kronecker_pseudoinverse(self, k):
+        # A has a two-dimensional null space and B one zero eigenvalue (and,
+        # when E_b is thin, the complement of its columns), so both the
+        # dropped coefficients and the complement term are exercised.
+        rng = np.random.default_rng(k)
+        p, n = 4, 5
+        ea = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        eb = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+        lam = np.array([0.0, 0.0, 1.5, 3.0])
+        mu = np.linspace(0.0, 2.0, k)
+        c = rng.standard_normal((p, n))
+        a, b = (ea * lam) @ ea.T, (eb * mu) @ eb.T
+        # row-major vec: A X is kron(A, I) and X B is kron(I, B), B symmetric
+        op = np.kron(a, np.eye(n)) + np.kron(np.eye(p), b)
+        want = np.linalg.lstsq(op, c.ravel(), rcond=1e-10)[0].reshape(p, n)
+        got = recovery.solve_psd_sylvester((lam, ea), (mu, eb), c)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestSolveCoreBruteforce:
     def test_rank_one_closed_form(self):
         # r = 1 reduces to scalar least squares: ratio of inner products
@@ -582,6 +635,12 @@ class TestGatherOracle:
             assert np.array_equal(design.rows(y), a_row @ y)
         for y in (x, right.T, np.asfortranarray(right).T, v.T):
             assert np.array_equal(design.cols(y), y @ a_col)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_operators_equal_dense_matrices(self, kind):
+        design = gen_design(kind, 9, 7, 4, 3, seed=5)
+        for got, want in zip(design.operators(), dense_operators(design)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", list(DesignKind))
     def test_rowcol_operator_matrix_equals_kron_construction(self, kind):

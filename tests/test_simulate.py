@@ -1,5 +1,5 @@
-import hashlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -369,14 +369,32 @@ class TestRecordsCsv:
         assert len(lines) == 1 + len(rows)
 
 
-class TestGoldenOutputs:
-    """SHA-256 of the harness output for a small sweep that covers both
-    designs, all four algorithms, noise and contained errors.  The digests
-    pin numpy 2.4 with OpenBLAS 0.3 on x86-64; on another numerical stack
-    they must be retaken from a harness whose output is known to be right."""
+GOLDEN = Path(__file__).parent / "data"
 
-    RECORDS_SHA256 = "f5c4ed20c14483c993b6100ef71edef21b45370de0e5b77798a3267d6c1a0cf5"
-    SUMMARY_SHA256 = "d90c7ccbca5946de9b3e87a99b979c45d416b02684f8b064889e99526304a986"
+
+def assert_matches_golden(data: bytes, name: str) -> None:
+    """Byte-for-byte comparison with ``tests/data/<name>``; a mismatch
+    reports the first line that differs."""
+    want = (GOLDEN / name).read_bytes()
+    if data == want:
+        return
+    got_lines, want_lines = data.splitlines(), want.splitlines()
+    i = next(
+        (i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+        min(len(got_lines), len(want_lines)),
+    )
+    got_line = got_lines[i].decode() if i < len(got_lines) else "<end of output>"
+    want_line = want_lines[i].decode() if i < len(want_lines) else "<end of file>"
+    pytest.fail(f"{name} differs at line {i + 1}:\n got: {got_line}\nwant: {want_line}")
+
+
+class TestGoldenOutputs:
+    """The harness output for a small sweep that covers both designs, all
+    four algorithms, noise and contained errors, against the checked-in
+    CSVs in ``tests/data``.  They pin numpy 2.4 with OpenBLAS 0.3 on
+    x86-64; on another numerical stack they must be retaken from a
+    harness whose output is known to be right, and diffed against the old
+    files before they replace them."""
 
     def test_records_and_summary_bytes(self, tmp_path):
         cfg = small_config(
@@ -392,12 +410,12 @@ class TestGoldenOutputs:
         assert any(r.error for r in records) and any(r.success for r in records)
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RECORDS_SHA256
+        assert_matches_golden(path.read_bytes(), "golden_records.csv")
         write_summary_csv(path, aggregate(records))
         # mean_runtime_seconds, the last column, is wall-clock time
         lines = path.read_text().splitlines()
         text = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.SUMMARY_SHA256
+        assert_matches_golden(text.encode(), "golden_summary.csv")
 
 
 class TestExactnessProbability:
