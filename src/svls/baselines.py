@@ -5,13 +5,14 @@ thresholding) on a dense affine operator over the flattened target; it
 is the standard-design baseline and, by the parity rule used in the
 simulation harness, is allotted ``k1*n + k2*m`` scalar measurements to
 match the row/column budget.  Its automatic step is a Barzilai-Borwein
-trial with a fallback to ``1/sigma_max(op)^2`` that keeps the objective
-nonincreasing.  ``als_recover`` alternately refits the two factors of
-``X = L @ R.T`` against the row/column blocks, starting from the
-one-shot SVD+LS estimate (so it isolates the value of iterative
-refinement); random or user-supplied initialization is available for
-fairness experiments.  Both report ``converged``: whether the ``tol``
-stopping rule fired before ``max_iters``.
+(or, with no last update, line-search) trial that is divided by 4 until
+the objective does not rise, so it needs no bound on ``sigma_max(op)``.
+``als_recover`` alternately refits the two factors of ``X = L @ R.T``
+against the row/column blocks, starting from the one-shot SVD+LS
+estimate (so it isolates the value of iterative refinement); random or
+user-supplied initialization is available for fairness experiments.
+Both report ``converged``: whether the ``tol`` stopping rule fired
+before ``max_iters``.
 
 ALS's half-steps are PSD Sylvester equations, solved by ``solve_core``'s
 solver.  The cap of 1e5 target entries applies only to the dense
@@ -21,11 +22,13 @@ operators of SVP and of ``rowcol_operator_matrix``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .matio import _is_int
 from .measurements import MeasurementDesign, MeasurementSet, _freeze
 from .recovery import (
     CORE_EIG_RTOL,
@@ -34,12 +37,17 @@ from .recovery import (
     block_residuals,
     estimate_col_space,
     estimate_row_space,
+    product_norm,
     relative_error,
     solve_core,
     solve_psd_sylvester,
 )
 
 MAX_TARGET_ENTRIES = 100_000
+# SVP's automatic step divides a rejected trial step by BACKOFF, at most
+# MAX_BACKOFFS times per iteration (4**-60 is about 1e-36).
+BACKOFF = 4.0
+MAX_BACKOFFS = 60
 
 
 @dataclass(frozen=True)
@@ -47,10 +55,9 @@ class IterativeSolverConfig:
     """Stopping rule shared by the iterative solvers.
 
     ``tol`` is the relative change in the iterate between sweeps;
-    ``step_size`` applies to SVP only: a float is the fixed step, and
-    "auto" tries the Barzilai-Borwein step of the last update and falls
-    back to 1/sigma_max(op)^2 when the trial would raise the objective,
-    so the objective is nonincreasing (see ``svp_recover``).
+    ``step_size`` applies to SVP only: a real is the fixed step, and
+    "auto" backs off from a Barzilai-Borwein trial so the objective is
+    nonincreasing (see ``svp_recover``).  Bools are not numbers here.
     """
 
     max_iters: int = 500
@@ -58,12 +65,18 @@ class IterativeSolverConfig:
     step_size: float | str = "auto"
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.step_size != "auto" and not 0 < float(self.step_size) < math.inf:
+        if not (_is_int(self.max_iters) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer of at least 1")
+        if not (_is_real(self.tol) and 0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite")
+        if self.step_size != "auto" and not (
+            _is_real(self.step_size) and 0 < self.step_size < math.inf
+        ):
             raise ValueError("step_size must be positive and finite, or 'auto'")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_dense_size(m: int, n: int) -> None:
@@ -129,19 +142,21 @@ def svp_recover(
 
     Iterates ``X <- TruncSVD_r(X - eta * reshape(op.T @ (op @ vec(X) - b)))``
     from ``X = 0``.  A float ``step_size`` fixes ``eta``.  The automatic
-    step first tries the Barzilai-Borwein step
-    ``||dX||^2 / ||op @ vec(dX)||^2`` of the last update, kept at or
-    above the safe step ``1/sigma_max(op)^2``; if that trial would raise
-    the objective, the iteration is redone at the safe step, which by
-    majorization cannot.  The first iteration, and any whose last update
-    lies in the null space of ``op``, take the safe step.  So the
-    objective is nonincreasing, and an accepted trial costs the same two
-    operator products as a fixed step.
+    step tries the Barzilai-Borwein step ``||dX||^2 / ||op @ vec(dX)||^2``
+    of the last update or, with none (or one in the null space of
+    ``op``), the line-search step ``||G||^2 / ||op @ vec(G)||^2`` along
+    the gradient G, and divides it by ``BACKOFF`` while the projected
+    trial would raise the objective.  Majorization forbids a rise once
+    ``eta <= 1/sigma_max(op)^2``, so the objective is nonincreasing
+    without that bound being computed; ``MAX_BACKOFFS`` caps the shrinks
+    against rounding, and reaching it ends the iteration at the last
+    accepted iterate, with ``converged=False``.
 
     Nonconvergence is not an error: the result carries the iteration
-    count, the final objective and ``converged`` either way.  A step
-    that drives the objective to inf or nan stops the iteration at the
-    last finite iterate, with ``converged=False``.
+    count, the final objective and ``converged`` either way.  A fixed
+    step that drives the objective to inf or nan stops the iteration at
+    the last finite iterate, with ``converged=False``.  Non-finite ``b``
+    or ``op`` raise ``ValueError``.
     """
     cfg = cfg or IterativeSolverConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -152,14 +167,12 @@ def svp_recover(
         raise ValueError(f"expected {k} measurements, got {b.shape[0]}")
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
+    if not np.isfinite(b).all():
+        raise ValueError("measurements must be finite")
+    if not np.isfinite(op).all():
+        raise ValueError("operator entries must be finite")
     t0 = time.perf_counter()
     auto = cfg.step_size == "auto"
-    if auto:
-        # sigma_max^2 via the smaller Gram matrix; exact and deterministic.
-        gram = op @ op.T if k <= m * n else op.T @ op
-        safe = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
-    else:
-        safe = float(cfg.step_size)
     x = np.zeros((m, n))
     left, right = np.zeros((m, r)), np.zeros((n, r))
     resid = -b  # op @ vec(0) - b
@@ -171,17 +184,29 @@ def svp_recover(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_iters):
             grad = (op.T @ resid).reshape(m, n)
-            eta = max(safe, bb) if auto else safe
+            if not auto:
+                eta = float(cfg.step_size)
+            elif bb > 0:
+                eta = bb
+            else:  # exact line search along -grad
+                g = op @ grad.ravel()
+                g_sq = float(g @ g)
+                # g = 0 only if grad = 0, when every eta gives the same iterate
+                eta = float(np.vdot(grad, grad)) / g_sq if g_sq > 0 else 1.0
             trial = _projected_step(x, grad, eta, op, b, r)
-            if eta > safe and not trial[-1] <= history[-1]:
-                trial = _projected_step(x, grad, safe, op, b, r)
-            if not math.isfinite(trial[-1]):
+            backoffs = 0
+            while auto and not trial[-1] <= history[-1] and backoffs < MAX_BACKOFFS:
+                eta /= BACKOFF
+                backoffs += 1
+                trial = _projected_step(x, grad, eta, op, b, r)
+            accepted = trial[-1] <= history[-1] if auto else math.isfinite(trial[-1])
+            if not accepted:
                 break
             left, right, x_new, resid_new, objective = trial
             iterations += 1
             history.append(objective)
             step = float(np.linalg.norm(x_new - x))
-            dr = resid_new - resid
+            dr = resid_new - resid  # op @ vec(x_new - x)
             dr_sq = float(dr @ dr)
             bb = step * step / dr_sq if dr_sq > 0 else 0.0
             x, resid = x_new, resid_new
@@ -282,19 +307,18 @@ def als_recover(
     col_op = np.linalg.svd(a_col, full_matrices=False)
     b_row, b_col = meas.b_row, meas.b_col
     history = [_factor_objective(left, right, design, meas)]
-    x = left @ right.T
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
         iterations += 1
+        prev_left, prev_right = left, right
         right = _refit(left, b_row, b_col, row_op, col_op)
         history.append(_factor_objective(left, right, design, meas))
         left = _refit(right, b_col.T, b_row.T, col_op, row_op)
         history.append(_factor_objective(left, right, design, meas))
-        x_new = left @ right.T
-        step = np.linalg.norm(x_new - x)
-        x = x_new
-        if step <= cfg.tol * max(np.linalg.norm(x), 1e-300):
+        # ||L R.T - L0 R0.T|| and ||L R.T||, from the factors
+        step = product_norm(np.hstack([left, -prev_left]), np.hstack([right, prev_right]))
+        if step <= cfg.tol * max(product_norm(left, right), 1e-300):
             converged = True
             break
     runtime = time.perf_counter() - t0

@@ -133,6 +133,18 @@ def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> f
     return float(num / denom)
 
 
+def product_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of ``a @ b.T`` without forming it, in O((m+n) c^2)
+    for c columns: with ``a = Q T`` its thin QR, it is ``||b @ T.T||_F``.
+
+    A difference of products is one product of stacked factors,
+    ``L1 R1.T - L0 R0.T = [L1, -L0] [R1, R0].T``.  The squared norm is
+    not expanded into Gram inner products: near an exact match those
+    terms cancel to 0.0, while the product with ``T`` keeps the digits.
+    """
+    return float(np.linalg.norm(b @ np.linalg.qr(a, mode="r").T))
+
+
 def block_residuals(
     left: np.ndarray,
     right: np.ndarray,

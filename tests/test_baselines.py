@@ -47,12 +47,14 @@ def svp_oracle(b, op, m, n, r, iters, step=None):
     """Slow reference for ``svp_recover`` without the stopping rule.
 
     With ``step=None`` it applies the automatic rule from its definition:
-    every residual is recomputed from its iterate, the Barzilai-Borwein
-    denominator is ``op @ vec(x - x_prev)``, and a trial that raises the
-    objective is redone at 1/||op||_2^2.  Returns the iterate, the
-    objective history and the number of rejected trials.
+    every residual is recomputed from its iterate; the trial step is the
+    Barzilai-Borwein step ``||x - x_prev||^2 / ||op @ vec(x - x_prev)||^2``
+    or, with no last update or one that ``op`` maps to zero, the exact
+    line-search step ``||grad||^2 / ||op @ vec(grad)||^2``; and while a
+    trial raises the objective it is redone at a quarter of its step.
+    Returns the iterate, the objective history and the number of
+    rejected trials.
     """
-    safe = 1.0 / np.linalg.norm(op, 2) ** 2
 
     def objective(x):
         return float(np.sum((op @ x.ravel() - b) ** 2))
@@ -65,15 +67,19 @@ def svp_oracle(b, op, m, n, r, iters, step=None):
     history, rejected = [objective(x)], 0
     for _ in range(iters):
         grad = (op.T @ (op @ x.ravel() - b)).reshape(m, n)
-        eta = safe if step is None else step
-        if step is None and x_prev is not None:
-            d = op @ (x - x_prev).ravel()
-            if d @ d > 0:
-                eta = max(safe, np.sum((x - x_prev) ** 2) / (d @ d))
+        eta = step
+        if step is None:
+            d = None if x_prev is None else op @ (x - x_prev).ravel()
+            if d is not None and d @ d > 0:
+                eta = np.sum((x - x_prev) ** 2) / (d @ d)
+            else:
+                g = op @ grad.ravel()
+                eta = np.sum(grad**2) / (g @ g)
         x_new = project(x - eta * grad)
-        if objective(x_new) > history[-1] and eta > safe:
+        while step is None and objective(x_new) > history[-1]:
             rejected += 1
-            x_new = project(x - safe * grad)
+            eta /= 4
+            x_new = project(x - eta * grad)
         x_prev, x = x, x_new
         history.append(objective(x))
     return x, history, rejected
@@ -118,8 +124,8 @@ class TestSvpRecover:
     @pytest.mark.parametrize("step", [None, 0.5, 1.0])
     def test_matches_oracle(self, step):
         # None is the automatic rule; seed 0 at this size rejects several
-        # Barzilai-Borwein trials within ten iterations, so the fallback
-        # to the safe step runs.  The floats are fractions of the safe step.
+        # trials within ten iterations, so the back-off runs.  The floats
+        # are fractions of the safe step.
         truth = gen_low_rank(10, 8, 2, seed=0)
         op = gaussian_operator(10, 8, 40, seed=40)
         b = apply_operator(op, truth.x)
@@ -136,17 +142,65 @@ class TestSvpRecover:
         hist = np.array(result.objective_history)
         assert np.all(np.diff(hist) <= 1e-9 * (1.0 + hist[:-1]))
 
-    def test_first_iterate_is_the_safe_step(self):
+    def test_first_iterate_is_the_line_search_step(self):
         truth = gen_low_rank(12, 9, 2, seed=1)
         op = gaussian_operator(12, 9, 60, seed=2)
         b = apply_operator(op, truth.x)
+        grad = op.T @ -b  # the gradient at X = 0
+        g = op @ grad
+        line_search = float(np.vdot(grad, grad)) / float(g @ g)
         auto = svp_recover(b, op, 12, 9, 2, cfg=IterativeSolverConfig(max_iters=1))
         fixed = svp_recover(
             b, op, 12, 9, 2,
-            cfg=IterativeSolverConfig(max_iters=1, step_size=safe_step(op)),
+            cfg=IterativeSolverConfig(max_iters=1, step_size=line_search),
         )
         assert np.array_equal(auto.x_hat, fixed.x_hat)
         assert auto.objective_history == fixed.objective_history
+        assert auto.final_objective < auto.objective_history[0]
+
+    def test_auto_step_calls_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        truth = gen_low_rank(12, 9, 2, seed=1)
+        op = gaussian_operator(12, 9, 60, seed=2)
+        result = svp_recover(apply_operator(op, truth.x), op, 12, 9, 2)
+        assert result.converged
+
+    def test_back_off_is_bounded(self, monkeypatch):
+        # A projected step that always raises the objective: every trial
+        # is rejected, so the first iteration gives up after the bound.
+        truth = gen_low_rank(6, 5, 1, seed=3)
+        op = gaussian_operator(6, 5, 20, seed=4)
+        b = apply_operator(op, truth.x)
+        worse = float(b @ b) + 1.0
+        etas = []
+
+        def rising(x, grad, eta, *args):
+            etas.append(eta)
+            return None, None, None, None, worse
+
+        monkeypatch.setattr(baselines, "_projected_step", rising)
+        result = svp_recover(b, op, 6, 5, 1)
+        assert result.converged is False
+        assert result.iterations == 0
+        assert result.objective_history == (float(b @ b),)
+        assert np.array_equal(result.x_hat, np.zeros((6, 5)))
+        assert 1 < len(etas) <= baselines.MAX_BACKOFFS + 1
+        assert all(nxt == eta / baselines.BACKOFF for eta, nxt in zip(etas, etas[1:]))
+
+    @pytest.mark.parametrize("where", ["b", "op"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        truth = gen_low_rank(6, 5, 1, seed=3)
+        op = np.array(gaussian_operator(6, 5, 20, seed=4))
+        b = apply_operator(op, truth.x)
+        (b if where == "b" else op)[3] = bad
+        message = {"b": "measurements must be finite", "op": "operator entries must be finite"}
+        with pytest.raises(ValueError, match=message[where]):
+            svp_recover(b, op, 6, 5, 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_auto_and_safe_step_reach_same_estimate(self, seed):
@@ -383,6 +437,21 @@ class TestAlsRecover:
         assert peak < 16e6
         assert result.converged
 
+    def test_step_test_forms_no_dense_iterate(self):
+        # One 2000 x 2000 iterate takes 32 MB; its factors take 64 kB
+        m = n = 2000
+        truth = gen_low_rank(m, n, 2, seed=1)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, m, n, 4, 4, seed=2)
+        meas = measure(truth.x, design, 0.0, 0)
+        tracemalloc.start()
+        try:
+            result = als_recover(meas, design, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert result.converged
+
     def test_invalid_rank_rejected(self):
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 8, 8, 2, 2, seed=1)
         meas = measure(gen_low_rank(8, 8, 2, 0).x, design, 0.0, 0)
@@ -445,8 +514,25 @@ class TestIterativeSolverConfig:
             dict(step_size=-1.0),
             dict(step_size=float("inf")),
             dict(step_size=float("nan")),
+            dict(tol=float("nan")),
+            dict(tol=float("inf")),
+            dict(tol=True),
+            dict(max_iters=2.5),
+            dict(max_iters=True),
+            dict(max_iters=np.float64(3.0)),
+            dict(step_size=True),
+            dict(step_size="0.5"),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             IterativeSolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(max_iters=1), dict(tol=1e-300), dict(step_size=np.float64(0.5)), dict(step_size=2)],
+    )
+    def test_valid_settings_accepted(self, kwargs):
+        (field, value), = kwargs.items()
+        assert getattr(IterativeSolverConfig(**kwargs), field) == value

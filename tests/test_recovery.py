@@ -22,6 +22,7 @@ from svls.recovery import (
     estimate_col_space,
     estimate_rank,
     estimate_row_space,
+    product_norm,
     relative_error,
     solve_core,
     solve_core_bruteforce,
@@ -685,3 +686,43 @@ class TestRelativeError:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             relative_error(np.ones((4, 1)), np.ones((3, 1)), np.ones((3, 4)))
+
+
+class TestProductNorm:
+    """``product_norm`` against the dense ``np.linalg.norm`` of the
+    product it never forms."""
+
+    @pytest.mark.parametrize("m, n, c", [(30, 20, 2), (5, 40, 4), (3, 2, 6), (300, 251, 4)])
+    def test_matches_dense_norm(self, m, n, c):
+        rng = np.random.default_rng(m + n + c)
+        a, b = rng.standard_normal((m, c)), rng.standard_normal((n, c))
+        want = np.linalg.norm(a @ b.T)
+        assert abs(product_norm(a, b) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_difference_of_products_matches_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        l0, r0 = rng.standard_normal((40, 2)), rng.standard_normal((30, 2))
+        l1, r1 = rng.standard_normal((40, 2)), rng.standard_normal((30, 2))
+        want = np.linalg.norm(l1 @ r1.T - l0 @ r0.T)
+        got = product_norm(np.hstack([l1, -l0]), np.hstack([r1, r0]))
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_equal_products_read_rounding_only(self):
+        rng = np.random.default_rng(7)
+        left, right = 1e3 * rng.standard_normal((50, 3)), rng.standard_normal((40, 3))
+        got = product_norm(np.hstack([left, -left]), np.hstack([right, right]))
+        scale = np.linalg.norm(left) * np.linalg.norm(right)
+        assert got <= 10 * np.finfo(float).eps * scale
+
+    def test_close_products_keep_their_digits(self):
+        # The difference is 1e-8 of each product.  Expanding its squared
+        # norm into Gram inner products loses every digit to cancellation;
+        # the dense and factored norms each err by about eps * ||x||,
+        # 1e-8 of the difference.
+        rng = np.random.default_rng(8)
+        l0, right = rng.standard_normal((60, 2)), rng.standard_normal((50, 2))
+        l1 = l0 + 1e-8 * rng.standard_normal((60, 2))
+        want = np.linalg.norm(l1 @ right.T - l0 @ right.T)
+        got = product_norm(np.hstack([l1, -l0]), np.hstack([right, right]))
+        assert abs(got - want) <= 1e-6 * want
