@@ -37,7 +37,6 @@ from .recovery import (
     block_residuals,
     estimate_col_space,
     estimate_row_space,
-    product_norm,
     relative_error,
     solve_core,
     solve_psd_sylvester,
@@ -261,6 +260,18 @@ def _refit(
     return y_t.T @ (wt / w[:, None])
 
 
+def _step_norms(
+    left: np.ndarray, right: np.ndarray, prev_left: np.ndarray, prev_right: np.ndarray
+) -> tuple[float, float]:
+    """``||L R.T - L0 R0.T||_F`` and ``||L R.T||_F``, as ``product_norm``
+    gives them, from one thin QR: the leading r x r block of the
+    triangular factor of ``[L, -L0]`` is that of ``L``."""
+    t = np.linalg.qr(np.hstack([left, -prev_left]), mode="r")
+    r = left.shape[1]
+    step = np.linalg.norm(np.hstack([right, prev_right]) @ t.T)
+    return float(step), float(np.linalg.norm(right @ t[:r, :r].T))
+
+
 def als_recover(
     meas: MeasurementSet,
     design: MeasurementDesign,
@@ -316,9 +327,8 @@ def als_recover(
         history.append(_factor_objective(left, right, design, meas))
         left = _refit(right, b_col.T, b_row.T, col_op, row_op)
         history.append(_factor_objective(left, right, design, meas))
-        # ||L R.T - L0 R0.T|| and ||L R.T||, from the factors
-        step = product_norm(np.hstack([left, -prev_left]), np.hstack([right, prev_right]))
-        if step <= cfg.tol * max(product_norm(left, right), 1e-300):
+        step, size = _step_norms(left, right, prev_left, prev_right)
+        if step <= cfg.tol * max(size, 1e-300):
             converged = True
             break
     runtime = time.perf_counter() - t0

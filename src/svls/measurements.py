@@ -39,9 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # measure's finiteness check and recovery.relative_error visit an m x n
-# matrix in row blocks of about this many entries (2 MB of float64), so
-# their scratch memory does not grow with m*n.
-ERROR_BLOCK_ENTRIES = 1 << 18
+# matrix in row blocks of about this many entries (512 KB of float64), so
+# their scratch memory does not grow with m*n.  relative_error is fastest
+# at 2^15-2^16 entries: a truth block and its product scratch then fit in
+# a 2 MB per-core L2 beside BLAS's packing buffers; larger blocks spill.
+ERROR_BLOCK_ENTRIES = 1 << 16
 
 
 class DesignKind(str, enum.Enum):

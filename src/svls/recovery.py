@@ -61,6 +61,11 @@ class RecoveryResult:
     ``converged`` are populated by the iterative baselines; ``converged``
     is True when the ``tol`` stopping rule fired and False when the
     solver stopped at ``max_iters`` or on a non-finite objective.
+    ``runtime_seconds`` times the solve alone: the two subspace SVDs and
+    the core solve for ``svls``, W's SVD and pseudo-inverse for ``cur``,
+    the iterations for ``svp``, and the start, the operators' SVDs and
+    the sweeps for ``als``; it excludes the residuals and
+    ``relative_error``.
     """
 
     left: np.ndarray
@@ -109,19 +114,22 @@ def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> f
 
     Both squared norms are summed over row blocks of about
     ``ERROR_BLOCK_ENTRIES`` entries in one pass over ``x_true``, so no
-    m x n temporary is formed.
+    m x n temporary is formed and each block is still in cache when its
+    difference and norms are taken.
     """
     x_true = np.asarray(x_true, dtype=np.float64)
     shape = (left.shape[0], right.shape[0])
     if x_true.shape != shape:
         raise ValueError(f"truth shape {x_true.shape} differs from estimate shape {shape}")
     rows = max(1, ERROR_BLOCK_ENTRIES // max(1, x_true.shape[1]))
+    # one contiguous right.T for every block; a single block keeps x_hat's bits
+    right_t = right.T if rows >= shape[0] else np.ascontiguousarray(right.T)
     # one buffer holds every block's product and difference
     scratch = np.empty((min(rows, shape[0]), shape[1]))
     num_sq = denom_sq = 0.0
     for i in range(0, x_true.shape[0], rows):
         block = x_true[i : i + rows]
-        diff = np.matmul(left[i : i + rows], right.T, out=scratch[: len(block)])
+        diff = np.matmul(left[i : i + rows], right_t, out=scratch[: len(block)])
         diff -= block
         diff = diff.ravel()
         flat = block.ravel()

@@ -17,6 +17,7 @@ from svls.recovery import (
     core_objective,
     estimate_col_space,
     estimate_row_space,
+    product_norm,
     solve_core,
 )
 
@@ -436,6 +437,31 @@ class TestAlsRecover:
             tracemalloc.stop()
         assert peak < 16e6
         assert result.converged
+
+    @pytest.mark.parametrize("m, n, r", [(30, 30, 2), (5, 40, 3), (3, 7, 2), (300, 251, 4)])
+    def test_step_norms_match_product_norm(self, m, n, r):
+        # one QR of [L, -L0] gives both norms; product_norm takes one QR
+        # per norm, and the dense norms take neither
+        rng = np.random.default_rng(m + n + r)
+        left, prev_left = rng.standard_normal((m, r)), rng.standard_normal((m, r))
+        right, prev_right = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+        step, size = baselines._step_norms(left, right, prev_left, prev_right)
+        want_step = product_norm(np.hstack([left, -prev_left]), np.hstack([right, prev_right]))
+        want_size = product_norm(left, right)
+        assert abs(step - want_step) <= 1e-12 * want_step
+        assert abs(size - want_size) <= 1e-12 * want_size
+        assert abs(step - np.linalg.norm(left @ right.T - prev_left @ prev_right.T)) <= 1e-12 * step
+        assert abs(size - np.linalg.norm(left @ right.T)) <= 1e-12 * size
+
+    def test_step_test_takes_one_qr_per_sweep(self, monkeypatch):
+        truth = gen_low_rank(30, 30, 2, seed=1)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 30, 30, 3, 3, seed=2)
+        meas = measure(truth.x, design, 1e-3, 0)
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        result = als_recover(meas, design, 2)
+        assert len(calls) == result.iterations
 
     def test_step_test_forms_no_dense_iterate(self):
         # One 2000 x 2000 iterate takes 32 MB; its factors take 64 kB

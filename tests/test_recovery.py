@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -669,14 +670,58 @@ class TestRelativeError:
         want = dense_relative_error(left @ right.T, x_true)
         assert abs(got - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("block", [1, 7, 40, 1000])
+    @pytest.mark.parametrize("block", [1, 7, 40, 100, 1000])
     def test_block_size_does_not_change_value(self, monkeypatch, block):
-        rng = np.random.default_rng(6)
-        left, right = rng.standard_normal((23, 2)), rng.standard_normal((17, 2))
-        x_true = rng.standard_normal((23, 17))
-        want = dense_relative_error(left @ right.T, x_true)
+        # 23 rows in blocks of max(1, block // 17) rows: 23, 23, 12 and 5
+        # blocks, the last of the 12 and the 5 ragged, then one block.
+        # ``right`` as svls and als return it (C order), as cur does (F
+        # order), as svp does (a read-only transposed view), and rank 0.
         monkeypatch.setattr(recovery, "ERROR_BLOCK_ENTRIES", block)
-        assert abs(relative_error(left, right, x_true) - want) <= 1e-12 * want
+        calls = []  # one np.matmul per row block
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        rng = np.random.default_rng(6)
+        for layout in ["C", "F", "transposed view", "rank 0"]:
+            q = 0 if layout == "rank 0" else 2
+            left = rng.standard_normal((23, q))
+            right = rng.standard_normal((17, q))
+            if layout == "F":
+                right = np.asfortranarray(right)
+            elif layout == "transposed view":
+                right = right.T.copy().T
+                right.flags.writeable = False
+            x_true = rng.standard_normal((23, 17))
+            want = dense_relative_error(left @ right.T, x_true)
+            calls.clear()
+            assert abs(relative_error(left, right, x_true) - want) <= 1e-12 * want, layout
+            assert len(calls) == math.ceil(23 / max(1, block // 17)), layout
+
+    @pytest.mark.parametrize("block", [7, 100, recovery.ERROR_BLOCK_ENTRIES])
+    def test_cur_with_every_singular_value_truncated(self, monkeypatch, block):
+        # a 1 x 1 overlap block of size about 1 under noise of 100 falls
+        # below cur's 3 * sigma cutoff
+        truth = gen_low_rank(23, 17, 2, seed=4)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 23, 17, 1, 1, seed=5)
+        meas = measure(truth.x, design, 100.0, noise_seed=6)
+        monkeypatch.setattr(recovery, "ERROR_BLOCK_ENTRIES", block)
+        result = cur_recover(meas, design, truth=truth.x)
+        assert result.rank_used == 0
+        want = dense_relative_error(result.x_hat, truth.x)
+        assert abs(result.relative_error - want) <= 1e-12 * want
+
+    def test_scratch_does_not_grow_with_the_truth(self):
+        # The 2000 x 2000 truth takes 32 MB; the product scratch of one
+        # block takes 512 kB and the contiguous right.T 160 kB.
+        rng = np.random.default_rng(9)
+        left, right = rng.standard_normal((2000, 10)), rng.standard_normal((2000, 10))
+        x_true = rng.standard_normal((2000, 2000))
+        tracemalloc.start()
+        try:
+            relative_error(left, right, x_true)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_zero_truth(self):
         zeros = np.zeros((4, 1))
