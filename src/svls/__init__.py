@@ -3,7 +3,6 @@
 from .baselines import (
     IterativeSolverConfig,
     als_recover,
-    apply_operator,
     gaussian_operator,
     rowcol_operator_matrix,
     svp_recover,
@@ -20,14 +19,12 @@ from .measurements import (
 from .recovery import (
     RecoveryResult,
     SubspaceBasis,
-    core_objective,
     cur_recover,
     estimate_col_space,
     estimate_rank,
     estimate_row_space,
     relative_error,
     solve_core,
-    solve_core_bruteforce,
     svls_recover,
     theoretical_bound,
 )
@@ -56,8 +53,6 @@ __all__ = [
     "TrialRecord",
     "aggregate",
     "als_recover",
-    "apply_operator",
-    "core_objective",
     "cur_recover",
     "estimate_col_space",
     "estimate_rank",
@@ -70,7 +65,6 @@ __all__ = [
     "rowcol_operator_matrix",
     "run_trial",
     "solve_core",
-    "solve_core_bruteforce",
     "svls_recover",
     "svp_recover",
     "sweep",

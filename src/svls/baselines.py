@@ -4,7 +4,7 @@
 thresholding) on a dense affine operator over the flattened target; it
 is the standard-design baseline and, by the parity rule used in the
 simulation harness, is allotted ``k1*n + k2*m`` scalar measurements to
-match the row/column budget.  Its automatic step is a Barzilai-Borwein
+match the row/column budget.  Its one step rule is a Barzilai-Borwein
 (or, with no last update, line-search) trial that is divided by 4 until
 the objective does not rise, so it needs no bound on ``sigma_max(op)``.
 ``als_recover`` alternately refits the two factors of ``X = L @ R.T``
@@ -22,17 +22,18 @@ operators of SVP and of ``rowcol_operator_matrix``.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matio import _is_int
-from .measurements import MeasurementDesign, MeasurementSet, _freeze
+from .measurements import (
+    MeasurementDesign, MeasurementSet, _freeze, _is_finite_nonnegative, _is_int,
+)
 from .recovery import (
     CORE_EIG_RTOL,
     RecoveryResult,
+    _check_blocks,
     _factor_objective,
     block_residuals,
     estimate_col_space,
@@ -43,7 +44,7 @@ from .recovery import (
 )
 
 MAX_TARGET_ENTRIES = 100_000
-# SVP's automatic step divides a rejected trial step by BACKOFF, at most
+# SVP divides a rejected trial step by BACKOFF, at most
 # MAX_BACKOFFS times per iteration (4**-60 is about 1e-36).
 BACKOFF = 4.0
 MAX_BACKOFFS = 60
@@ -51,31 +52,18 @@ MAX_BACKOFFS = 60
 
 @dataclass(frozen=True)
 class IterativeSolverConfig:
-    """Stopping rule shared by the iterative solvers.
-
-    ``tol`` is the relative change in the iterate between sweeps;
-    ``step_size`` applies to SVP only: a real is the fixed step, and
-    "auto" backs off from a Barzilai-Borwein trial so the objective is
-    nonincreasing (see ``svp_recover``).  Bools are not numbers here.
-    """
+    """Stopping rule shared by the iterative solvers: at most
+    ``max_iters`` iterations, stopping once the relative change in the
+    iterate is at most ``tol``.  Bools are not numbers here."""
 
     max_iters: int = 500
     tol: float = 1e-8
-    step_size: float | str = "auto"
 
     def __post_init__(self) -> None:
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
-        if not (_is_real(self.tol) and 0 < self.tol < math.inf):
+        if not (_is_finite_nonnegative(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
-        if self.step_size != "auto" and not (
-            _is_real(self.step_size) and 0 < self.step_size < math.inf
-        ):
-            raise ValueError("step_size must be positive and finite, or 'auto'")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_dense_size(m: int, n: int) -> None:
@@ -96,11 +84,6 @@ def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
     _check_dense_size(m, n)
     rng = np.random.default_rng(seed)
     return _freeze(rng.standard_normal((k, m * n)))
-
-
-def apply_operator(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Measure ``x`` through the operator: ``op @ vec(x)`` (row-major vec)."""
-    return op @ np.asarray(x, dtype=np.float64).ravel()
 
 
 def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,22 +123,20 @@ def svp_recover(
     operator ``op`` acting on the row-major vec of X.
 
     Iterates ``X <- TruncSVD_r(X - eta * reshape(op.T @ (op @ vec(X) - b)))``
-    from ``X = 0``.  A float ``step_size`` fixes ``eta``.  The automatic
-    step tries the Barzilai-Borwein step ``||dX||^2 / ||op @ vec(dX)||^2``
-    of the last update or, with none (or one in the null space of
-    ``op``), the line-search step ``||G||^2 / ||op @ vec(G)||^2`` along
-    the gradient G, and divides it by ``BACKOFF`` while the projected
-    trial would raise the objective.  Majorization forbids a rise once
-    ``eta <= 1/sigma_max(op)^2``, so the objective is nonincreasing
-    without that bound being computed; ``MAX_BACKOFFS`` caps the shrinks
-    against rounding, and reaching it ends the iteration at the last
-    accepted iterate, with ``converged=False``.
+    from ``X = 0``.  The step ``eta`` is the Barzilai-Borwein step
+    ``||dX||^2 / ||op @ vec(dX)||^2`` of the last update or, with none
+    (or one in the null space of ``op``), the line-search step
+    ``||G||^2 / ||op @ vec(G)||^2`` along the gradient G, divided by
+    ``BACKOFF`` while the projected trial would raise the objective.
+    Majorization forbids a rise once ``eta <= 1/sigma_max(op)^2``, so the
+    objective is nonincreasing without that bound being computed;
+    ``MAX_BACKOFFS`` caps the shrinks against rounding, and reaching it
+    ends the iteration at the last accepted iterate, with
+    ``converged=False``.
 
     Nonconvergence is not an error: the result carries the iteration
-    count, the final objective and ``converged`` either way.  A fixed
-    step that drives the objective to inf or nan stops the iteration at
-    the last finite iterate, with ``converged=False``.  Non-finite ``b``
-    or ``op`` raise ``ValueError``.
+    count, the final objective and ``converged`` either way.  Non-finite
+    ``b`` or ``op`` raise ``ValueError``.
     """
     cfg = cfg or IterativeSolverConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -171,7 +152,6 @@ def svp_recover(
     if not np.isfinite(op).all():
         raise ValueError("operator entries must be finite")
     t0 = time.perf_counter()
-    auto = cfg.step_size == "auto"
     x = np.zeros((m, n))
     left, right = np.zeros((m, r)), np.zeros((n, r))
     resid = -b  # op @ vec(0) - b
@@ -183,9 +163,7 @@ def svp_recover(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_iters):
             grad = (op.T @ resid).reshape(m, n)
-            if not auto:
-                eta = float(cfg.step_size)
-            elif bb > 0:
+            if bb > 0:
                 eta = bb
             else:  # exact line search along -grad
                 g = op @ grad.ravel()
@@ -194,12 +172,11 @@ def svp_recover(
                 eta = float(np.vdot(grad, grad)) / g_sq if g_sq > 0 else 1.0
             trial = _projected_step(x, grad, eta, op, b, r)
             backoffs = 0
-            while auto and not trial[-1] <= history[-1] and backoffs < MAX_BACKOFFS:
+            while not trial[-1] <= history[-1] and backoffs < MAX_BACKOFFS:
                 eta /= BACKOFF
                 backoffs += 1
                 trial = _projected_step(x, grad, eta, op, b, r)
-            accepted = trial[-1] <= history[-1] if auto else math.isfinite(trial[-1])
-            if not accepted:
+            if not trial[-1] <= history[-1]:
                 break
             left, right, x_new, resid_new, objective = trial
             iterations += 1
@@ -263,9 +240,9 @@ def _refit(
 def _step_norms(
     left: np.ndarray, right: np.ndarray, prev_left: np.ndarray, prev_right: np.ndarray
 ) -> tuple[float, float]:
-    """``||L R.T - L0 R0.T||_F`` and ``||L R.T||_F``, as ``product_norm``
-    gives them, from one thin QR: the leading r x r block of the
-    triangular factor of ``[L, -L0]`` is that of ``L``."""
+    """``||L R.T - L0 R0.T||_F = ||[R, R0] @ T.T||_F`` and ``||L R.T||_F``
+    from one thin QR ``[L, -L0] = Q T``, whose leading r x r block is
+    the triangular factor of ``L``; neither product is formed."""
     t = np.linalg.qr(np.hstack([left, -prev_left]), mode="r")
     r = left.shape[1]
     step = np.linalg.norm(np.hstack([right, prev_right]) @ t.T)
@@ -291,11 +268,10 @@ def als_recover(
     or an explicit, finite ``(L0, R0)`` pair.
     """
     cfg = cfg or IterativeSolverConfig()
-    if not 1 <= r <= min(design.m, design.n, design.k1, design.k2):
-        raise ValueError(
-            f"rank {r} outside valid range [1, "
-            f"{min(design.m, design.n, design.k1, design.k2)}]"
-        )
+    top = min(design.m, design.n, design.k1, design.k2)
+    if not 1 <= r <= top:
+        raise ValueError(f"rank {r} outside valid range [1, {top}]")
+    _check_blocks(design, meas)
     t0 = time.perf_counter()
     if init == "svls":
         u = estimate_col_space(meas.b_col, r)

@@ -25,10 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .measurements import (
-    DesignKind,
-    MeasurementDesign,
-    MeasurementSet,
-    _freeze,
+    DesignKind, MeasurementDesign, MeasurementSet, _freeze, _is_finite_nonnegative, _is_int,
 )
 
 DESIGN_FIELDS = ("kind", "m", "n", "k1", "k2", "design_seed")
@@ -143,19 +140,10 @@ def _require_fields(dirpath: Path, manifest: dict, fields: tuple[str, ...]) -> N
             raise ValueError(f"{dirpath}: manifest missing field {field!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _seed(dirpath: Path, manifest: dict, key: str) -> int:
     if not _is_int(manifest[key]):
         raise ValueError(f"{dirpath}: {key} must be an integer")
     return manifest[key]
-
-
-def _is_finite_nonnegative(value) -> bool:
-    """A JSON number (not a bool) in ``[0, float max]``; huge ints included."""
-    return (_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max
 
 
 def _sigma(dirpath: Path, manifest: dict) -> float:
@@ -245,7 +233,6 @@ def read_measurement_set(
         b_row=b_row,
         b_col=b_col,
         sigma=_sigma(dirpath, manifest),
-        design_seed=design.seed,
         noise_seed=_seed(dirpath, manifest, "noise_seed"),
     )
     return meas, design

@@ -53,6 +53,15 @@ class DesignKind(str, enum.Enum):
     ROW_COL_SAMPLE = "rowcol"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_nonnegative(value) -> bool:
+    """A JSON number (not a bool) in ``[0, float max]``; huge ints included."""
+    return (_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
@@ -184,7 +193,6 @@ class MeasurementSet:
     b_row: np.ndarray
     b_col: np.ndarray
     sigma: float
-    design_seed: int
     noise_seed: int
 
 
@@ -266,6 +274,5 @@ def measure(
         b_row=_freeze(b_row),
         b_col=_freeze(b_col),
         sigma=float(sigma),
-        design_seed=design.seed,
         noise_seed=noise_seed,
     )

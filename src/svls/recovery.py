@@ -16,6 +16,7 @@ read.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -31,9 +32,7 @@ from .measurements import (
     _freeze,
 )
 
-# Relative eigenvalue cutoff for the rank-deficient core solve; the
-# brute-force solver uses sqrt of this as its lstsq rcond so the two
-# truncate consistently.
+# Relative eigenvalue cutoff for the rank-deficient core solve.
 CORE_EIG_RTOL = 1e-12
 
 ORTHONORMALITY_TOL = 1e-8
@@ -88,22 +87,13 @@ class RecoveryResult:
         return _freeze(self.left @ self.right.T)
 
     def to_json_dict(self, x_hat_ref: str | None = None) -> dict:
-        """JSON-serializable summary; optional fields are omitted when absent."""
-        out: dict = {
-            "algorithm": self.algorithm,
-            "rank_used": self.rank_used,
-            "row_residual": self.row_residual,
-            "col_residual": self.col_residual,
-            "runtime_seconds": self.runtime_seconds,
+        """JSON-serializable summary: every scalar field that is set."""
+        out = {
+            f.name: value
+            for f in dataclasses.fields(self)
+            if (value := getattr(self, f.name)) is not None
+            and not isinstance(value, (np.ndarray, tuple))
         }
-        if self.relative_error is not None:
-            out["relative_error"] = self.relative_error
-        if self.iterations is not None:
-            out["iterations"] = self.iterations
-        if self.final_objective is not None:
-            out["final_objective"] = self.final_objective
-        if self.converged is not None:
-            out["converged"] = self.converged
         if x_hat_ref is not None:
             out["x_hat"] = x_hat_ref
         return out
@@ -139,18 +129,6 @@ def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> f
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return float(num / denom)
-
-
-def product_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of ``a @ b.T`` without forming it, in O((m+n) c^2)
-    for c columns: with ``a = Q T`` its thin QR, it is ``||b @ T.T||_F``.
-
-    A difference of products is one product of stacked factors,
-    ``L1 R1.T - L0 R0.T = [L1, -L0] [R1, R0].T``.  The squared norm is
-    not expanded into Gram inner products: near an exact match those
-    terms cancel to 0.0, while the product with ``T`` keeps the digits.
-    """
-    return float(np.linalg.norm(b @ np.linalg.qr(a, mode="r").T))
 
 
 def block_residuals(
@@ -210,6 +188,12 @@ def estimate_row_space(b_row: np.ndarray, r: int) -> SubspaceBasis:
     return estimate_col_space(b_row.T, r)
 
 
+def _check_blocks(design: MeasurementDesign, meas: MeasurementSet) -> None:
+    blocks = ((design.k1, design.n), (design.m, design.k2))
+    if (meas.b_row.shape, meas.b_col.shape) != blocks:
+        raise ValueError("measurement block dimensions inconsistent with design")
+
+
 def _check_basis(name: str, basis: np.ndarray) -> None:
     gram = basis.T @ basis
     if np.linalg.norm(gram - np.eye(basis.shape[1])) > ORTHONORMALITY_TOL:
@@ -229,11 +213,7 @@ def _core_inputs(
         raise ValueError("basis dimensions inconsistent with design")
     if ub.shape[1] != vb.shape[1]:
         raise ValueError("u and v must have the same rank")
-    if meas.b_row.shape != (design.k1, design.n) or meas.b_col.shape != (
-        design.m,
-        design.k2,
-    ):
-        raise ValueError("measurement block dimensions inconsistent with design")
+    _check_blocks(design, meas)
     au = design.rows(ub)  # k1 x r
     va = design.cols(vb.T)  # r x k2
     return ub, vb, au, va
@@ -290,44 +270,6 @@ def solve_core(
     return solve_psd_sylvester(np.linalg.eigh(p), np.linalg.eigh(q), c)
 
 
-def solve_core_bruteforce(
-    u: SubspaceBasis,
-    v: SubspaceBasis,
-    design: MeasurementDesign,
-    meas: MeasurementSet,
-    max_rows: int = 20000,
-) -> np.ndarray:
-    """Independent reference for :func:`solve_core`: materialize the
-    stacked ``(k1*n + m*k2) x r^2`` linear system over the flattened core
-    and solve it with a rank-revealing least-squares solve.
-
-    Intended for small instances and tests; systems with more than
-    ``max_rows`` rows are rejected.
-    """
-    ub, vb, au, va = _core_inputs(u, v, design, meas)
-    r = ub.shape[1]
-    rows = design.k1 * design.n + design.m * design.k2
-    if rows > max_rows:
-        raise ValueError(f"system has {rows} rows, above the cap of {max_rows}")
-    # vec is row-major throughout: entry (i, j) of each block maps to row
-    # i*ncols + j, and M_{pq} to column p*r + q.
-    d = np.vstack([np.kron(au, vb), np.kron(ub, va.T)])
-    rhs = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
-    sol, _, _, _ = np.linalg.lstsq(d, rhs, rcond=math.sqrt(CORE_EIG_RTOL))
-    return sol.reshape(r, r)
-
-
-def core_objective(
-    m_core: np.ndarray,
-    u: SubspaceBasis,
-    v: SubspaceBasis,
-    design: MeasurementDesign,
-    meas: MeasurementSet,
-) -> float:
-    """Value of the core least-squares objective at ``m_core``."""
-    return _factor_objective(u.basis @ m_core, v.basis, design, meas)
-
-
 def svls_recover(
     meas: MeasurementSet,
     design: MeasurementDesign,
@@ -351,11 +293,10 @@ def svls_recover(
     In the noiseless case with ``k1 = k2 = r`` and generic inputs the
     estimate is exact up to floating-point error.
     """
-    if not 1 <= r <= min(design.k1, design.k2, design.m, design.n):
-        raise ValueError(
-            f"rank {r} outside valid range [1, "
-            f"{min(design.k1, design.k2, design.m, design.n)}]"
-        )
+    top = min(design.m, design.n, design.k1, design.k2)
+    if not 1 <= r <= top:
+        raise ValueError(f"rank {r} outside valid range [1, {top}]")
+    _check_blocks(design, meas)
     t0 = time.perf_counter()
     u = estimate_col_space(meas.b_col, r)
     v = estimate_row_space(meas.b_row, r)
@@ -398,11 +339,7 @@ def cur_recover(
     """
     if design.kind is not DesignKind.ROW_COL_SAMPLE:
         raise ValueError("cur_recover requires a row/column sampling design")
-    if meas.b_row.shape != (design.k1, design.n) or meas.b_col.shape != (
-        design.m,
-        design.k2,
-    ):
-        raise ValueError("measurement block dimensions inconsistent with design")
+    _check_blocks(design, meas)
     t0 = time.perf_counter()
     w = 0.5 * (
         meas.b_row[:, design.col_indices] + meas.b_col[design.row_indices, :]
@@ -426,7 +363,6 @@ def cur_recover(
         rank_used=rank_used,
         algorithm="cur",
         runtime_seconds=runtime,
-        core=None,
         row_residual=row_res,
         col_residual=col_res,
         relative_error=None if truth is None else relative_error(left, right, truth),

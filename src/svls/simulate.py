@@ -36,9 +36,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baselines import als_recover, apply_operator, gaussian_operator, svp_recover
-from .matio import _is_finite_nonnegative, _is_int, format_float
-from .measurements import DesignKind, gen_design, gen_low_rank, measure
+from .baselines import als_recover, gaussian_operator, svp_recover
+from .matio import format_float
+from .measurements import (
+    DesignKind, _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
+)
 from .recovery import cur_recover, svls_recover
 
 ALGORITHMS = ("svls", "cur", "svp", "als")
@@ -263,7 +265,7 @@ def run_trial(
         if point.algorithm == "svp":
             k = point.k1 * point.n + point.k2 * point.m
             op = gaussian_operator(point.m, point.n, k, design_seed)
-            b = apply_operator(op, truth.x)
+            b = op @ truth.x.ravel()
             if point.sigma > 0:
                 rng = np.random.default_rng(noise_seed)
                 b = b + point.sigma * rng.standard_normal(b.shape)

@@ -6,16 +6,15 @@ import time
 
 import numpy as np
 import pytest
+from oracles import core_objective, solve_core_bruteforce
 
-from svls.baselines import apply_operator, gaussian_operator, svp_recover
+from svls.baselines import gaussian_operator, svp_recover
 from svls.measurements import DesignKind, gen_design, gen_low_rank, measure
 from svls.recovery import (
-    core_objective,
     cur_recover,
     estimate_col_space,
     estimate_row_space,
     solve_core,
-    solve_core_bruteforce,
     svls_recover,
 )
 from svls.simulate import (
@@ -185,7 +184,7 @@ def test_criterion_6_speed_comparison():
         meas = measure(truth.x, design, 0.0, 0)
         svls_times.append(svls_recover(meas, design, r).runtime_seconds)
         op = gaussian_operator(m, n, k, seed=900 + seed)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         svp_times.append(svp_recover(b, op, m, n, r).runtime_seconds)
     med_svls = statistics.median(svls_times)
     med_svp = statistics.median(svp_times)
@@ -260,11 +259,10 @@ def test_criterion_8_determinism_and_containment(tmp_path):
 
 
 def test_criterion_9_bound_domination():
-    """Gated: the noisy-case error bound's exact constants are not
-    published in the material available here, so the shipped bound is a
-    documented first-order model and the domination check stays off."""
+    """Gated: ``theoretical_bound``'s constants are an unproven
+    first-order model, not a derived bound, so the domination check
+    stays off until a bound is proven (ROADMAP item 5)."""
     pytest.skip(
-        "gated: theoretical_bound ships with model constants; the "
-        "empirical domination check is enabled once the published "
-        "noisy-case constants are transcribed"
+        "gated: theoretical_bound's constants are an unproven model; the "
+        "empirical domination check waits for a proven bound (ROADMAP item 5)"
     )

@@ -1,25 +1,21 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import core_objective, product_norm
 
 from svls import baselines
 from svls.baselines import (
     IterativeSolverConfig,
     als_recover,
-    apply_operator,
     gaussian_operator,
     rowcol_operator_matrix,
     svp_recover,
 )
 from svls.measurements import DesignKind, gen_design, gen_low_rank, measure
-from svls.recovery import (
-    core_objective,
-    estimate_col_space,
-    estimate_row_space,
-    product_norm,
-    solve_core,
-)
+from svls.recovery import estimate_col_space, estimate_row_space, solve_core
 
 
 class TestGaussianOperator:
@@ -33,28 +29,29 @@ class TestGaussianOperator:
         with pytest.raises(ValueError):
             gaussian_operator(400, 400, 10, seed=0)
 
-    def test_apply_uses_row_major_vec(self):
-        x = np.arange(6.0).reshape(2, 3)
-        op = np.eye(6)
-        assert np.array_equal(apply_operator(op, x), x.ravel())
-
 
 def safe_step(op):
-    """1/sigma_max(op)^2, computed as ``svp_recover``'s automatic rule does."""
+    """1/sigma_max(op)^2, the largest fixed step at which majorization
+    keeps SVP's objective from rising."""
     return 1.0 / float(np.linalg.eigvalsh(op @ op.T)[-1])
 
 
-def svp_oracle(b, op, m, n, r, iters, step=None):
-    """Slow reference for ``svp_recover`` without the stopping rule.
+def svp_oracle(b, op, m, n, r, iters, step=None, tol=None):
+    """Slow reference for ``svp_recover``; every residual is recomputed
+    from its iterate.
 
-    With ``step=None`` it applies the automatic rule from its definition:
-    every residual is recomputed from its iterate; the trial step is the
-    Barzilai-Borwein step ``||x - x_prev||^2 / ||op @ vec(x - x_prev)||^2``
-    or, with no last update or one that ``op`` maps to zero, the exact
-    line-search step ``||grad||^2 / ||op @ vec(grad)||^2``; and while a
-    trial raises the objective it is redone at a quarter of its step.
-    Returns the iterate, the objective history and the number of
-    rejected trials.
+    With ``step=None`` it applies ``svp_recover``'s step rule from its
+    definition: the trial step is the Barzilai-Borwein step
+    ``||x - x_prev||^2 / ||op @ vec(x - x_prev)||^2`` or, with no last
+    update or one that ``op`` maps to zero, the exact line-search step
+    ``||grad||^2 / ||op @ vec(grad)||^2``; and while a trial raises the
+    objective it is redone at a quarter of its step.  A float ``step``
+    is fixed-step SVP (Jain, Meka & Dhillon 2010), the reference the
+    step rule is measured against.  Without ``tol`` it runs ``iters``
+    iterations; with it, it also stops, as ``svp_recover`` does, after
+    an update of at most ``tol`` times the new iterate's norm.  Returns
+    the iterate, the objective history and the number of rejected
+    trials.
     """
 
     def objective(x):
@@ -83,6 +80,8 @@ def svp_oracle(b, op, m, n, r, iters, step=None):
             x_new = project(x - eta * grad)
         x_prev, x = x, x_new
         history.append(objective(x))
+        if tol is not None and np.linalg.norm(x - x_prev) <= tol * np.linalg.norm(x):
+            break
     return x, history, rejected
 
 
@@ -96,7 +95,7 @@ class TestSvpRecover:
     def test_identity_operator_fully_determined(self):
         truth = gen_low_rank(6, 6, 6, seed=2)
         op = np.eye(36)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         result = svp_recover(b, op, 6, 6, 6, truth=truth.x)
         assert result.relative_error <= 1e-8
 
@@ -105,7 +104,7 @@ class TestSvpRecover:
         m = n = 20
         truth = gen_low_rank(m, n, 1, seed=seed)
         op = gaussian_operator(m, n, 4 * (m + n), seed=seed + 500)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         result = svp_recover(b, op, m, n, 1, truth=truth.x)
         assert result.relative_error <= 1e-4
         assert result.iterations <= 500
@@ -115,27 +114,23 @@ class TestSvpRecover:
     def test_objective_nonincreasing_with_auto_step(self, seed):
         truth = gen_low_rank(10, 8, 2, seed=seed)
         op = gaussian_operator(10, 8, 40, seed=seed + 40)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         result = svp_recover(
             b, op, 10, 8, 2, cfg=IterativeSolverConfig(max_iters=50)
         )
         hist = np.array(result.objective_history)
         assert np.all(np.diff(hist) <= 1e-9 * (1.0 + hist[:-1]))
 
-    @pytest.mark.parametrize("step", [None, 0.5, 1.0])
-    def test_matches_oracle(self, step):
-        # None is the automatic rule; seed 0 at this size rejects several
-        # trials within ten iterations, so the back-off runs.  The floats
-        # are fractions of the safe step.
+    def test_matches_oracle(self):
+        # seed 0 at this size rejects several trials within ten
+        # iterations, so the back-off runs
         truth = gen_low_rank(10, 8, 2, seed=0)
         op = gaussian_operator(10, 8, 40, seed=40)
-        b = apply_operator(op, truth.x)
-        eta = None if step is None else step * safe_step(op)
-        x, history, rejected = svp_oracle(b, op, 10, 8, 2, 10, eta)
-        cfg = IterativeSolverConfig(max_iters=10, tol=1e-300, step_size=eta or "auto")
+        b = op @ truth.x.ravel()
+        x, history, rejected = svp_oracle(b, op, 10, 8, 2, 10)
+        cfg = IterativeSolverConfig(max_iters=10, tol=1e-300)
         result = svp_recover(b, op, 10, 8, 2, cfg=cfg)
-        if step is None:
-            assert rejected >= 2
+        assert rejected >= 2
         assert result.iterations == 10
         assert len(result.objective_history) == 11
         assert np.allclose(result.objective_history, history, rtol=1e-9, atol=0)
@@ -146,17 +141,14 @@ class TestSvpRecover:
     def test_first_iterate_is_the_line_search_step(self):
         truth = gen_low_rank(12, 9, 2, seed=1)
         op = gaussian_operator(12, 9, 60, seed=2)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         grad = op.T @ -b  # the gradient at X = 0
         g = op @ grad
         line_search = float(np.vdot(grad, grad)) / float(g @ g)
         auto = svp_recover(b, op, 12, 9, 2, cfg=IterativeSolverConfig(max_iters=1))
-        fixed = svp_recover(
-            b, op, 12, 9, 2,
-            cfg=IterativeSolverConfig(max_iters=1, step_size=line_search),
-        )
-        assert np.array_equal(auto.x_hat, fixed.x_hat)
-        assert auto.objective_history == fixed.objective_history
+        fixed, history, _ = svp_oracle(b, op, 12, 9, 2, 1, step=line_search)
+        assert np.allclose(auto.x_hat, fixed, rtol=0, atol=1e-12 * np.abs(fixed).max())
+        assert np.allclose(auto.objective_history, history, rtol=1e-12, atol=0)
         assert auto.final_objective < auto.objective_history[0]
 
     def test_auto_step_calls_no_eigensolver(self, monkeypatch):
@@ -167,7 +159,7 @@ class TestSvpRecover:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         truth = gen_low_rank(12, 9, 2, seed=1)
         op = gaussian_operator(12, 9, 60, seed=2)
-        result = svp_recover(apply_operator(op, truth.x), op, 12, 9, 2)
+        result = svp_recover(op @ truth.x.ravel(), op, 12, 9, 2)
         assert result.converged
 
     def test_back_off_is_bounded(self, monkeypatch):
@@ -175,7 +167,7 @@ class TestSvpRecover:
         # is rejected, so the first iteration gives up after the bound.
         truth = gen_low_rank(6, 5, 1, seed=3)
         op = gaussian_operator(6, 5, 20, seed=4)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         worse = float(b @ b) + 1.0
         etas = []
 
@@ -197,7 +189,7 @@ class TestSvpRecover:
     def test_non_finite_input_rejected(self, where, bad):
         truth = gen_low_rank(6, 5, 1, seed=3)
         op = np.array(gaussian_operator(6, 5, 20, seed=4))
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         (b if where == "b" else op)[3] = bad
         message = {"b": "measurements must be finite", "op": "operator entries must be finite"}
         with pytest.raises(ValueError, match=message[where]):
@@ -207,59 +199,37 @@ class TestSvpRecover:
     def test_auto_and_safe_step_reach_same_estimate(self, seed):
         truth = gen_low_rank(20, 20, 2, seed=seed)
         op = gaussian_operator(20, 20, 160, seed=seed + 60)
-        b = apply_operator(op, truth.x)
-        results = [
-            svp_recover(
-                b, op, 20, 20, 2,
-                cfg=IterativeSolverConfig(max_iters=5000, tol=1e-12, step_size=step),
-            )
-            for step in ("auto", safe_step(op))
-        ]
-        assert all(res.converged for res in results)
-        auto, fixed = (res.x_hat for res in results)
-        assert np.linalg.norm(auto - fixed) <= 1e-6 * np.linalg.norm(fixed)
+        b = op @ truth.x.ravel()
+        cfg = IterativeSolverConfig(max_iters=5000, tol=1e-12)
+        auto = svp_recover(b, op, 20, 20, 2, cfg=cfg)
+        fixed, history, _ = svp_oracle(b, op, 20, 20, 2, 5000, step=safe_step(op), tol=1e-12)
+        assert auto.converged and len(history) <= 5000  # both tol rules fired
+        assert np.linalg.norm(auto.x_hat - fixed) <= 1e-6 * np.linalg.norm(fixed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_auto_step_needs_a_third_of_the_iterations(self, seed):
         # 30 x 30, r = 2, k1 = k2 = 8: k1*n + k2*m = 480 measurements
         truth = gen_low_rank(30, 30, 2, seed=seed)
         op = gaussian_operator(30, 30, 480, seed=seed + 80)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         auto = svp_recover(b, op, 30, 30, 2)
-        fixed = svp_recover(
-            b, op, 30, 30, 2, cfg=IterativeSolverConfig(step_size=safe_step(op))
-        )
-        assert auto.converged and fixed.converged
-        assert 3 * auto.iterations <= fixed.iterations
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("step", [1.0 / 25, 1e300])
-    def test_divergent_fixed_step_stops_at_last_finite_iterate(self, step):
-        # 1/k is far above the safe step here; 1e300 overflows at once
-        truth = gen_low_rank(10, 10, 2, seed=7)
-        op = gaussian_operator(10, 10, 25, seed=8)
-        b = apply_operator(op, truth.x)
-        cfg = IterativeSolverConfig(max_iters=5000, step_size=step)
-        result = svp_recover(b, op, 10, 10, 2, cfg=cfg)
-        assert result.converged is False
-        assert result.iterations < 5000
-        assert len(result.objective_history) == result.iterations + 1
-        assert np.all(np.isfinite(result.objective_history))
-        assert np.all(np.isfinite(result.x_hat))
-        resid = apply_operator(op, result.x_hat) - b
-        assert float(resid @ resid) == pytest.approx(result.final_objective, rel=1e-9)
+        # the safe fixed step under the default stopping rule
+        _, history, _ = svp_oracle(b, op, 30, 30, 2, 500, step=safe_step(op), tol=1e-8)
+        fixed_iterations = len(history) - 1
+        assert auto.converged and fixed_iterations < 500
+        assert 3 * auto.iterations <= fixed_iterations
 
     def test_iterates_capped_at_rank(self):
         truth = gen_low_rank(8, 8, 4, seed=3)
         op = gaussian_operator(8, 8, 50, seed=4)
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         result = svp_recover(b, op, 8, 8, 2)
         assert np.linalg.matrix_rank(result.x_hat, tol=1e-8) <= 2
 
     def test_nonconvergence_reported_not_raised(self):
         truth = gen_low_rank(10, 10, 3, seed=5)
         op = gaussian_operator(10, 10, 25, seed=6)  # far too few measurements
-        b = apply_operator(op, truth.x)
+        b = op @ truth.x.ravel()
         result = svp_recover(b, op, 10, 10, 3, cfg=IterativeSolverConfig(max_iters=20))
         assert result.iterations == 20
         assert result.final_objective is not None
@@ -273,6 +243,44 @@ class TestSvpRecover:
             svp_recover(np.zeros(10), op, 4, 5, 1)
         with pytest.raises(ValueError):
             svp_recover(np.zeros(10), op, 4, 4, 5)
+
+
+class TestProjectedStep:
+    """The guard that keeps a non-finite gradient step away from LAPACK's
+    SVD, which does not return on infinite input."""
+
+    def setup_method(self):
+        truth = gen_low_rank(6, 5, 1, seed=3)
+        self.op = gaussian_operator(6, 5, 20, seed=4)
+        self.b = self.op @ truth.x.ravel()
+        self.grad = (self.op.T @ -self.b).reshape(6, 5)  # the gradient at X = 0
+
+    @pytest.mark.parametrize(
+        "eta, bad", [(1e300, None), (1.0, np.inf), (1.0, np.nan)],
+        ids=["overflow", "inf", "nan"],
+    )
+    def test_non_finite_trial_skips_the_svd(self, monkeypatch, eta, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD called on a non-finite trial")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        grad = 1e10 * self.grad
+        if bad is not None:
+            grad[2, 3] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = baselines._projected_step(np.zeros((6, 5)), grad, eta, self.op, self.b, 1)
+        assert trial == (None, None, None, None, math.inf)
+
+    def test_finite_trial_is_the_truncated_step(self):
+        eta = 1e-3
+        left, right, x_new, resid, objective = baselines._projected_step(
+            np.zeros((6, 5)), self.grad, eta, self.op, self.b, 1
+        )
+        u, s, vt = np.linalg.svd(-eta * self.grad)
+        assert np.allclose(x_new, s[0] * np.outer(u[:, 0], vt[0]), rtol=0, atol=1e-12)
+        assert np.array_equal(x_new, left @ right.T)
+        assert np.array_equal(resid, self.op @ x_new.ravel() - self.b)
+        assert objective == float(resid @ resid)
 
 
 def kron_refit_right(left, design, meas):
@@ -527,9 +535,9 @@ class TestDenseSizeCap:
 class TestIterativeSolverConfig:
     def test_defaults(self):
         cfg = IterativeSolverConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["max_iters", "tol"]
         assert cfg.max_iters == 500
         assert cfg.tol == 1e-8
-        assert cfg.step_size == "auto"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -537,17 +545,12 @@ class TestIterativeSolverConfig:
             dict(max_iters=0),
             dict(tol=0.0),
             dict(tol=-1e-3),
-            dict(step_size=-1.0),
-            dict(step_size=float("inf")),
-            dict(step_size=float("nan")),
             dict(tol=float("nan")),
             dict(tol=float("inf")),
             dict(tol=True),
             dict(max_iters=2.5),
             dict(max_iters=True),
             dict(max_iters=np.float64(3.0)),
-            dict(step_size=True),
-            dict(step_size="0.5"),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -557,7 +560,7 @@ class TestIterativeSolverConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(max_iters=1), dict(tol=1e-300), dict(step_size=np.float64(0.5)), dict(step_size=2)],
+        [dict(max_iters=1), dict(tol=1e-300), dict(tol=np.float64(1e-6)), dict(tol=1)],
     )
     def test_valid_settings_accepted(self, kwargs):
         (field, value), = kwargs.items()

@@ -132,6 +132,16 @@ class TestMeasureAndRecover:
         result = json.loads((tmp_path / "rec" / "result.json").read_text())
         assert result["relative_error"] <= 1e-10
         assert result["rank_used"] == 2
+        # every algorithm runs on a sampling design: pin each key set
+        one_shot = {"algorithm", "rank_used", "row_residual", "col_residual",
+                    "runtime_seconds", "relative_error", "x_hat"}
+        iterative = one_shot | {"iterations", "final_objective", "converged"}
+        for algo, keys in [("svls", one_shot), ("cur", one_shot),
+                           ("als", iterative), ("svp", iterative)]:
+            out = tmp_path / f"rec_{algo}"
+            assert run_cli("recover", "--meas", tmp_path / "meas", "--algo", algo,
+                           "--rank", 2, "--truth", x_path, "--out", out) == 0
+            assert set(json.loads((out / "result.json").read_text())) == keys, algo
 
     def test_recover_als_and_svp(self, pipeline, tmp_path):
         x, _, meas = pipeline

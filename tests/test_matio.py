@@ -263,7 +263,7 @@ class TestMeasurementSetDirectory:
         assert np.array_equal(loaded_meas.b_row, meas.b_row)
         assert np.array_equal(loaded_meas.b_col, meas.b_col)
         assert loaded_meas.sigma == 0.01
-        assert loaded_meas.design_seed == 3
+        assert loaded_design.seed == 3
         assert loaded_meas.noise_seed == 9
         assert_same_design(loaded_design, design)
 
@@ -296,9 +296,9 @@ class TestMeasurementSetDirectory:
         assert_same_design(read_design(tmp_path / "meas"), design)
         assert np.array_equal(loaded_meas.b_row, meas.b_row)
         assert np.array_equal(loaded_meas.b_col, meas.b_col)
-        assert (loaded_meas.sigma, loaded_meas.design_seed, loaded_meas.noise_seed) == (
+        assert (loaded_meas.sigma, loaded_design.seed, loaded_meas.noise_seed) == (
             meas.sigma,
-            meas.design_seed,
+            design.seed,
             meas.noise_seed,
         )
 

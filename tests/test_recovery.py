@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import core_objective, product_norm, solve_core_bruteforce
 
 from svls import recovery
 from svls.baselines import als_recover, rowcol_operator_matrix, svp_recover
@@ -18,15 +19,12 @@ from svls.measurements import (
 from svls.recovery import (
     SubspaceBasis,
     block_residuals,
-    core_objective,
     cur_recover,
     estimate_col_space,
     estimate_rank,
     estimate_row_space,
-    product_norm,
     relative_error,
     solve_core,
-    solve_core_bruteforce,
     svls_recover,
     theoretical_bound,
 )
@@ -103,7 +101,6 @@ def make_meas(b_row, b_col, sigma=0.0):
         b_row=b_row,
         b_col=b_col,
         sigma=sigma,
-        design_seed=0,
         noise_seed=0,
     )
 
@@ -509,6 +506,26 @@ class TestCurRecover:
         meas = measure(gen_low_rank(5, 5, 1, 1).x, design, 0.0, 0)
         with pytest.raises(ValueError):
             cur_recover(meas, design)
+
+
+class TestBlockShapeCheck:
+    @pytest.mark.parametrize("algo", ["svls", "cur", "als"])
+    @pytest.mark.parametrize("blocks", ["b_row_3_of_4", "b_col_1_of_4"])
+    def test_blocks_that_do_not_fit_the_design_rejected(self, algo, blocks):
+        # one b_row too few; or one b_col, fewer columns than the rank
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 12, 10, 4, 4, seed=2)
+        meas = measure(gen_low_rank(12, 10, 2, seed=1).x, design, 0.0, 0)
+        if blocks == "b_row_3_of_4":
+            meas = dataclasses.replace(meas, b_row=meas.b_row[:3])
+        else:
+            meas = dataclasses.replace(meas, b_col=meas.b_col[:, :1])
+        solve = {
+            "svls": lambda: svls_recover(meas, design, 2),
+            "cur": lambda: cur_recover(meas, design),
+            "als": lambda: als_recover(meas, design, 2, init="random"),
+        }[algo]
+        with pytest.raises(ValueError, match="measurement block dimensions inconsistent"):
+            solve()
 
 
 class TestEstimateRank:
