@@ -29,6 +29,19 @@ class TestGaussianOperator:
         with pytest.raises(ValueError):
             gaussian_operator(400, 400, 10, seed=0)
 
+    def test_apply_uses_row_major_vec(self):
+        # b = op @ vec(X) with the row-major vec: under the identity
+        # operator SVP's first (line-search) step is X itself, and a
+        # column-major reading would give x.ravel().reshape(3, 2).T
+        x = np.arange(6.0).reshape(2, 3)
+        result = svp_recover(
+            x.ravel(), np.eye(6), 2, 3, 2, cfg=IterativeSolverConfig(max_iters=1)
+        )
+        assert np.allclose(result.x_hat, x, rtol=0, atol=1e-12)
+        op = gaussian_operator(2, 3, 4, seed=1)
+        sensing = op.reshape(4, 2, 3)  # row i is A_i, flattened row-major
+        assert np.allclose(op @ x.ravel(), np.einsum("kij,ij->k", sensing, x))
+
 
 def safe_step(op):
     """1/sigma_max(op)^2, the largest fixed step at which majorization
@@ -121,12 +134,17 @@ class TestSvpRecover:
         hist = np.array(result.objective_history)
         assert np.all(np.diff(hist) <= 1e-9 * (1.0 + hist[:-1]))
 
-    def test_matches_oracle(self):
+    @pytest.mark.parametrize("noise", [None, 0.5, 1.0])
+    def test_matches_oracle(self, noise):
         # seed 0 at this size rejects several trials within ten
-        # iterations, so the back-off runs
+        # iterations, so the back-off runs.  A float adds Gaussian noise
+        # of that standard deviation to b (whose entries have standard
+        # deviation about 7), so the objective stays away from zero.
         truth = gen_low_rank(10, 8, 2, seed=0)
         op = gaussian_operator(10, 8, 40, seed=40)
         b = op @ truth.x.ravel()
+        if noise is not None:
+            b = b + noise * np.random.default_rng(41).standard_normal(b.shape)
         x, history, rejected = svp_oracle(b, op, 10, 8, 2, 10)
         cfg = IterativeSolverConfig(max_iters=10, tol=1e-300)
         result = svp_recover(b, op, 10, 8, 2, cfg=cfg)
@@ -551,6 +569,11 @@ class TestIterativeSolverConfig:
             dict(max_iters=2.5),
             dict(max_iters=True),
             dict(max_iters=np.float64(3.0)),
+            dict(max_iters=-1),
+            dict(max_iters="5"),
+            dict(max_iters=None),
+            dict(tol="1e-6"),
+            dict(tol=10**400),  # an int above the float range
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
