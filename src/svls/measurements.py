@@ -13,7 +13,9 @@ X: that design is its two index vectors, applied by the gathers
 bits as products with 0/1 selection matrices.  ``MeasurementDesign.rows``
 and ``cols`` are the only places a design is applied, and ``operators``
 builds the dense matrices for the solvers that need them.  A ground truth is
-held as its factors.
+held as its factors.  ``MeasurementDesign.stack`` and
+``MeasurementSet.stack`` put the designs and blocks of several trials on
+a leading trial axis, so the recovery solvers can take them in one call.
 
 All randomness flows through numpy's PCG64 generator
 (``numpy.random.default_rng``) with a fixed stream order, so every value
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +46,8 @@ import numpy as np
 # their scratch memory does not grow with m*n.  relative_error is fastest
 # at 2^15-2^16 entries: a truth block and its product scratch then fit in
 # a 2 MB per-core L2 beside BLAS's packing buffers; larger blocks spill.
+# A sweep's stack of trials holds truths of at most this many entries in
+# all: at 50 x 50 a sweep was fastest at 2^16 (2^14-2^18 measured).
 ERROR_BLOCK_ENTRIES = 1 << 16
 
 
@@ -54,12 +59,23 @@ class DesignKind(str, enum.Enum):
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer, Python's or numpy's, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_finite_nonnegative(value) -> bool:
-    """A JSON number (not a bool) in ``[0, float max]``; huge ints included."""
-    return (_is_int(value) or isinstance(value, float)) and 0 <= value <= sys.float_info.max
+    """A real number (not a bool), Python's or numpy's, in ``[0, float
+    max]``; huge ints included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, np.floating):  # a float32 would compare float max as inf
+        value = float(value)
+    return 0 <= value <= sys.float_info.max
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays on a new leading axis; one array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -98,12 +114,17 @@ class MeasurementDesign:
     checked to be distinct and in range and kept as read-only int64
     copies: its operators are gathers, applied by :meth:`rows` and
     :meth:`cols`.
+
+    A stacked design (see :meth:`stack`) holds the same arrays with a
+    leading trial axis, and a tuple of seeds; its :meth:`rows` and
+    :meth:`cols` apply each trial's design to that trial's slice of a
+    stack.  An unstacked design applies itself to every slice.
     """
 
     kind: DesignKind
     m: int
     n: int
-    seed: int
+    seed: int | tuple[int, ...]
     a_row: np.ndarray | None = None
     a_col: np.ndarray | None = None
     row_indices: np.ndarray | None = None
@@ -119,34 +140,58 @@ class MeasurementDesign:
                 "design row_indices and col_indices only"
             )
         if self.a_row is not None and not (
-            self.a_row.ndim == 2 == self.a_col.ndim
-            and self.a_row.shape[1] == self.m
-            and self.a_col.shape[0] == self.n
+            self.a_row.ndim == self.a_col.ndim in (2, 3)
+            and self.a_row.shape[:-2] == self.a_col.shape[:-2]
+            and self.a_row.shape[-1] == self.m
+            and self.a_col.shape[-2] == self.n
         ):
             raise ValueError("a_row must be k1 x m and a_col n x k2")
         if self.row_indices is None:
             return
+        stacked = None  # the leading shape of row_indices
         for name, size in (("row_indices", self.m), ("col_indices", self.n)):
             idx = np.asarray(getattr(self, name))
-            if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
-                raise ValueError(f"{name} must be a nonempty 1-d integer vector")
-            entries = idx.tolist()
-            if min(entries) < 0 or max(entries) >= size:
-                raise ValueError(f"{name} has an entry outside [0, {size})")
-            if len(set(entries)) != len(entries):
-                raise ValueError(f"{name} repeats an index")
+            if idx.ndim not in (1, 2) or idx.size == 0 or idx.dtype.kind not in "iu":
+                raise ValueError(
+                    f"{name} must be a nonempty 1-d integer vector, or a stack of them"
+                )
+            if stacked not in (None, idx.shape[:-1]):
+                raise ValueError(
+                    f"{name} must be a nonempty 1-d integer vector, or a stack of "
+                    "them, as row_indices is"
+                )
+            stacked = idx.shape[:-1]
+            for entries in idx.reshape(-1, idx.shape[-1]).tolist():
+                if min(entries) < 0 or max(entries) >= size:
+                    raise ValueError(f"{name} has an entry outside [0, {size})")
+                if len(set(entries)) != len(entries):
+                    raise ValueError(f"{name} repeats an index")
             # a read-only copy, so the checked indices cannot change
             idx = idx.astype(np.int64)
             idx.flags.writeable = False
             object.__setattr__(self, name, idx)
 
+    @classmethod
+    def stack(cls, designs: list[MeasurementDesign]) -> MeasurementDesign:
+        """One design for a stack of trials: the designs' sensing
+        matrices, or index vectors, on a leading trial axis.  The designs
+        must share kind and shapes."""
+        first = designs[0]
+        shape = (first.kind, first.m, first.n, first.k1, first.k2)
+        if any((d.kind, d.m, d.n, d.k1, d.k2) != shape for d in designs):
+            raise ValueError("stacked designs must share kind and shapes")
+        names = ("a_row", "a_col") if first.a_row is not None else (
+            "row_indices", "col_indices")
+        arrays = {name: _stack([getattr(d, name) for d in designs]) for name in names}
+        return cls(first.kind, first.m, first.n, tuple(d.seed for d in designs), **arrays)
+
     @property
     def k1(self) -> int:
-        return len(self.row_indices) if self.a_row is None else self.a_row.shape[0]
+        return self.row_indices.shape[-1] if self.a_row is None else self.a_row.shape[-2]
 
     @property
     def k2(self) -> int:
-        return len(self.col_indices) if self.a_col is None else self.a_col.shape[1]
+        return self.col_indices.shape[-1] if self.a_col is None else self.a_col.shape[-1]
 
     @property
     def total_measurements(self) -> int:
@@ -162,20 +207,28 @@ class MeasurementDesign:
         return self.total_measurements - self.k1 * self.k2
 
     def rows(self, y: np.ndarray) -> np.ndarray:
-        """``a_row @ y`` for an m x p ``y``: the k1 row combinations."""
-        if self.a_row is None:
-            return y[self.row_indices]
-        return self.a_row @ y
+        """``a_row @ y`` for an m x p ``y``, or a stack of them: the k1 row
+        combinations."""
+        if self.a_row is not None:
+            return self.a_row @ y
+        if self.row_indices.ndim == 1:
+            return y[..., self.row_indices, :]
+        return y[np.arange(len(y))[:, None], self.row_indices]
 
     def cols(self, y: np.ndarray) -> np.ndarray:
-        """``y @ a_col`` for a p x n ``y``: the k2 column combinations."""
-        if self.a_col is None:
-            return y[:, self.col_indices]
-        return y @ self.a_col
+        """``y @ a_col`` for a p x n ``y``, or a stack of them: the k2
+        column combinations."""
+        if self.a_col is not None:
+            return y @ self.a_col
+        if self.col_indices.ndim == 1:
+            return y[..., self.col_indices]
+        # laid out as y[:, cols] lays out each trial's gather: column-major
+        return y.mT[np.arange(len(y))[:, None], self.col_indices].mT
 
     def operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense ``(a_row, a_col)``, for the solvers that need them; a
-        sampling design builds its 0/1 selections in O(k1*m + n*k2)."""
+        """The dense ``(a_row, a_col)`` of an unstacked design, for the
+        solvers that need them; a sampling design builds its 0/1
+        selections in O(k1*m + n*k2)."""
         if self.a_row is not None:
             return self.a_row, self.a_col
         a_row = np.zeros((self.k1, self.m))
@@ -193,7 +246,20 @@ class MeasurementSet:
     b_row: np.ndarray
     b_col: np.ndarray
     sigma: float
-    noise_seed: int
+    noise_seed: int | tuple[int, ...]
+
+    @classmethod
+    def stack(cls, sets: list[MeasurementSet]) -> MeasurementSet:
+        """The blocks of a stack of trials, which share ``sigma``, on a
+        leading trial axis, with a tuple of noise seeds."""
+        if any(s.sigma != sets[0].sigma for s in sets):
+            raise ValueError("stacked measurement sets must share sigma")
+        return cls(
+            b_row=_stack([s.b_row for s in sets]),
+            b_col=_stack([s.b_col for s in sets]),
+            sigma=sets[0].sigma,
+            noise_seed=tuple(s.noise_seed for s in sets),
+        )
 
 
 def gen_low_rank(m: int, n: int, r: int, seed: int) -> GroundTruth:

@@ -12,6 +12,14 @@ Estimates are returned as thin factors ``x_hat = left @ right.T``; the
 residuals and the error against a dense truth are computed from the
 factors, so no m x n matrix is formed unless ``RecoveryResult.x_hat`` is
 read.
+
+``svls_stack`` and ``cur_stack`` solve a stack of trials (designs and
+blocks stacked by ``MeasurementDesign.stack`` and ``MeasurementSet.stack``)
+in one pass: numpy's ``svd``, ``eigh`` and ``matmul`` run over the
+leading trial axis, one LAPACK or BLAS call per trial, so every trial
+gets the bits it gets alone.  ``svls_recover`` and ``cur_recover`` are
+their one-trial case, and the subspace and core helpers take a leading
+trial axis or none.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -64,7 +73,9 @@ class RecoveryResult:
     the core solve for ``svls``, W's SVD and pseudo-inverse for ``cur``,
     the iterations for ``svp``, and the start, the operators' SVDs and
     the sweeps for ``als``; it excludes the residuals and
-    ``relative_error``.
+    ``relative_error``.  A trial solved in a stack (see
+    :func:`svls_stack`) is given the stack's solve time divided by the
+    number of trials in it.
     """
 
     left: np.ndarray
@@ -158,45 +169,47 @@ def _factor_objective(
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
     # SVD is sign-ambiguous per column; make the largest-magnitude entry
     # of each column positive so outputs are deterministic.
-    idx = np.argmax(np.abs(basis), axis=0)
-    signs = np.sign(basis[idx, np.arange(basis.shape[1])])
+    idx = np.argmax(np.abs(basis), axis=-2)
+    signs = np.sign(np.take_along_axis(basis, idx[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
     return basis * signs
 
 
 def estimate_col_space(b_col: np.ndarray, r: int) -> SubspaceBasis:
     """Top-``r`` left singular vectors of ``b_col`` (the column-space
-    estimate of the target), sign-normalized, with singular values."""
+    estimate of the target), sign-normalized, with singular values; over
+    a stack of blocks, those of each block."""
     b_col = np.asarray(b_col, dtype=np.float64)
-    if b_col.ndim != 2:
-        raise ValueError("b_col must be a 2-d matrix")
-    if not 1 <= r <= min(b_col.shape):
-        raise ValueError(f"rank {r} outside valid range [1, {min(b_col.shape)}]")
+    if b_col.ndim not in (2, 3):
+        raise ValueError("b_col must be a 2-d matrix or a stack of them")
+    if not 1 <= r <= min(b_col.shape[-2:]):
+        raise ValueError(f"rank {r} outside valid range [1, {min(b_col.shape[-2:])}]")
     u, s, _ = np.linalg.svd(b_col, full_matrices=False)
     return SubspaceBasis(
-        basis=_freeze(_fix_signs(u[:, :r])),
-        singular_values=_freeze(s[:r]),
+        basis=_freeze(_fix_signs(u[..., :r])),
+        singular_values=_freeze(s[..., :r]),
     )
 
 
 def estimate_row_space(b_row: np.ndarray, r: int) -> SubspaceBasis:
     """Top-``r`` right singular vectors of ``b_row``; equivalent to
-    ``estimate_col_space(b_row.T, r)``."""
+    ``estimate_col_space(b_row.T, r)``, trial by trial over a stack."""
     b_row = np.asarray(b_row, dtype=np.float64)
-    if b_row.ndim != 2:
-        raise ValueError("b_row must be a 2-d matrix")
-    return estimate_col_space(b_row.T, r)
+    if b_row.ndim not in (2, 3):
+        raise ValueError("b_row must be a 2-d matrix or a stack of them")
+    return estimate_col_space(b_row.mT, r)
 
 
 def _check_blocks(design: MeasurementDesign, meas: MeasurementSet) -> None:
     blocks = ((design.k1, design.n), (design.m, design.k2))
-    if (meas.b_row.shape, meas.b_col.shape) != blocks:
+    if (meas.b_row.shape[-2:], meas.b_col.shape[-2:]) != blocks:
         raise ValueError("measurement block dimensions inconsistent with design")
 
 
 def _check_basis(name: str, basis: np.ndarray) -> None:
-    gram = basis.T @ basis
-    if np.linalg.norm(gram - np.eye(basis.shape[1])) > ORTHONORMALITY_TOL:
+    gram = basis.mT @ basis
+    off = np.linalg.norm(gram - np.eye(basis.shape[-1]), axis=(-2, -1))
+    if np.any(off > ORTHONORMALITY_TOL):
         raise ValueError(f"{name} basis is not orthonormal")
 
 
@@ -209,13 +222,13 @@ def _core_inputs(
     ub, vb = u.basis, v.basis
     _check_basis("u", ub)
     _check_basis("v", vb)
-    if ub.shape[0] != design.m or vb.shape[0] != design.n:
+    if ub.shape[-2] != design.m or vb.shape[-2] != design.n:
         raise ValueError("basis dimensions inconsistent with design")
-    if ub.shape[1] != vb.shape[1]:
+    if ub.shape[-1] != vb.shape[-1]:
         raise ValueError("u and v must have the same rank")
     _check_blocks(design, meas)
     au = design.rows(ub)  # k1 x r
-    va = design.cols(vb.T)  # r x k2
+    va = design.cols(vb.mT)  # r x k2
     return ub, vb, au, va
 
 
@@ -230,20 +243,22 @@ def solve_psd_sylvester(
     The coefficients of X in the eigenbases whose eigenvalue sum
     ``lam_i + mu_j`` is at or below ``CORE_EIG_RTOL * (max lam + max mu)``
     are zero.  A thin ``E_b`` (n x k) means B is zero on the complement
-    of its columns, where the equation is ``A @ X = C``.
+    of its columns, where the equation is ``A @ X = C``.  Over a stack
+    (a leading trial axis on every input), each trial is solved with its
+    own cutoff.
     """
     lam, ea = a_eig
     mu, eb = b_eig
-    ca = ea.T @ c
+    ca = ea.mT @ c
     c_t = ca @ eb
-    denom = lam[:, None] + mu[None, :]
-    cutoff = CORE_EIG_RTOL * (lam.max() + mu.max())
-    x_t = np.divide(c_t, denom, out=np.zeros_like(c_t), where=denom > cutoff)
-    if eb.shape[0] == eb.shape[1]:
-        return ea @ x_t @ eb.T
+    denom = lam[..., :, None] + mu[..., None, :]
+    cutoff = CORE_EIG_RTOL * (lam.max(axis=-1, keepdims=True) + mu.max(axis=-1, keepdims=True))
+    x_t = np.divide(c_t, denom, out=np.zeros_like(c_t), where=denom > cutoff[..., None])
+    if eb.shape[-2] == eb.shape[-1]:
+        return ea @ x_t @ eb.mT
     # thin E_b: add A^+ C (I - E_b E_b.T), the solution on the complement
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cutoff)[:, None]
-    return ea @ ((x_t - inv * c_t) @ eb.T + inv * ca)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cutoff)[..., :, None]
+    return ea @ ((x_t - inv * c_t) @ eb.mT + inv * ca)
 
 
 def solve_core(
@@ -264,10 +279,125 @@ def solve_core(
     eigenvalue sum is numerically zero (rank-deficient designs).
     """
     ub, vb, au, va = _core_inputs(u, v, design, meas)
-    p = au.T @ au
-    q = va @ va.T
-    c = au.T @ meas.b_row @ vb + ub.T @ meas.b_col @ va.T
+    p = au.mT @ au
+    q = va @ va.mT
+    c = au.mT @ meas.b_row @ vb + ub.mT @ meas.b_col @ va.mT
     return solve_psd_sylvester(np.linalg.eigh(p), np.linalg.eigh(q), c)
+
+
+class StackSolution(NamedTuple):
+    """The estimates of a stack of trials: ``left`` (T x m x q) and
+    ``right`` (T x n x q) with ``x_hat = left @ right.T`` per trial, the
+    svls ``core`` (T x r x r, None for cur), each trial's ``rank_used``
+    and ``relative_error`` (None without truths), and each trial's share
+    of the stack's solve time."""
+
+    left: np.ndarray
+    right: np.ndarray
+    core: np.ndarray | None
+    rank_used: np.ndarray
+    relative_error: list[float] | None
+    runtime_seconds: float
+
+
+def _errors(
+    left: np.ndarray, right: np.ndarray, truths: Iterable[np.ndarray] | None
+) -> list[float] | None:
+    """Each trial's :func:`relative_error`, taking the truths one at a
+    time: they are never stacked, so a large one is not copied."""
+    if truths is None:
+        return None
+    return [relative_error(*trial) for trial in zip(left, right, truths)]
+
+
+def _check_svls(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:
+    """What :func:`svls_stack` checks before it solves; it depends on the
+    point (shapes and rank), not on a trial's draw."""
+    top = min(design.m, design.n, design.k1, design.k2)
+    if not 1 <= r <= top:
+        raise ValueError(f"rank {r} outside valid range [1, {top}]")
+    _check_blocks(design, meas)
+
+
+def _check_cur(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:
+    """What :func:`cur_stack` checks before it solves (``r`` is unused)."""
+    if design.kind is not DesignKind.ROW_COL_SAMPLE:
+        raise ValueError("cur_recover requires a row/column sampling design")
+    _check_blocks(design, meas)
+
+
+def svls_stack(
+    meas: MeasurementSet,
+    design: MeasurementDesign,
+    r: int,
+    truths: Iterable[np.ndarray] | None = None,
+) -> StackSolution:
+    """:func:`svls_recover` of every trial of a stack, in one pass;
+    ``truths`` yields each trial's dense truth, which is read once."""
+    _check_svls(design, meas, r)
+    t0 = time.perf_counter()
+    u = estimate_col_space(meas.b_col, r)
+    v = estimate_row_space(meas.b_row, r)
+    core = _freeze(solve_core(u, v, design, meas))
+    left = _freeze(u.basis @ core)
+    seconds = (time.perf_counter() - t0) / len(left)
+    return StackSolution(
+        left, v.basis, core, np.full(len(left), r), _errors(left, v.basis, truths), seconds
+    )
+
+
+def cur_stack(
+    meas: MeasurementSet,
+    design: MeasurementDesign,
+    r: int | None = None,
+    truths: Iterable[np.ndarray] | None = None,
+) -> StackSolution:
+    """:func:`cur_recover` of every trial of a stack, in one pass (``r``
+    is unused).  The kept singular values of W are a prefix of its
+    spectrum, so the trials are grouped by their kept rank q and each
+    group's pseudo-inverses are taken together from the first q."""
+    _check_cur(design, meas, r)
+    t0 = time.perf_counter()
+    w = 0.5 * (design.cols(meas.b_row) + design.rows(meas.b_col))
+    uw, sw, vwt = np.linalg.svd(w, full_matrices=False)
+    cutoff = np.maximum(1e-10 * sw[:, 0], 3.0 * meas.sigma)
+    rank_used = np.count_nonzero(sw > cutoff[:, None], axis=1)
+    w_pinv = np.empty(w.mT.shape)
+    for q in set(rank_used.tolist()):
+        group = np.flatnonzero(rank_used == q)
+        inv_s = np.zeros((len(group), q, q))
+        inv_s[:, range(q), range(q)] = 1.0 / sw[group, :q]
+        w_pinv[group] = vwt[group, :q].mT @ inv_s @ uw[group, :, :q].mT
+    left = _freeze(meas.b_col @ w_pinv)
+    # A copy (b_row may be the caller's writable array) laid out so that
+    # right.T is laid out like b_row, and ``left @ right.T`` is the same
+    # BLAS call, with the same bits, as ``left @ b_row``.
+    right = meas.b_row.mT.copy(order="K")
+    right.flags.writeable = False
+    seconds = (time.perf_counter() - t0) / len(left)
+    return StackSolution(left, right, None, rank_used, _errors(left, right, truths), seconds)
+
+
+def _one_trial(
+    solve, algorithm: str, meas: MeasurementSet, design: MeasurementDesign, r, truth
+) -> RecoveryResult:
+    """``solve`` on the stack of the one trial ``(meas, design, truth)``,
+    whose design applies itself to the stack of one."""
+    truths = None if truth is None else [truth]
+    sol = solve(MeasurementSet.stack([meas]), design, r, truths)
+    left, right = sol.left[0], sol.right[0]
+    row_res, col_res = block_residuals(left, right, design, meas)
+    return RecoveryResult(
+        left=left,
+        right=right,
+        rank_used=int(sol.rank_used[0]),
+        algorithm=algorithm,
+        runtime_seconds=sol.runtime_seconds,
+        core=None if sol.core is None else sol.core[0],
+        row_residual=row_res,
+        col_residual=col_res,
+        relative_error=None if truth is None else sol.relative_error[0],
+    )
 
 
 def svls_recover(
@@ -291,31 +421,10 @@ def svls_recover(
         Ground-truth matrix; when given, ``relative_error`` is filled in.
 
     In the noiseless case with ``k1 = k2 = r`` and generic inputs the
-    estimate is exact up to floating-point error.
+    estimate is exact up to floating-point error.  This is
+    :func:`svls_stack` on a stack of one trial.
     """
-    top = min(design.m, design.n, design.k1, design.k2)
-    if not 1 <= r <= top:
-        raise ValueError(f"rank {r} outside valid range [1, {top}]")
-    _check_blocks(design, meas)
-    t0 = time.perf_counter()
-    u = estimate_col_space(meas.b_col, r)
-    v = estimate_row_space(meas.b_row, r)
-    core = solve_core(u, v, design, meas)
-    left = _freeze(u.basis @ core)
-    right = v.basis
-    runtime = time.perf_counter() - t0
-    row_res, col_res = block_residuals(left, right, design, meas)
-    return RecoveryResult(
-        left=left,
-        right=right,
-        rank_used=r,
-        algorithm="svls",
-        runtime_seconds=runtime,
-        core=_freeze(core),
-        row_residual=row_res,
-        col_residual=col_res,
-        relative_error=None if truth is None else relative_error(left, right, truth),
-    )
+    return _one_trial(svls_stack, "svls", meas, design, r, truth)
 
 
 def cur_recover(
@@ -335,38 +444,10 @@ def cur_recover(
     ``k1 = k2 = r``, recovery is exact from ``r*(m+n-r)`` distinct
     scalar observations, the dimension of the rank-r matrix manifold.
     A rank-deficient overlap block is not an error: the estimate simply
-    has the deficient rank.
+    has the deficient rank.  This is :func:`cur_stack` on a stack of one
+    trial.
     """
-    if design.kind is not DesignKind.ROW_COL_SAMPLE:
-        raise ValueError("cur_recover requires a row/column sampling design")
-    _check_blocks(design, meas)
-    t0 = time.perf_counter()
-    w = 0.5 * (
-        meas.b_row[:, design.col_indices] + meas.b_col[design.row_indices, :]
-    )
-    uw, sw, vwt = np.linalg.svd(w, full_matrices=False)
-    cutoff = max(1e-10 * sw[0], 3.0 * meas.sigma) if sw.size else 0.0
-    keep = sw > cutoff
-    rank_used = int(np.count_nonzero(keep))
-    w_pinv = vwt[keep].T @ np.diag(1.0 / sw[keep]) @ uw[:, keep].T
-    left = _freeze(meas.b_col @ w_pinv)
-    # A column-major copy (b_row may be the caller's writable array), so
-    # right.T is laid out like b_row and ``left @ right.T`` is the same
-    # BLAS call, with the same bits, as ``left @ b_row``.
-    right = meas.b_row.T.copy(order="K")
-    right.flags.writeable = False
-    runtime = time.perf_counter() - t0
-    row_res, col_res = block_residuals(left, right, design, meas)
-    return RecoveryResult(
-        left=left,
-        right=right,
-        rank_used=rank_used,
-        algorithm="cur",
-        runtime_seconds=runtime,
-        row_residual=row_res,
-        col_residual=col_res,
-        relative_error=None if truth is None else relative_error(left, right, truth),
-    )
+    return _one_trial(cur_stack, "cur", meas, design, None, truth)
 
 
 def estimate_rank(b_row: np.ndarray, b_col: np.ndarray, sigma: float) -> int:

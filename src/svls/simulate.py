@@ -9,6 +9,11 @@ of its configuration regardless of how many worker threads run it.
 Failures inside a trial are contained: they become records with an error
 tag, never aborting the sweep.
 
+An ``svls`` or ``cur`` point runs its trials in stacks through the
+stacked solvers of ``recovery``, each trial drawn from its own seeds as
+``run_trial`` draws it, and each record the one ``run_trial`` gives (see
+``_run_stacked``); ``svp`` and ``als`` run trial by trial.
+
 Record CSVs use a fixed column order (parameters first, then metrics),
 17-significant-digit numerics, and ``\\n`` line endings.  Wall-clock
 timings are kept on the in-memory records but left out of the canonical
@@ -39,11 +44,15 @@ import numpy as np
 from .baselines import als_recover, gaussian_operator, svp_recover
 from .matio import format_float
 from .measurements import (
-    DesignKind, _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
+    ERROR_BLOCK_ENTRIES, DesignKind, GroundTruth, MeasurementDesign, MeasurementSet,
+    _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
 )
-from .recovery import cur_recover, svls_recover
+from .recovery import _check_cur, _check_svls, cur_recover, cur_stack, svls_recover, svls_stack
 
 ALGORITHMS = ("svls", "cur", "svp", "als")
+# The algorithms whose trials run in stacks: the stacked solver, and the
+# checks it makes before it solves, which depend on the point alone.
+_STACKED = {"svls": (_check_svls, svls_stack), "cur": (_check_cur, cur_stack)}
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,9 @@ class TrialRecord(TrialPoint):
     ``runtime_seconds`` is excluded (two runs of the same trial are the
     same experiment even though the clock differs) and nan equals nan.
     A failed trial carries the error tag, ``relative_error = nan``, and
-    ``success = False``.
+    ``success = False``.  ``runtime_seconds`` is the solver's
+    ``RecoveryResult.runtime_seconds``: for a trial solved in a stack,
+    the stack's solve time divided by the number of trials in it.
     """
 
     trial_index: int
@@ -241,6 +252,40 @@ def _subseed(seed: int, label: str) -> int:
     return _hash64(f"{seed}|{label}")
 
 
+def _record(
+    point: TrialPoint,
+    seed: int,
+    trial_index: int,
+    success_threshold: float,
+    rel: float = math.nan,
+    iterations: int = 0,
+    runtime: float = math.nan,
+    exc: Exception | None = None,
+) -> TrialRecord:
+    """A trial's record; a failed trial's carries the error tag of ``exc``."""
+    kind = point.design
+    return TrialRecord(
+        **dict(vars(point), design=kind.value if isinstance(kind, DesignKind) else str(kind)),
+        trial_index=trial_index,
+        seed=seed,
+        relative_error=rel,
+        success=bool(rel < success_threshold),
+        iterations=iterations,
+        error="" if exc is None else f"{type(exc).__name__}: {exc}",
+        runtime_seconds=runtime,
+    )
+
+
+def _draw(point: TrialPoint, seed: int) -> tuple:
+    """A trial's truth, row/column design and measurement set."""
+    truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
+    design = gen_design(
+        point.design, point.m, point.n, point.k1, point.k2, _subseed(seed, "design")
+    )
+    meas = measure(truth.x, design, point.sigma, _subseed(seed, "noise"))
+    return truth, design, meas
+
+
 def run_trial(
     point: TrialPoint,
     seed: int,
@@ -255,26 +300,18 @@ def run_trial(
     blocks directly.  Any exception from a component is captured in the
     record's error tag, an unknown ``point.design`` string included.
     """
-    kind = point.design
-    design = kind.value if isinstance(kind, DesignKind) else str(kind)
-    base = dict(vars(point), design=design, trial_index=trial_index, seed=seed)
     try:
-        truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
-        design_seed = _subseed(seed, "design")
-        noise_seed = _subseed(seed, "noise")
         if point.algorithm == "svp":
+            truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
             k = point.k1 * point.n + point.k2 * point.m
-            op = gaussian_operator(point.m, point.n, k, design_seed)
+            op = gaussian_operator(point.m, point.n, k, _subseed(seed, "design"))
             b = op @ truth.x.ravel()
             if point.sigma > 0:
-                rng = np.random.default_rng(noise_seed)
+                rng = np.random.default_rng(_subseed(seed, "noise"))
                 b = b + point.sigma * rng.standard_normal(b.shape)
             result = svp_recover(b, op, point.m, point.n, point.rank, truth=truth.x)
         else:
-            design = gen_design(
-                point.design, point.m, point.n, point.k1, point.k2, design_seed
-            )
-            meas = measure(truth.x, design, point.sigma, noise_seed)
+            truth, design, meas = _draw(point, seed)
             if point.algorithm == "svls":
                 result = svls_recover(meas, design, point.rank, truth=truth.x)
             elif point.algorithm == "cur":
@@ -284,28 +321,72 @@ def run_trial(
             else:
                 raise ValueError(f"unknown algorithm {point.algorithm!r}")
     except Exception as exc:  # contained: failures become records
-        return TrialRecord(
-            **base,
-            relative_error=math.nan,
-            success=False,
-            iterations=0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    rel = result.relative_error
-    return TrialRecord(
-        **base,
-        relative_error=rel,
-        success=bool(rel < success_threshold),
-        iterations=result.iterations or 0,
-        runtime_seconds=result.runtime_seconds,
+        return _record(point, seed, trial_index, success_threshold, exc=exc)
+    return _record(
+        point, seed, trial_index, success_threshold, result.relative_error,
+        result.iterations or 0, result.runtime_seconds,
     )
+
+
+def _run_stacked(
+    point: TrialPoint, trials: list[tuple[int, int]], success_threshold: float
+) -> list[TrialRecord]:
+    """The records of an ``svls`` or ``cur`` point's ``(trial_index,
+    seed)`` trials, each the record ``run_trial`` gives.
+
+    The first trial is drawn, then the solver's checks that depend on the
+    point alone are made once: a point that fails them gives every trial
+    that error without drawing the rest, and a failed first draw sends
+    every trial through ``run_trial``.  The trials then run in stacks of
+    at most ``ERROR_BLOCK_ENTRIES`` truth entries (at least one trial); a stack
+    that raises runs again trial by trial, so only a failing trial gets
+    an error record, with the message ``run_trial`` gives it.
+    """
+    check, solve = _STACKED[point.algorithm]
+    try:
+        first = _draw(point, trials[0][1])
+    except Exception:
+        return [run_trial(point, seed, t, success_threshold) for t, seed in trials]
+    try:
+        check(first[1], first[2], point.rank)
+    except Exception as exc:
+        return [_record(point, seed, t, success_threshold, exc=exc) for t, seed in trials]
+    size = max(1, ERROR_BLOCK_ENTRIES // (point.m * point.n))
+    records = []
+    for i in range(0, len(trials), size):
+        chunk = trials[i : i + size]
+        try:
+            factors, designs, sets = [], [], []
+            for j, (_, seed) in enumerate(chunk):
+                truth, design, meas = first if i == j == 0 else _draw(point, seed)
+                factors.append((truth.left_factor, truth.right_factor, truth.seed))
+                designs.append(design)
+                sets.append(meas)
+            # Only the stacks and the truths' factors are kept: each dense
+            # truth is built again when its error is taken, and then let go.
+            meas = MeasurementSet.stack(sets)
+            del sets
+            design = MeasurementDesign.stack(designs)
+            del designs
+            truths = (GroundTruth(*truth).x for truth in factors)
+            sol = solve(meas, design, point.rank, truths)
+        except Exception:  # contained trial by trial
+            records += [run_trial(point, seed, t, success_threshold) for t, seed in chunk]
+            continue
+        records += [
+            _record(point, seed, t, success_threshold, rel, 0, sol.runtime_seconds)
+            for (t, seed), rel in zip(chunk, sol.relative_error)
+        ]
+    return records
 
 
 def sweep(config: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
     """Run every (parameter tuple, trial) combination.
 
     Records come back in canonical order (sorted by parameter tuple,
-    then trial index) whatever the parallelism level.
+    then trial index) whatever the parallelism level.  Each ``svls`` or
+    ``cur`` point is one task, run in stacks; every other trial is a task
+    of its own.
     """
     tasks = []
     for rank, kind, (k1, k2), sigma, algo in itertools.product(
@@ -316,17 +397,23 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
             algorithm=algo,
         )
         prefix = _seed_prefix(config.base_seed, point)  # trial_seed, once per point
-        tasks.extend((point, _hash64(f"{prefix}{t}"), t) for t in range(config.trials))
+        if algo in _STACKED:
+            tasks.append((point, prefix, range(config.trials)))
+        else:
+            tasks.extend((point, prefix, (t,)) for t in range(config.trials))
 
     def run(task):
-        point, seed, trial = task
-        return run_trial(point, seed, trial, config.success_threshold)
+        point, prefix, indices = task
+        trials = [(t, _hash64(f"{prefix}{t}")) for t in indices]
+        if point.algorithm in _STACKED:
+            return _run_stacked(point, trials, config.success_threshold)
+        return [run_trial(point, seed, t, config.success_threshold) for t, seed in trials]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run, tasks))
+            records = [rec for recs in pool.map(run, tasks) for rec in recs]
     else:
-        records = [run(task) for task in tasks]
+        records = [rec for task in tasks for rec in run(task)]
     records.sort(key=_record_order)
     return records
 

@@ -7,11 +7,95 @@ beside the tests rather than in the package.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
-from svls.measurements import MeasurementDesign, MeasurementSet
-from svls.recovery import CORE_EIG_RTOL, SubspaceBasis, _core_inputs, _factor_objective
+from svls.measurements import DesignKind, MeasurementDesign, MeasurementSet, _freeze
+from svls.recovery import (
+    CORE_EIG_RTOL,
+    RecoveryResult,
+    SubspaceBasis,
+    _check_blocks,
+    _core_inputs,
+    _factor_objective,
+    block_residuals,
+    estimate_col_space,
+    estimate_row_space,
+    relative_error,
+    solve_core,
+)
+
+
+def svls_recover_oracle(
+    meas: MeasurementSet,
+    design: MeasurementDesign,
+    r: int,
+    truth: np.ndarray | None = None,
+) -> RecoveryResult:
+    """Independent reference for ``svls_stack``: ``svls_recover`` as it
+    was before the stacked solvers, one trial per call, on unstacked
+    blocks and the blocked ``relative_error``."""
+    top = min(design.m, design.n, design.k1, design.k2)
+    if not 1 <= r <= top:
+        raise ValueError(f"rank {r} outside valid range [1, {top}]")
+    _check_blocks(design, meas)
+    t0 = time.perf_counter()
+    u = estimate_col_space(meas.b_col, r)
+    v = estimate_row_space(meas.b_row, r)
+    core = solve_core(u, v, design, meas)
+    left = _freeze(u.basis @ core)
+    right = v.basis
+    runtime = time.perf_counter() - t0
+    row_res, col_res = block_residuals(left, right, design, meas)
+    return RecoveryResult(
+        left=left,
+        right=right,
+        rank_used=r,
+        algorithm="svls",
+        runtime_seconds=runtime,
+        core=_freeze(core),
+        row_residual=row_res,
+        col_residual=col_res,
+        relative_error=None if truth is None else relative_error(left, right, truth),
+    )
+
+
+def cur_recover_oracle(
+    meas: MeasurementSet,
+    design: MeasurementDesign,
+    truth: np.ndarray | None = None,
+) -> RecoveryResult:
+    """Independent reference for ``cur_stack``: ``cur_recover`` as it was
+    before the stacked solvers, with W's kept singular values picked by a
+    boolean mask rather than a prefix."""
+    if design.kind is not DesignKind.ROW_COL_SAMPLE:
+        raise ValueError("cur_recover requires a row/column sampling design")
+    _check_blocks(design, meas)
+    t0 = time.perf_counter()
+    w = 0.5 * (
+        meas.b_row[:, design.col_indices] + meas.b_col[design.row_indices, :]
+    )
+    uw, sw, vwt = np.linalg.svd(w, full_matrices=False)
+    cutoff = max(1e-10 * sw[0], 3.0 * meas.sigma) if sw.size else 0.0
+    keep = sw > cutoff
+    rank_used = int(np.count_nonzero(keep))
+    w_pinv = vwt[keep].T @ np.diag(1.0 / sw[keep]) @ uw[:, keep].T
+    left = _freeze(meas.b_col @ w_pinv)
+    right = meas.b_row.T.copy(order="K")
+    right.flags.writeable = False
+    runtime = time.perf_counter() - t0
+    row_res, col_res = block_residuals(left, right, design, meas)
+    return RecoveryResult(
+        left=left,
+        right=right,
+        rank_used=rank_used,
+        algorithm="cur",
+        runtime_seconds=runtime,
+        row_residual=row_res,
+        col_residual=col_res,
+        relative_error=None if truth is None else relative_error(left, right, truth),
+    )
 
 
 def solve_core_bruteforce(

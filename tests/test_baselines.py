@@ -588,3 +588,32 @@ class TestIterativeSolverConfig:
     def test_valid_settings_accepted(self, kwargs):
         (field, value), = kwargs.items()
         assert getattr(IterativeSolverConfig(**kwargs), field) == value
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_iters=np.int64(5)),
+            dict(max_iters=np.uint8(7)),
+            dict(tol=np.float32(1e-6)),
+            dict(tol=np.int32(1)),
+        ],
+    )
+    def test_numpy_numbers_accepted(self, kwargs):
+        (field, value), = kwargs.items()
+        assert getattr(IterativeSolverConfig(**kwargs), field) == value
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_iters=np.bool_(True)),
+            dict(max_iters=np.int64(0)),
+            dict(tol=np.bool_(True)),
+            dict(tol=np.float32("nan")),
+            dict(tol=np.float32("inf")),
+            dict(tol=np.float64("-inf")),
+        ],
+    )
+    def test_numpy_bools_and_non_finite_rejected(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
+            IterativeSolverConfig(**kwargs)

@@ -740,6 +740,24 @@ class TestRelativeError:
             tracemalloc.stop()
         assert peak < 2e6
 
+    @pytest.mark.parametrize("algo", ["svls", "cur"])
+    def test_one_large_trial_does_not_copy_its_truth(self, algo):
+        # an 8 MB truth, above ERROR_BLOCK_ENTRIES: the call solves a stack
+        # of one and takes the error in row blocks of the truth itself
+        truth = gen_low_rank(1000, 1000, 3, seed=2)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 1000, 1000, 6, 6, seed=3)
+        meas = measure(truth.x, design, 1e-3, noise_seed=4)
+        recover = {"svls": lambda: svls_recover(meas, design, 3, truth=truth.x),
+                   "cur": lambda: cur_recover(meas, design, truth=truth.x)}[algo]
+        tracemalloc.start()
+        try:
+            result = recover()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert result.relative_error == relative_error(result.left, result.right, truth.x)
+
     def test_zero_truth(self):
         zeros = np.zeros((4, 1))
         assert relative_error(zeros, zeros[:3], np.zeros((4, 3))) == 0.0

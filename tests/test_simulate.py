@@ -1,10 +1,13 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cur_recover_oracle, svls_recover_oracle
 
+from svls import simulate
 from svls.measurements import DesignKind
 from svls.simulate import (
     ALGORITHMS,
@@ -458,3 +461,185 @@ class TestTrendMonotonicity:
         assert all(inv <= 0.05 for inv in inversions)
         assert rates[0] < 0.05  # k = 1 < r
         assert rates[-1] > 0.95  # k = 4 > r
+
+
+def oracle_records(records, monkeypatch, success_threshold=1e-4):
+    """Each record's trial rerun alone through ``run_trial``, with the
+    per-trial oracles in place of ``svls_recover`` and ``cur_recover``,
+    and the oracle's kept rank of each ``cur`` trial."""
+    cur_ranks = {}
+
+    def cur(meas, design, truth=None):
+        result = cur_recover_oracle(meas, design, truth)
+        cur_ranks[meas.noise_seed] = result.rank_used
+        return result
+
+    monkeypatch.setattr(simulate, "svls_recover", svls_recover_oracle)
+    monkeypatch.setattr(simulate, "cur_recover", cur)
+    want = []
+    for rec in records:
+        point = TrialPoint(**{name: getattr(rec, name) for name in POINT_FIELDS})
+        want.append(run_trial(point, rec.seed, rec.trial_index, success_threshold))
+    monkeypatch.undo()
+    return want, cur_ranks
+
+
+def stack_sizes(monkeypatch):
+    """Record the number of trials in every stack a sweep solves."""
+    sizes = []
+    for algo, (check, solve) in list(simulate._STACKED.items()):
+        def counted(meas, design, r, truths, solve=solve):
+            sizes.append(len(meas.b_row))
+            return solve(meas, design, r, truths)
+
+        monkeypatch.setitem(simulate._STACKED, algo, (check, counted))
+    return sizes
+
+
+POINT_FIELDS = [f.name for f in dataclasses.fields(TrialPoint)]
+
+
+class TestStackedPoints:
+    """``svls`` and ``cur`` points run in stacks; every record must be the
+    one the per-trial oracles give."""
+
+    # 60 x 45 truths: 24 trials a stack, so 30 trials are a full stack and
+    # a partial one.  k = 2 < r fails svls at the point; at k = (8, 10)
+    # with noise, cur keeps 3 or 4 singular values of W from trial to trial.
+    CONFIG = dict(
+        m=60,
+        n=45,
+        ranks=(3,),
+        design_kinds=tuple(DesignKind),
+        k_values=((2, 2), (3, 3), (8, 10)),
+        sigmas=(0.0, 1e-3),
+        algorithms=("svls", "cur"),
+        trials=30,
+        base_seed=404,
+    )
+
+    def test_records_equal_the_per_trial_oracles(self, monkeypatch):
+        sizes = stack_sizes(monkeypatch)
+        alone = []  # no stack falls back to trial-by-trial runs
+        monkeypatch.setattr(simulate, "run_trial", lambda *args: alone.append(args))
+        records = sweep(small_config(**self.CONFIG))
+        monkeypatch.undo()
+        assert alone == []
+        per_stack = simulate.ERROR_BLOCK_ENTRIES // (60 * 45)
+        # 24 points, of which 4 fail svls's rank check and 6 cur's design check
+        assert 30 % per_stack and sizes == [per_stack, 30 % per_stack] * 14
+        want, cur_ranks = oracle_records(records, monkeypatch)
+        assert len(records) == len(want) == 2 * 3 * 2 * 2 * 30
+        for got, ref in zip(records, want):
+            assert got.error == ref.error
+            assert got.relative_error == ref.relative_error or (
+                math.isnan(got.relative_error) and math.isnan(ref.relative_error)
+            )
+            assert got == ref
+        # the point-level svls failure, and cur's kept rank varying inside a stack
+        assert any(r.error.startswith("ValueError: rank 3") for r in records)
+        first_stack = [
+            cur_ranks[simulate._subseed(r.seed, "noise")]
+            for r in records
+            if (r.algorithm, r.design, r.k1, r.sigma) == ("cur", "rowcol", 8, 1e-3)
+            and r.trial_index < per_stack
+        ]
+        assert len(set(first_stack)) > 1
+
+    def test_parallel_records_equal_serial(self):
+        cfg = small_config(**dict(self.CONFIG, trials=25))
+        assert sweep(cfg, jobs=3) == sweep(cfg, jobs=1)
+
+    def test_large_trials_run_one_at_a_time(self, monkeypatch):
+        sizes = stack_sizes(monkeypatch)
+        monkeypatch.setattr(simulate, "ERROR_BLOCK_ENTRIES", 100)
+        cfg = small_config(k_values=((3, 3),), algorithms=("svls", "cur"),
+                           design_kinds=(DesignKind.ROW_COL_SAMPLE,))
+        records = sweep(cfg)
+        assert sizes == [1] * 6
+        want, _ = oracle_records(records, monkeypatch)
+        assert records == want
+
+
+class TestStackContainment:
+    CONFIG = dict(
+        m=50,
+        n=50,
+        ranks=(3,),
+        design_kinds=(DesignKind.ROW_COL_SAMPLE,),
+        k_values=((4, 4),),
+        sigmas=(1e-3,),
+        algorithms=("svls", "cur"),
+        trials=30,
+        base_seed=5,
+    )
+
+    @pytest.mark.parametrize("failure", ["draw", "solve"])
+    def test_one_failing_trial_is_contained(self, monkeypatch, failure):
+        cfg = small_config(**self.CONFIG)
+        clean = sweep(cfg)
+        # a cur trial in its point's first stack, an svls one in its second
+        targets = [7, 30 + 27]
+        seeds = {simulate._subseed(clean[i].seed, "noise") for i in targets}
+        measure = simulate.measure
+
+        def faulty(x, design, sigma, noise_seed):
+            meas = measure(x, design, sigma, noise_seed)
+            if noise_seed not in seeds:
+                return meas
+            if failure == "draw":
+                raise RuntimeError("no measurement")
+            # a nan in W and in b_col: this trial's SVDs fail
+            b_col = meas.b_col.copy()
+            b_col[design.row_indices[0], 0] = math.nan
+            return dataclasses.replace(meas, b_col=b_col)
+
+        monkeypatch.setattr(simulate, "measure", faulty)
+        records = sweep(cfg)
+        assert [i for i, rec in enumerate(records) if rec.error] == targets
+        for i in targets:
+            point = TrialPoint(**{name: getattr(clean[i], name) for name in POINT_FIELDS})
+            alone = run_trial(point, clean[i].seed, clean[i].trial_index)
+            assert alone.error == {
+                "draw": "RuntimeError: no measurement",
+                "solve": "LinAlgError: SVD did not converge",
+            }[failure]
+            assert records[i] == alone
+        rest = [i for i in range(len(clean)) if i not in targets]
+        assert [records[i] for i in rest] == [clean[i] for i in rest]
+
+    @pytest.mark.parametrize(
+        "overrides, tag",
+        [
+            (
+                dict(design_kinds=(DesignKind.GAUSSIAN_AFFINE,), k_values=((2, 2),),
+                     algorithms=("svls",)),
+                "ValueError: rank 3 outside valid range [1, 2]",
+            ),
+            (
+                dict(design_kinds=(DesignKind.GAUSSIAN_AFFINE,), algorithms=("cur",)),
+                "ValueError: cur_recover requires a row/column sampling design",
+            ),
+            (
+                dict(k_values=((60, 60),)),
+                "ValueError: sampling design needs k1 <= m and k2 <= n, got "
+                "k1=60, m=50, k2=60, n=50",
+            ),
+        ],
+        ids=["rank_above_k", "cur_on_gaussian", "rowcol_k_above_m"],
+    )
+    def test_point_level_failures(self, monkeypatch, overrides, tag):
+        cfg = small_config(**dict(self.CONFIG, **overrides))
+        draws = []
+        gen = simulate.gen_low_rank
+        monkeypatch.setattr(
+            simulate, "gen_low_rank", lambda *args: draws.append(args) or gen(*args)
+        )
+        records = sweep(cfg)
+        assert {rec.error for rec in records} == {tag}
+        points = len(records) // cfg.trials
+        if "k1=60" not in tag:  # failed after the first draw, which sufficed
+            assert len(draws) == points
+        monkeypatch.undo()
+        want, _ = oracle_records(records, monkeypatch)
+        assert records == want
