@@ -13,13 +13,14 @@ X: that design is its two index vectors, applied by the gathers
 bits as products with 0/1 selection matrices.  ``MeasurementDesign.rows``
 and ``cols`` are the only places a design is applied, and ``operators``
 builds the dense matrices for the solvers that need them.  A ground truth is
-held as its factors.  ``MeasurementDesign.stack`` and
-``MeasurementSet.stack`` put the designs and blocks of several trials on
-a leading trial axis, so the recovery solvers can take them in one call.
+held as its factors.  Given a tuple of seeds, ``gen_low_rank``,
+``gen_design`` and ``measure`` draw a stack of trials, on a leading
+trial axis, for the stacked solvers of ``recovery``; one seed is the
+one-trial case of the same code.
 
-All randomness flows through numpy's PCG64 generator
-(``numpy.random.default_rng``) with a fixed stream order, so every value
-is reproducible bit for bit from its seed:
+All randomness flows through numpy's PCG64 generator (as
+``numpy.random.default_rng`` builds it) with a fixed stream order, so
+every value is reproducible bit for bit from its seed:
 
 * ``gen_low_rank`` draws the left factor before the right factor, each
   filled in row-major order;
@@ -27,8 +28,10 @@ is reproducible bit for bit from its seed:
   indices before column indices (sampling);
 * ``measure`` draws the noise for ``b_row`` before ``b_col``.
 
-All returned arrays are marked read-only; values are safe to share
-across threads.
+In a stack each trial draws, in that order, from its own generator
+seeded by its entry of the tuple, into its slice of the stack, so its
+values do not depend on the stack.  All returned arrays, stacked ones
+included, are marked read-only; values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ import numpy as np
 # their scratch memory does not grow with m*n.  relative_error is fastest
 # at 2^15-2^16 entries: a truth block and its product scratch then fit in
 # a 2 MB per-core L2 beside BLAS's packing buffers; larger blocks spill.
-# A sweep's stack of trials holds truths of at most this many entries in
-# all: at 50 x 50 a sweep was fastest at 2^16 (2^14-2^18 measured).
+# A sweep's stack of trials holds one dense stack of truths of at most
+# this many entries: at 50 x 50 a sweep was fastest at 2^16 (2^14-2^18).
 ERROR_BLOCK_ENTRIES = 1 << 16
 
 
@@ -73,9 +76,22 @@ def _is_finite_nonnegative(value) -> bool:
     return 0 <= value <= sys.float_info.max
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays on a new leading axis; one array is viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+def _generators(seed: int | tuple[int, ...]) -> tuple[list[np.random.Generator], bool]:
+    """One generator per seed, as ``np.random.default_rng`` builds it (less
+    its type dispatch), and whether a tuple of seeds asked for a stack."""
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    return [np.random.Generator(np.random.PCG64(s)) for s in seeds], isinstance(seed, tuple)
+
+
+def _normal(seed: int | tuple[int, ...], *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Standard normal draws of each shape; for a tuple of seeds, a stack
+    per shape, each trial's slices filled in order by its own generator."""
+    rngs, stacked = _generators(seed)
+    stacks = [np.empty((len(rngs), *shape)) for shape in shapes]
+    for rng, *slices in zip(rngs, *stacks):
+        for out in slices:  # the same values as rng.standard_normal(shape)
+            rng.standard_normal(out=out)
+    return [a if stacked else a[0] for a in stacks]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -88,20 +104,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class GroundTruth:
     """A rank-``rank`` target held as its factors; the dense
     ``x = left_factor @ right_factor.T`` is built on first access and
-    cached."""
+    cached.  A stack of truths holds its factors on a leading trial axis,
+    with a tuple of seeds, and its ``x`` is the stack of dense targets."""
 
     left_factor: np.ndarray
     right_factor: np.ndarray
-    seed: int
+    seed: int | tuple[int, ...]
 
     @property
     def rank(self) -> int:
-        return self.left_factor.shape[1]
+        return self.left_factor.shape[-1]
 
     @functools.cached_property
     def x(self) -> np.ndarray:
-        """The dense m x n target (read-only)."""
-        return _freeze(self.left_factor @ self.right_factor.T)
+        """The dense m x n target, or stack of them (read-only)."""
+        return _freeze(self.left_factor @ self.right_factor.mT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +132,10 @@ class MeasurementDesign:
     copies: its operators are gathers, applied by :meth:`rows` and
     :meth:`cols`.
 
-    A stacked design (see :meth:`stack`) holds the same arrays with a
-    leading trial axis, and a tuple of seeds; its :meth:`rows` and
-    :meth:`cols` apply each trial's design to that trial's slice of a
-    stack.  An unstacked design applies itself to every slice.
+    A stacked design holds the same arrays with a leading trial axis,
+    and a tuple of seeds; its :meth:`rows` and :meth:`cols` apply each
+    trial's design to that trial's slice of a stack.  An unstacked design
+    applies itself to every slice.
     """
 
     kind: DesignKind
@@ -151,39 +168,20 @@ class MeasurementDesign:
         stacked = None  # the leading shape of row_indices
         for name, size in (("row_indices", self.m), ("col_indices", self.n)):
             idx = np.asarray(getattr(self, name))
-            if idx.ndim not in (1, 2) or idx.size == 0 or idx.dtype.kind not in "iu":
-                raise ValueError(
-                    f"{name} must be a nonempty 1-d integer vector, or a stack of them"
-                )
+            if idx.ndim not in (1, 2) or idx.shape[-1] == 0 or idx.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be a nonempty 1-d integer vector or stack of them")
             if stacked not in (None, idx.shape[:-1]):
-                raise ValueError(
-                    f"{name} must be a nonempty 1-d integer vector, or a stack of "
-                    "them, as row_indices is"
-                )
+                raise ValueError(f"{name} must be 1-d, or a stack, as row_indices is")
             stacked = idx.shape[:-1]
-            for entries in idx.reshape(-1, idx.shape[-1]).tolist():
-                if min(entries) < 0 or max(entries) >= size:
-                    raise ValueError(f"{name} has an entry outside [0, {size})")
-                if len(set(entries)) != len(entries):
-                    raise ValueError(f"{name} repeats an index")
             # a read-only copy, so the checked indices cannot change
             idx = idx.astype(np.int64)
+            if idx.size and (idx.min() < 0 or idx.max() >= size):  # a stack may be empty
+                raise ValueError(f"{name} has an entry outside [0, {size})")
+            ordered = np.sort(idx, axis=-1)
+            if (ordered[..., 1:] == ordered[..., :-1]).any():
+                raise ValueError(f"{name} repeats an index")
             idx.flags.writeable = False
             object.__setattr__(self, name, idx)
-
-    @classmethod
-    def stack(cls, designs: list[MeasurementDesign]) -> MeasurementDesign:
-        """One design for a stack of trials: the designs' sensing
-        matrices, or index vectors, on a leading trial axis.  The designs
-        must share kind and shapes."""
-        first = designs[0]
-        shape = (first.kind, first.m, first.n, first.k1, first.k2)
-        if any((d.kind, d.m, d.n, d.k1, d.k2) != shape for d in designs):
-            raise ValueError("stacked designs must share kind and shapes")
-        names = ("a_row", "a_col") if first.a_row is not None else (
-            "row_indices", "col_indices")
-        arrays = {name: _stack([getattr(d, name) for d in designs]) for name in names}
-        return cls(first.kind, first.m, first.n, tuple(d.seed for d in designs), **arrays)
 
     @property
     def k1(self) -> int:
@@ -240,31 +238,18 @@ class MeasurementDesign:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Observed blocks ``b_row`` (k1 x n) and ``b_col`` (m x k2); the
-    measurement counts are properties of the design."""
+    """Observed blocks ``b_row`` (k1 x n) and ``b_col`` (m x k2), or stacks
+    of them with a tuple of noise seeds; the design holds the measurement counts."""
 
     b_row: np.ndarray
     b_col: np.ndarray
     sigma: float
     noise_seed: int | tuple[int, ...]
 
-    @classmethod
-    def stack(cls, sets: list[MeasurementSet]) -> MeasurementSet:
-        """The blocks of a stack of trials, which share ``sigma``, on a
-        leading trial axis, with a tuple of noise seeds."""
-        if any(s.sigma != sets[0].sigma for s in sets):
-            raise ValueError("stacked measurement sets must share sigma")
-        return cls(
-            b_row=_stack([s.b_row for s in sets]),
-            b_col=_stack([s.b_col for s in sets]),
-            sigma=sets[0].sigma,
-            noise_seed=tuple(s.noise_seed for s in sets),
-        )
 
-
-def gen_low_rank(m: int, n: int, r: int, seed: int) -> GroundTruth:
+def gen_low_rank(m: int, n: int, r: int, seed: int | tuple[int, ...]) -> GroundTruth:
     """Draw a random rank-``r`` matrix ``X = L @ R.T`` with standard
-    normal factor entries.
+    normal factor entries, or a stack of them, one per seed of a tuple.
 
     Deterministic for fixed ``(m, n, r, seed)``.
     """
@@ -272,18 +257,15 @@ def gen_low_rank(m: int, n: int, r: int, seed: int) -> GroundTruth:
         raise ValueError(f"matrix dimensions must be positive, got {m}x{n}")
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
-    rng = np.random.default_rng(seed)
-    left = rng.standard_normal((m, r))
-    right = rng.standard_normal((n, r))
-    return GroundTruth(
-        left_factor=_freeze(left), right_factor=_freeze(right), seed=seed
-    )
+    left, right = map(_freeze, _normal(seed, (m, r), (n, r)))
+    return GroundTruth(left_factor=left, right_factor=right, seed=seed)
 
 
 def gen_design(
-    kind: DesignKind, m: int, n: int, k1: int, k2: int, seed: int
+    kind: DesignKind, m: int, n: int, k1: int, k2: int, seed: int | tuple[int, ...]
 ) -> MeasurementDesign:
-    """Draw a measurement design for an m x n target.
+    """Draw a measurement design for an m x n target; with a tuple of
+    seeds, a stacked design, one trial per seed.
 
     Gaussian designs fill ``a_row`` (k1 x m) and ``a_col`` (n x k2) with
     i.i.d. standard normal entries.  Sampling designs draw k1 distinct
@@ -293,52 +275,58 @@ def gen_design(
     kind = DesignKind(kind)
     if min(m, n, k1, k2) < 1:
         raise ValueError("design dimensions must be positive")
-    rng = np.random.default_rng(seed)
     if kind is DesignKind.GAUSSIAN_AFFINE:
-        a_row = _freeze(rng.standard_normal((k1, m)))
-        a_col = _freeze(rng.standard_normal((n, k2)))
-        return MeasurementDesign(kind, m, n, seed, a_row=a_row, a_col=a_col)
-    if k1 > m or k2 > n:
-        raise ValueError(
-            f"sampling design needs k1 <= m and k2 <= n, got "
-            f"k1={k1}, m={m}, k2={k2}, n={n}"
-        )
-    rows = rng.choice(m, size=k1, replace=False)
-    cols = rng.choice(n, size=k2, replace=False)
-    return MeasurementDesign(kind, m, n, seed, row_indices=rows, col_indices=cols)
+        names, arrays = ("a_row", "a_col"), map(_freeze, _normal(seed, (k1, m), (n, k2)))
+    else:
+        if k1 > m or k2 > n:
+            raise ValueError(
+                f"sampling design needs k1 <= m and k2 <= n, got "
+                f"k1={k1}, m={m}, k2={k2}, n={n}"
+            )
+        names, (rngs, stacked) = ("row_indices", "col_indices"), _generators(seed)
+        stacks = [np.empty((len(rngs), k), dtype=np.int64) for k in (k1, k2)]
+        for rng, rows, cols in zip(rngs, *stacks):
+            rows[:] = rng.choice(m, size=k1, replace=False)
+            cols[:] = rng.choice(n, size=k2, replace=False)
+        arrays = (a if stacked else a[0] for a in stacks)
+    return MeasurementDesign(kind, m, n, seed, **dict(zip(names, arrays)))
 
 
 def measure(
-    x: np.ndarray, design: MeasurementDesign, sigma: float, noise_seed: int
+    x: np.ndarray, design: MeasurementDesign, sigma: float, noise_seed: int | tuple[int, ...]
 ) -> MeasurementSet:
     """Apply the affine measurement operator, adding i.i.d. Gaussian
     noise of standard deviation ``sigma`` to every scalar observation.
 
-    With ``sigma = 0`` the blocks equal ``design.rows(x)`` and
-    ``design.cols(x)`` exactly (no noise stream is consumed).
+    With a tuple of noise seeds, ``x`` is a stack of targets and
+    ``design`` a stacked design, one trial per seed, and each trial's
+    noise is drawn from its own seed.  With ``sigma = 0`` the blocks
+    equal ``design.rows(x)`` and ``design.cols(x)`` exactly (no noise
+    stream is consumed).
     """
+    stacked = isinstance(noise_seed, tuple)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be a 2-d matrix")
-    rows = max(1, ERROR_BLOCK_ENTRIES // max(1, x.shape[1]))
-    for i in range(0, len(x), rows):
-        if not np.isfinite(x[i : i + rows]).all():
-            raise ValueError("x entries must be finite")
+    if x.ndim != 2 + stacked or stacked and len(x) != len(noise_seed):
+        raise ValueError("x must be a 2-d matrix, or a stack of one per noise seed")
+    if x.shape[-2:] != (design.m, design.n):
+        raise ValueError(
+            f"design expects a {design.m}x{design.n} target, got {x.shape[-2]}x{x.shape[-1]}"
+        )
+    held = design.row_indices[..., None] if design.a_row is None else design.a_row
+    if held.shape[:-2] != x.shape[:-2]:  # the design's trials
+        raise ValueError("x and design must be stacked alike, one target per trial")
     if not 0 <= sigma <= sys.float_info.max:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    if x.shape != (design.m, design.n):
-        raise ValueError(
-            f"design expects a {design.m}x{design.n} target, got {x.shape[0]}x{x.shape[1]}"
-        )
-    b_row = design.rows(x)
-    b_col = design.cols(x)
+    flat = x.reshape(-1, x.shape[-1])
+    rows = max(1, ERROR_BLOCK_ENTRIES // max(1, flat.shape[1]))
+    for i in range(0, len(flat), rows):
+        if not np.isfinite(flat[i : i + rows]).all():
+            raise ValueError("x entries must be finite")
+    b_row = np.ascontiguousarray(design.rows(x))
+    b_col = np.ascontiguousarray(design.cols(x))
     if sigma > 0:
-        rng = np.random.default_rng(noise_seed)
-        b_row = b_row + sigma * rng.standard_normal(b_row.shape)
-        b_col = b_col + sigma * rng.standard_normal(b_col.shape)
-    return MeasurementSet(
-        b_row=_freeze(b_row),
-        b_col=_freeze(b_col),
-        sigma=float(sigma),
-        noise_seed=noise_seed,
-    )
+        noises = _normal(noise_seed, b_row.shape[-2:], b_col.shape[-2:])
+        for block, noise in zip((b_row, b_col), noises):
+            noise *= sigma
+            block += noise
+    return MeasurementSet(_freeze(b_row), _freeze(b_col), float(sigma), noise_seed)

@@ -14,12 +14,12 @@ factors, so no m x n matrix is formed unless ``RecoveryResult.x_hat`` is
 read.
 
 ``svls_stack`` and ``cur_stack`` solve a stack of trials (designs and
-blocks stacked by ``MeasurementDesign.stack`` and ``MeasurementSet.stack``)
-in one pass: numpy's ``svd``, ``eigh`` and ``matmul`` run over the
-leading trial axis, one LAPACK or BLAS call per trial, so every trial
-gets the bits it gets alone.  ``svls_recover`` and ``cur_recover`` are
-their one-trial case, and the subspace and core helpers take a leading
-trial axis or none.
+blocks drawn as stacks by ``gen_design`` and ``measure``) in one pass:
+numpy's ``svd``, ``eigh`` and ``matmul`` run over the leading trial
+axis, one LAPACK or BLAS call per trial, so every trial gets the bits it
+gets alone.  ``svls_recover`` and ``cur_recover`` are their one-trial
+case, and the subspace and core helpers take a leading trial axis or
+none.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,30 +116,9 @@ def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> f
     Both squared norms are summed over row blocks of about
     ``ERROR_BLOCK_ENTRIES`` entries in one pass over ``x_true``, so no
     m x n temporary is formed and each block is still in cache when its
-    difference and norms are taken.
+    difference and norms are taken (:func:`_errors` on a stack of one).
     """
-    x_true = np.asarray(x_true, dtype=np.float64)
-    shape = (left.shape[0], right.shape[0])
-    if x_true.shape != shape:
-        raise ValueError(f"truth shape {x_true.shape} differs from estimate shape {shape}")
-    rows = max(1, ERROR_BLOCK_ENTRIES // max(1, x_true.shape[1]))
-    # one contiguous right.T for every block; a single block keeps x_hat's bits
-    right_t = right.T if rows >= shape[0] else np.ascontiguousarray(right.T)
-    # one buffer holds every block's product and difference
-    scratch = np.empty((min(rows, shape[0]), shape[1]))
-    num_sq = denom_sq = 0.0
-    for i in range(0, x_true.shape[0], rows):
-        block = x_true[i : i + rows]
-        diff = np.matmul(left[i : i + rows], right_t, out=scratch[: len(block)])
-        diff -= block
-        diff = diff.ravel()
-        flat = block.ravel()
-        num_sq += diff.dot(diff)
-        denom_sq += flat.dot(flat)
-    num, denom = math.sqrt(num_sq), math.sqrt(denom_sq)
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return float(num / denom)
+    return _errors(left[None], right[None], np.asarray(x_true)[None])[0]
 
 
 def block_residuals(
@@ -301,13 +280,42 @@ class StackSolution(NamedTuple):
 
 
 def _errors(
-    left: np.ndarray, right: np.ndarray, truths: Iterable[np.ndarray] | None
+    left: np.ndarray, right: np.ndarray, truths: np.ndarray | None
 ) -> list[float] | None:
-    """Each trial's :func:`relative_error`, taking the truths one at a
-    time: they are never stacked, so a large one is not copied."""
+    """Each trial's :func:`relative_error` against its slice of the stack
+    ``truths``, in one pass: truths of over ``ERROR_BLOCK_ENTRIES`` entries
+    in row blocks, one at a time, smaller ones whole, a few at a time.  A
+    trial's sums are the same dot products either way, with the same bits.
+    """
     if truths is None:
         return None
-    return [relative_error(*trial) for trial in zip(left, right, truths)]
+    truths = np.asarray(truths, dtype=np.float64)
+    count, m, n = len(truths), left.shape[-2], right.shape[-2]
+    if truths.shape[1:] != (m, n):
+        raise ValueError(f"truth shape {truths.shape[1:]} differs from estimate shape {(m, n)}")
+    rows = max(1, ERROR_BLOCK_ENTRIES // max(1, n))
+    # small truths whole, a few at a time in a scratch of a quarter block
+    step = max(1, ERROR_BLOCK_ENTRIES // 4 // max(1, m * n)) if rows >= m else 1
+    rows = max(1, min(rows, m))
+    # one contiguous right.T for every block; a single block keeps x_hat's bits
+    right_t = right.mT if rows == m else np.ascontiguousarray(right.mT)
+    # one buffer holds every block's product and difference
+    scratch = np.empty((min(step, count), rows, n))
+    num_sq, denom_sq = np.empty(count), np.empty(count)
+    for t in range(0, count, step):
+        lt, rt, xt = left[t : t + step], right_t[t : t + step], truths[t : t + step]
+        num = denom = 0.0
+        for i in range(0, m, rows):
+            block = xt[:, i : i + rows]
+            diff = np.matmul(lt[:, i : i + rows], rt, out=scratch[: len(xt), : block.shape[1]])
+            diff -= block
+            diff, flat = diff.reshape(len(xt), -1), block.reshape(len(xt), -1)
+            num, denom = num + np.vecdot(diff, diff), denom + np.vecdot(flat, flat)
+        num_sq[t : t + step], denom_sq[t : t + step] = num, denom
+    num, denom = np.sqrt(num_sq), np.sqrt(denom_sq)
+    # against a zero truth: 0.0 for a zero estimate, else inf
+    zero = np.where(num == 0.0, 0.0, math.inf)
+    return np.divide(num, denom, out=zero, where=denom != 0.0).tolist()
 
 
 def _check_svls(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:
@@ -330,10 +338,10 @@ def svls_stack(
     meas: MeasurementSet,
     design: MeasurementDesign,
     r: int,
-    truths: Iterable[np.ndarray] | None = None,
+    truths: np.ndarray | None = None,
 ) -> StackSolution:
     """:func:`svls_recover` of every trial of a stack, in one pass;
-    ``truths`` yields each trial's dense truth, which is read once."""
+    ``truths`` is the stack of the trials' dense truths."""
     _check_svls(design, meas, r)
     t0 = time.perf_counter()
     u = estimate_col_space(meas.b_col, r)
@@ -350,7 +358,7 @@ def cur_stack(
     meas: MeasurementSet,
     design: MeasurementDesign,
     r: int | None = None,
-    truths: Iterable[np.ndarray] | None = None,
+    truths: np.ndarray | None = None,
 ) -> StackSolution:
     """:func:`cur_recover` of every trial of a stack, in one pass (``r``
     is unused).  The kept singular values of W are a prefix of its
@@ -381,10 +389,10 @@ def cur_stack(
 def _one_trial(
     solve, algorithm: str, meas: MeasurementSet, design: MeasurementDesign, r, truth
 ) -> RecoveryResult:
-    """``solve`` on the stack of the one trial ``(meas, design, truth)``,
-    whose design applies itself to the stack of one."""
-    truths = None if truth is None else [truth]
-    sol = solve(MeasurementSet.stack([meas]), design, r, truths)
+    """``solve`` on the one trial ``(meas, design, truth)`` viewed as a
+    stack of one, to which the design applies itself."""
+    stack = MeasurementSet(meas.b_row[None], meas.b_col[None], meas.sigma, (meas.noise_seed,))
+    sol = solve(stack, design, r, None if truth is None else np.asarray(truth)[None])
     left, right = sol.left[0], sol.right[0]
     row_res, col_res = block_residuals(left, right, design, meas)
     return RecoveryResult(

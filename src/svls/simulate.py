@@ -9,10 +9,11 @@ of its configuration regardless of how many worker threads run it.
 Failures inside a trial are contained: they become records with an error
 tag, never aborting the sweep.
 
-An ``svls`` or ``cur`` point runs its trials in stacks through the
-stacked solvers of ``recovery``, each trial drawn from its own seeds as
-``run_trial`` draws it, and each record the one ``run_trial`` gives (see
-``_run_stacked``); ``svp`` and ``als`` run trial by trial.
+An ``svls`` or ``cur`` point runs its trials in stacks, each drawn in
+one call of each generator of ``measurements`` (every trial from its own
+seeds, as ``run_trial`` draws it) and solved in one call of a stacked
+solver of ``recovery``; each record is the one ``run_trial`` gives (see
+``_run_stacked``).  ``svp`` and ``als`` run trial by trial.
 
 Record CSVs use a fixed column order (parameters first, then metrics),
 17-significant-digit numerics, and ``\\n`` line endings.  Wall-clock
@@ -44,8 +45,8 @@ import numpy as np
 from .baselines import als_recover, gaussian_operator, svp_recover
 from .matio import format_float
 from .measurements import (
-    ERROR_BLOCK_ENTRIES, DesignKind, GroundTruth, MeasurementDesign, MeasurementSet,
-    _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
+    ERROR_BLOCK_ENTRIES, DesignKind, _is_finite_nonnegative, _is_int, gen_design,
+    gen_low_rank, measure,
 )
 from .recovery import _check_cur, _check_svls, cur_recover, cur_stack, svls_recover, svls_stack
 
@@ -55,12 +56,13 @@ ALGORITHMS = ("svls", "cur", "svp", "als")
 _STACKED = {"svls": (_check_svls, svls_stack), "cur": (_check_cur, cur_stack)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialPoint:
     """One fully instantiated parameter combination.
 
     ``TrialRecord`` and ``SummaryRow`` extend it and hold ``design`` as
-    the kind's value (``"gaussian"``), as their CSV cells do.
+    the kind's value (``"gaussian"``), as their CSV cells do.  All three
+    are slotted: a sweep holds one record per trial.
     """
 
     m: int
@@ -73,7 +75,7 @@ class TrialPoint:
     algorithm: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TrialRecord(TrialPoint):
     """Outcome of a single trial.
 
@@ -103,7 +105,7 @@ class TrialRecord(TrialPoint):
         return hash(_record_key(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRow(TrialPoint):
     """Aggregate over all trials sharing one parameter tuple.
 
@@ -248,12 +250,21 @@ def trial_seed(base_seed: int, point: TrialPoint, trial_index: int) -> int:
     return _hash64(f"{_seed_prefix(base_seed, point)}{trial_index}")
 
 
-def _subseed(seed: int, label: str) -> int:
+def _subseed(seed: int | tuple[int, ...], label: str) -> int | tuple[int, ...]:
+    """A trial's ``label`` seed, or those of a tuple of trials."""
+    if isinstance(seed, tuple):
+        return tuple(_hash64(f"{s}|{label}") for s in seed)
     return _hash64(f"{seed}|{label}")
 
 
+def _point_fields(point: TrialPoint) -> dict:
+    """The point's fields as a record holds them: ``design`` as a string."""
+    design = point.design.value if isinstance(point.design, DesignKind) else str(point.design)
+    return dict(zip(_POINT_FIELDS, _point_values(point)), design=design)
+
+
 def _record(
-    point: TrialPoint,
+    fields: dict,
     seed: int,
     trial_index: int,
     success_threshold: float,
@@ -262,10 +273,9 @@ def _record(
     runtime: float = math.nan,
     exc: Exception | None = None,
 ) -> TrialRecord:
-    """A trial's record; a failed trial's carries the error tag of ``exc``."""
-    kind = point.design
+    """A trial's record from its point's fields; a failed one carries the error tag of ``exc``."""
     return TrialRecord(
-        **dict(vars(point), design=kind.value if isinstance(kind, DesignKind) else str(kind)),
+        **fields,
         trial_index=trial_index,
         seed=seed,
         relative_error=rel,
@@ -276,14 +286,14 @@ def _record(
     )
 
 
-def _draw(point: TrialPoint, seed: int) -> tuple:
-    """A trial's truth, row/column design and measurement set."""
-    truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
+def _draw(point: TrialPoint, seed: int | tuple[int, ...]) -> tuple:
+    """A trial's dense truth (built once), design and measurement set; for a
+    tuple of trial seeds, a stack's, drawn in one call of each generator."""
+    x = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth")).x
     design = gen_design(
         point.design, point.m, point.n, point.k1, point.k2, _subseed(seed, "design")
     )
-    meas = measure(truth.x, design, point.sigma, _subseed(seed, "noise"))
-    return truth, design, meas
+    return x, design, measure(x, design, point.sigma, _subseed(seed, "noise"))
 
 
 def run_trial(
@@ -311,19 +321,19 @@ def run_trial(
                 b = b + point.sigma * rng.standard_normal(b.shape)
             result = svp_recover(b, op, point.m, point.n, point.rank, truth=truth.x)
         else:
-            truth, design, meas = _draw(point, seed)
+            x, design, meas = _draw(point, seed)
             if point.algorithm == "svls":
-                result = svls_recover(meas, design, point.rank, truth=truth.x)
+                result = svls_recover(meas, design, point.rank, truth=x)
             elif point.algorithm == "cur":
-                result = cur_recover(meas, design, truth=truth.x)
+                result = cur_recover(meas, design, truth=x)
             elif point.algorithm == "als":
-                result = als_recover(meas, design, point.rank, truth=truth.x)
+                result = als_recover(meas, design, point.rank, truth=x)
             else:
                 raise ValueError(f"unknown algorithm {point.algorithm!r}")
     except Exception as exc:  # contained: failures become records
-        return _record(point, seed, trial_index, success_threshold, exc=exc)
+        return _record(_point_fields(point), seed, trial_index, success_threshold, exc=exc)
     return _record(
-        point, seed, trial_index, success_threshold, result.relative_error,
+        _point_fields(point), seed, trial_index, success_threshold, result.relative_error,
         result.iterations or 0, result.runtime_seconds,
     )
 
@@ -334,49 +344,43 @@ def _run_stacked(
     """The records of an ``svls`` or ``cur`` point's ``(trial_index,
     seed)`` trials, each the record ``run_trial`` gives.
 
-    The first trial is drawn, then the solver's checks that depend on the
-    point alone are made once: a point that fails them gives every trial
-    that error without drawing the rest, and a failed first draw sends
-    every trial through ``run_trial``.  The trials then run in stacks of
-    at most ``ERROR_BLOCK_ENTRIES`` truth entries (at least one trial); a stack
-    that raises runs again trial by trial, so only a failing trial gets
-    an error record, with the message ``run_trial`` gives it.
+    A stack of no trials is drawn first, for the generators' checks, and
+    then the solver's point-level checks are made: a point failing them
+    gives every trial that error, drawing none, and one failing the
+    generators' sends every trial through ``run_trial``.  The trials then
+    run in stacks of at most ``ERROR_BLOCK_ENTRIES`` truth entries (at
+    least one trial), each drawn by :func:`_draw` and solved in one call.
+    A stack whose draw or solve raises runs again trial by trial, so only
+    a failing trial gets an error record, with ``run_trial``'s message.
     """
     check, solve = _STACKED[point.algorithm]
     try:
-        first = _draw(point, trials[0][1])
+        design, meas = _draw(point, ())[1:]
     except Exception:
         return [run_trial(point, seed, t, success_threshold) for t, seed in trials]
+    fields = _point_fields(point)
     try:
-        check(first[1], first[2], point.rank)
+        check(design, meas, point.rank)
     except Exception as exc:
-        return [_record(point, seed, t, success_threshold, exc=exc) for t, seed in trials]
+        return [_record(fields, seed, t, success_threshold, exc=exc) for t, seed in trials]
+
+    def solved(chunk: list[tuple[int, int]]) -> list[TrialRecord]:
+        # what the stack holds is let go on return: one stack of truths at a time
+        x, design, meas = _draw(point, tuple(seed for _, seed in chunk))
+        sol = solve(meas, design, point.rank, x)
+        return [
+            _record(fields, seed, t, success_threshold, rel, 0, sol.runtime_seconds)
+            for (t, seed), rel in zip(chunk, sol.relative_error)
+        ]
+
     size = max(1, ERROR_BLOCK_ENTRIES // (point.m * point.n))
     records = []
     for i in range(0, len(trials), size):
         chunk = trials[i : i + size]
         try:
-            factors, designs, sets = [], [], []
-            for j, (_, seed) in enumerate(chunk):
-                truth, design, meas = first if i == j == 0 else _draw(point, seed)
-                factors.append((truth.left_factor, truth.right_factor, truth.seed))
-                designs.append(design)
-                sets.append(meas)
-            # Only the stacks and the truths' factors are kept: each dense
-            # truth is built again when its error is taken, and then let go.
-            meas = MeasurementSet.stack(sets)
-            del sets
-            design = MeasurementDesign.stack(designs)
-            del designs
-            truths = (GroundTruth(*truth).x for truth in factors)
-            sol = solve(meas, design, point.rank, truths)
+            records += solved(chunk)
         except Exception:  # contained trial by trial
             records += [run_trial(point, seed, t, success_threshold) for t, seed in chunk]
-            continue
-        records += [
-            _record(point, seed, t, success_threshold, rel, 0, sol.runtime_seconds)
-            for (t, seed), rel in zip(chunk, sol.relative_error)
-        ]
     return records
 
 

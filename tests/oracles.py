@@ -146,3 +146,36 @@ def product_norm(a: np.ndarray, b: np.ndarray) -> float:
     terms cancel to 0.0, while the product with ``T`` keeps the digits.
     """
     return float(np.linalg.norm(b @ np.linalg.qr(a, mode="r").T))
+
+
+def draw_oracle(
+    kind: DesignKind,
+    shape: tuple[int, int, int, int, int],
+    sigma: float,
+    seeds: tuple[int, int, int],
+) -> dict[str, np.ndarray]:
+    """Independent reference for one trial of ``gen_low_rank``,
+    ``gen_design`` and ``measure``: the stream order that
+    ``measurements`` documents, drawn with ``np.random.default_rng`` and
+    shaped draws, one trial per call, and the design applied by plain
+    indexing or products.  ``shape`` is ``(m, n, r, k1, k2)`` and
+    ``seeds`` the truth, design and noise seeds."""
+    m, n, r, k1, k2 = shape
+    truth_seed, design_seed, noise_seed = seeds
+    rng = np.random.default_rng(truth_seed)
+    out = {"left_factor": rng.standard_normal((m, r)), "right_factor": rng.standard_normal((n, r))}
+    x = out["x"] = out["left_factor"] @ out["right_factor"].T
+    rng = np.random.default_rng(design_seed)
+    if kind is DesignKind.GAUSSIAN_AFFINE:
+        out["a_row"], out["a_col"] = rng.standard_normal((k1, m)), rng.standard_normal((n, k2))
+        b_row, b_col = out["a_row"] @ x, x @ out["a_col"]
+    else:
+        out["row_indices"] = rng.choice(m, size=k1, replace=False)
+        out["col_indices"] = rng.choice(n, size=k2, replace=False)
+        b_row, b_col = x[out["row_indices"]], x[:, out["col_indices"]]
+    if sigma > 0:
+        rng = np.random.default_rng(noise_seed)
+        b_row = b_row + sigma * rng.standard_normal(b_row.shape)
+        b_col = b_col + sigma * rng.standard_normal(b_col.shape)
+    out["b_row"], out["b_col"] = b_row, b_col
+    return out

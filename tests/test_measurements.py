@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import draw_oracle
 from svls.measurements import (
     ERROR_BLOCK_ENTRIES,
     DesignKind,
@@ -273,3 +276,111 @@ class TestMeasure:
         t = gen_low_rank(4, 4, 1, seed=0)
         with pytest.raises(ValueError):
             t.x[0, 0] = 1.0
+
+
+class TestMeasureChecks:
+    def test_shape_and_sigma_checked_before_finiteness(self):
+        # a nan target must be refused for its shape, or for sigma, first:
+        # those checks come before the O(m*n) finiteness scan
+        d = gen_design(DesignKind.GAUSSIAN_AFFINE, 3, 3, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="design expects a 3x3 target, got 4x3"):
+            measure(np.full((4, 3), np.nan), d, 0.0, 0)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            measure(np.full((3, 3), np.nan), d, -1.0, 0)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_stack_needs_one_target_per_seed(self, kind):
+        x = gen_low_rank(4, 3, 1, (3, 4)).x
+        d = gen_design(kind, 4, 3, 2, 2, seed=(1, 2))
+        with pytest.raises(ValueError, match="2-d matrix, or a stack of one per noise seed"):
+            measure(x, d, 0.1, (5,))
+        with pytest.raises(ValueError, match="2-d matrix"):
+            measure(x, d, 0.1, 5)
+        for target, noise_seed, design in [
+            (x[:1], (5,), d),  # a stack of two designs, one target
+            (x[0], 5, d),  # a stack of designs, an unstacked target
+            (x, (5, 6), gen_design(kind, 4, 3, 2, 2, seed=1)),  # one design, two targets
+        ]:
+            with pytest.raises(ValueError, match="stacked alike, one target per trial"):
+                measure(target, design, 0.1, noise_seed)
+        assert measure(x, d, 0.1, (5, 6)).b_row.shape == (2, 2, 3)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1], [1, 1]], "repeats"),
+            ([[0, 1], [0, 4]], "outside"),
+            ([[0, 1], [-1, 2]], "outside"),
+        ],
+        ids=["repeated", "past_end", "negative"],
+    )
+    def test_bad_row_of_a_stacked_design_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=f"row_indices .*{message}"):
+            MeasurementDesign(
+                DesignKind.ROW_COL_SAMPLE, 4, 3, (0, 1), row_indices=rows,
+                col_indices=[[0], [1]],
+            )
+
+
+STACK_FUZZ = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def stacked_draws(draw):
+    """A design kind, ``(m, n, r, k1, k2)``, sigma, and per-trial seeds
+    ``(truth, design, noise)`` for a stack of one to five trials."""
+    kind = draw(st.sampled_from(list(DesignKind)))
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    r = draw(st.integers(1, min(m, n)))
+    top = (m, n) if kind is DesignKind.ROW_COL_SAMPLE else (6, 6)
+    k1, k2 = draw(st.integers(1, top[0])), draw(st.integers(1, top[1]))
+    sigma = draw(st.sampled_from([0.0, 0.1]))
+    trials = draw(st.lists(st.tuples(SEEDS, SEEDS, SEEDS), min_size=1, max_size=5))
+    return kind, (m, n, r, k1, k2), sigma, trials
+
+
+class TestStackedDraws:
+    """A tuple of seeds draws a stack: every trial's slice must be, bit
+    for bit, what its own seeds draw alone, and what the independent
+    per-trial oracle draws."""
+
+    @STACK_FUZZ
+    @given(case=stacked_draws())
+    def test_stack_equals_per_seed_calls_and_oracle(self, case):
+        kind, (m, n, r, k1, k2), sigma, trials = case
+        truth_seeds, design_seeds, noise_seeds = map(tuple, zip(*trials))
+        truth = gen_low_rank(m, n, r, truth_seeds)
+        design = gen_design(kind, m, n, k1, k2, design_seeds)
+        meas = measure(truth.x, design, sigma, noise_seeds)
+        assert truth.seed == truth_seeds and design.seed == design_seeds
+        assert meas.noise_seed == noise_seeds
+        assert (truth.rank, design.k1, design.k2, meas.sigma) == (r, k1, k2, sigma)
+        stacks = {"left_factor": truth.left_factor, "right_factor": truth.right_factor,
+                  "x": truth.x, "b_row": meas.b_row, "b_col": meas.b_col}
+        names = ("a_row", "a_col") if kind is DesignKind.GAUSSIAN_AFFINE else (
+            "row_indices", "col_indices")
+        stacks.update((name, getattr(design, name)) for name in names)
+        for name, stack in stacks.items():
+            assert len(stack) == len(trials) and not stack.flags.writeable, name
+        for j, seeds in enumerate(trials):
+            one_truth = gen_low_rank(m, n, r, seeds[0])
+            one_design = gen_design(kind, m, n, k1, k2, seeds[1])
+            one_meas = measure(one_truth.x, one_design, sigma, seeds[2])
+            alone = {"left_factor": one_truth.left_factor, "right_factor": one_truth.right_factor,
+                     "x": one_truth.x, "b_row": one_meas.b_row, "b_col": one_meas.b_col}
+            alone.update((name, getattr(one_design, name)) for name in names)
+            oracle = draw_oracle(kind, (m, n, r, k1, k2), sigma, seeds)
+            for name, stack in stacks.items():
+                assert not alone[name].flags.writeable, name
+                assert stack[j].shape == alone[name].shape == oracle[name].shape, name
+                assert stack[j].tobytes() == alone[name].tobytes() == oracle[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_stack_of_no_trials(self, kind):
+        # what a sweep draws to make a point's checks before any trial
+        truth = gen_low_rank(5, 4, 2, ())
+        design = gen_design(kind, 5, 4, 3, 2, ())
+        meas = measure(truth.x, design, 0.1, ())
+        assert truth.x.shape == (0, 5, 4) and (design.k1, design.k2) == (3, 2)
+        assert meas.b_row.shape == (0, 3, 4) and meas.b_col.shape == (0, 5, 2)

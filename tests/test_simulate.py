@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -560,6 +561,56 @@ class TestStackedPoints:
         want, _ = oracle_records(records, monkeypatch)
         assert records == want
 
+    def test_each_stack_drawn_in_one_call_of_each_generator(self, monkeypatch):
+        labels = {"gen_low_rank": "truth", "gen_design": "design", "measure": "noise"}
+        calls = {name: [] for name in labels}
+        for name, seen in calls.items():
+            fn = getattr(simulate, name)
+            monkeypatch.setattr(
+                simulate, name, lambda *args, fn=fn, seen=seen: seen.append(args[-1]) or fn(*args)
+            )
+        cfg = small_config(**dict(self.CONFIG, design_kinds=(DesignKind.ROW_COL_SAMPLE,),
+                                  k_values=((3, 3),), sigmas=(1e-3,), algorithms=("svls",)))
+        records = sweep(cfg)
+        monkeypatch.undo()
+        # no trial, for the point's checks, then a full and a partial
+        # stack, each trial with its own seeds
+        for name, seen in calls.items():
+            subseeds = [simulate._subseed(rec.seed, labels[name]) for rec in records]
+            assert seen == [(), tuple(subseeds[:24]), tuple(subseeds[24:])], name
+        want, _ = oracle_records(records, monkeypatch)
+        assert records == want
+
+
+class TestStackWorkingSet:
+    """A stack holds one stack of dense truths at a time: at 50 x 50 a
+    stack of 26 trials holds 26 x 2 500 x 8 B = 520 KB of truths, built
+    once for ``measure`` and the errors.  Beside it, the blocks, design,
+    solver temporaries and the errors' scratch took 0.41-0.58 MB at k = 8
+    (0.93-1.10 MB in all).  A second stack of truths, or a difference
+    stack of their size, would add 0.52 MB."""
+
+    BOUND = 1.3e6
+
+    @pytest.mark.parametrize(
+        "kind, algo",
+        [(DesignKind.GAUSSIAN_AFFINE, "svls"), (DesignKind.ROW_COL_SAMPLE, "svls"),
+         (DesignKind.ROW_COL_SAMPLE, "cur")],
+    )
+    def test_one_point_peak_allocation(self, kind, algo):
+        assert simulate.ERROR_BLOCK_ENTRIES // (50 * 50) == 26
+        point = TrialPoint(50, 50, 3, kind, 8, 8, 1e-3, algo)
+        trials = [(t, trial_seed(611, point, t)) for t in range(52)]
+        simulate._run_stacked(point, trials, 1e-4)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            records = simulate._run_stacked(point, trials, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(rec.error for rec in records)
+        assert peak < self.BOUND
+
 
 class TestStackContainment:
     CONFIG = dict(
@@ -584,14 +635,20 @@ class TestStackContainment:
         measure = simulate.measure
 
         def faulty(x, design, sigma, noise_seed):
+            # measure draws a stack of trials, or one trial (run_trial)
             meas = measure(x, design, sigma, noise_seed)
-            if noise_seed not in seeds:
+            stacked = isinstance(noise_seed, tuple)
+            hit = [j for j, s in enumerate(noise_seed if stacked else (noise_seed,)) if s in seeds]
+            if not hit:
                 return meas
             if failure == "draw":
                 raise RuntimeError("no measurement")
-            # a nan in W and in b_col: this trial's SVDs fail
+            # a nan in the target trial's W and b_col: its SVDs fail
             b_col = meas.b_col.copy()
-            b_col[design.row_indices[0], 0] = math.nan
+            trials = b_col if stacked else b_col[None]
+            rows = design.row_indices.reshape(-1, design.k1)
+            for j in hit:
+                trials[j, rows[j if stacked else 0][0], 0] = math.nan
             return dataclasses.replace(meas, b_col=b_col)
 
         monkeypatch.setattr(simulate, "measure", faulty)
