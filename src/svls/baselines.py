@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import (
-    MeasurementDesign, MeasurementSet, _freeze, _is_finite_nonnegative, _is_int,
+    MeasurementDesign, MeasurementSet, _freeze, _generator, _is_finite_nonnegative, _is_int,
 )
 from .recovery import (
     CORE_EIG_RTOL,
@@ -82,8 +82,7 @@ def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
     if min(m, n, k) < 1:
         raise ValueError("operator dimensions must be positive")
     _check_dense_size(m, n)
-    rng = np.random.default_rng(seed)
-    return _freeze(rng.standard_normal((k, m * n)))
+    return _freeze(_generator(seed).standard_normal((k, m * n)))
 
 
 def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +278,7 @@ def als_recover(
         left = u.basis @ solve_core(u, v, design, meas)
         right = np.array(v.basis)
     elif init == "random":
-        rng = np.random.default_rng(init_seed)
+        rng = _generator(init_seed)
         left = rng.standard_normal((design.m, r))
         right = rng.standard_normal((design.n, r))
     else:

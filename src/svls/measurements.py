@@ -30,8 +30,14 @@ every value is reproducible bit for bit from its seed:
 
 In a stack each trial draws, in that order, from its own generator
 seeded by its entry of the tuple, into its slice of the stack, so its
-values do not depend on the stack.  All returned arrays, stacked ones
-included, are marked read-only; values are safe to share across threads.
+values do not depend on the stack.  A seed is a nonnegative integer,
+Python's or numpy's (not a bool); any other seed raises ``ValueError``.
+A stack's generators are seeded in one pass: numpy's ``SeedSequence``
+builds each seed's entropy pool, and the pools are hashed into PCG64
+states together, as ``SeedSequence.generate_state`` hashes one, so
+each generator is the one ``default_rng`` builds from its seed.  All
+returned arrays, stacked ones included, are marked read-only; values are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -76,11 +82,67 @@ def _is_finite_nonnegative(value) -> bool:
     return 0 <= value <= sys.float_info.max
 
 
+def _seeds(seed) -> tuple[tuple[int, ...], bool]:
+    """The seeds of ``seed``, one or a tuple of them, and whether it was a
+    tuple (a stack); ValueError unless each is a nonnegative integer."""
+    stacked = isinstance(seed, tuple)
+    seeds = seed if stacked else (seed,)
+    for s in seeds:  # the exact type test spares most seeds the ABC check
+        if not ((type(s) is int or _is_int(s)) and s >= 0):
+            raise ValueError(f"a seed must be a nonnegative integer, got {s!r}")
+    return seeds, stacked
+
+
+# SeedSequence.generate_state's output hash, with numpy's INIT_B = 0x8B51F9DD
+# and MULT_B = 0x58F38DED: word i of the state is pool word i % 4, XORed with
+# INIT_B * MULT_B^i and multiplied by INIT_B * MULT_B^(i+1) (mod 2^32), then
+# v ^= v >> 16.  A PCG64 takes 8 words.
+_HASH_CONSTS = [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)]
+_HASH_XOR = np.array(_HASH_CONSTS[:8], dtype=np.uint32)
+_HASH_MUL = np.array(_HASH_CONSTS[1:], dtype=np.uint32)
+
+
+@functools.cache
+def _state_seed_sequence() -> type:
+    """A seed sequence that hands a PCG64 its precomputed state; built on
+    first use, so that importing this module does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeedSequence(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.state  # PCG64 asks for 4 uint64 words: the state
+
+    return StateSeedSequence
+
+
 def _generators(seed: int | tuple[int, ...]) -> tuple[list[np.random.Generator], bool]:
-    """One generator per seed, as ``np.random.default_rng`` builds it (less
-    its type dispatch), and whether a tuple of seeds asked for a stack."""
-    seeds = seed if isinstance(seed, tuple) else (seed,)
-    return [np.random.Generator(np.random.PCG64(s)) for s in seeds], isinstance(seed, tuple)
+    """One generator per seed, each as ``np.random.default_rng`` builds it,
+    and whether a tuple of seeds asked for a stack.
+
+    numpy's ``SeedSequence`` mixes each seed into its entropy pool; the
+    pools of all seeds are hashed into PCG64 states in one pass."""
+    seeds, stacked = _seeds(seed)
+    pools = np.empty((len(seeds), 2, 4), dtype="<u4")  # each pool twice: 8 words
+    for pool, s in zip(pools, seeds):
+        pool[...] = np.random.SeedSequence(s).pool
+    words = pools.reshape(-1, 8)
+    words ^= _HASH_XOR
+    words *= _HASH_MUL
+    words ^= words >> 16
+    # two little-endian words per uint64, as generate_state(4, np.uint64) pairs them
+    states = words.view("<u8").astype(np.uint64, copy=False)
+    seeded = _state_seed_sequence()
+    return [np.random.Generator(np.random.PCG64(seeded(s))) for s in states], stacked
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """One seed's generator: the one ``np.random.default_rng(seed)`` builds."""
+    return _generators((seed,))[0][0]
 
 
 def _normal(seed: int | tuple[int, ...], *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -304,9 +366,9 @@ def measure(
     equal ``design.rows(x)`` and ``design.cols(x)`` exactly (no noise
     stream is consumed).
     """
-    stacked = isinstance(noise_seed, tuple)
+    seeds, stacked = _seeds(noise_seed)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 + stacked or stacked and len(x) != len(noise_seed):
+    if x.ndim != 2 + stacked or stacked and len(x) != len(seeds):
         raise ValueError("x must be a 2-d matrix, or a stack of one per noise seed")
     if x.shape[-2:] != (design.m, design.n):
         raise ValueError(

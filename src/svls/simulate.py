@@ -40,13 +40,11 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .baselines import als_recover, gaussian_operator, svp_recover
 from .matio import format_float
 from .measurements import (
-    ERROR_BLOCK_ENTRIES, DesignKind, _is_finite_nonnegative, _is_int, gen_design,
-    gen_low_rank, measure,
+    ERROR_BLOCK_ENTRIES, DesignKind, _generator, _is_finite_nonnegative, _is_int,
+    gen_design, gen_low_rank, measure,
 )
 from .recovery import _check_cur, _check_svls, cur_recover, cur_stack, svls_recover, svls_stack
 
@@ -317,8 +315,8 @@ def run_trial(
             op = gaussian_operator(point.m, point.n, k, _subseed(seed, "design"))
             b = op @ truth.x.ravel()
             if point.sigma > 0:
-                rng = np.random.default_rng(_subseed(seed, "noise"))
-                b = b + point.sigma * rng.standard_normal(b.shape)
+                noise = _generator(_subseed(seed, "noise")).standard_normal(b.shape)
+                b = b + point.sigma * noise
             result = svp_recover(b, op, point.m, point.n, point.rank, truth=truth.x)
         else:
             x, design, meas = _draw(point, seed)

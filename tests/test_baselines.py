@@ -29,6 +29,16 @@ class TestGaussianOperator:
         with pytest.raises(ValueError):
             gaussian_operator(400, 400, 10, seed=0)
 
+    def test_draws_default_rng_stream(self):
+        op = gaussian_operator(4, 5, 7, seed=2**64 - 1)
+        ref = np.random.default_rng(2**64 - 1).standard_normal((7, 20))
+        assert op.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, (1, 2)], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            gaussian_operator(4, 5, 7, seed)
+
     def test_apply_uses_row_major_vec(self):
         # b = op @ vec(X) with the row-major vec: under the identity
         # operator SVP's first (line-search) step is X itself, and a
@@ -420,6 +430,19 @@ class TestAlsRecover:
         a = als_recover(meas, design, 2, init="random", init_seed=5)
         b = als_recover(meas, design, 2, init="random", init_seed=5)
         assert np.array_equal(a.x_hat, b.x_hat)
+
+    def test_random_init_draws_default_rng_stream(self):
+        truth = gen_low_rank(14, 14, 2, seed=3)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 14, 14, 4, 4, seed=4)
+        meas = measure(truth.x, design, 0.0, 0)
+        cfg = IterativeSolverConfig(max_iters=3)
+        rng = np.random.default_rng(5)
+        start = rng.standard_normal((14, 2)), rng.standard_normal((14, 2))
+        a = als_recover(meas, design, 2, cfg=cfg, init="random", init_seed=5)
+        b = als_recover(meas, design, 2, cfg=cfg, init=start)
+        assert a.x_hat.tobytes() == b.x_hat.tobytes()
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            als_recover(meas, design, 2, init="random", init_seed=-5)
 
     def test_estimate_rank_capped(self):
         truth = gen_low_rank(10, 10, 2, seed=1)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svls
 from oracles import draw_oracle
 from svls.measurements import (
     ERROR_BLOCK_ENTRIES,
     DesignKind,
     MeasurementDesign,
+    _generators,
     gen_design,
     gen_low_rank,
     measure,
@@ -384,3 +389,62 @@ class TestStackedDraws:
         meas = measure(truth.x, design, 0.1, ())
         assert truth.x.shape == (0, 5, 4) and (design.k1, design.k2) == (3, 2)
         assert meas.b_row.shape == (0, 3, 4) and meas.b_col.shape == (0, 5, 2)
+
+
+# every width of entropy numpy's SeedSequence takes from an integer
+GOOD_SEEDS = [0, 1, 2**32, 2**64 - 1, 2**130 + 3, np.int64(2**63 - 1), np.uint64(2**64 - 1)]
+BAD_SEEDS = [
+    None, True, np.bool_(True), -1, np.int64(-1), 1.5, np.float64(2.0), "7", [1, 2],
+    np.array(3), (1, None), ((1, 2),), (True,),
+]
+
+
+def assert_same_stream(rng, seed):
+    """``rng`` is the generator ``np.random.default_rng(seed)`` builds: the
+    same state, and the same draws of each kind the package makes."""
+    ref = np.random.default_rng(seed)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
+    assert np.array_equal(rng.choice(50, 9, replace=False), ref.choice(50, 9, replace=False))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestSeeds:
+    """A stack's generators are seeded in one pass, and must be those
+    ``default_rng`` builds; seeds are checked where the library takes them."""
+
+    @pytest.mark.parametrize("seed", GOOD_SEEDS, ids=repr)
+    def test_one_seed_draws_default_rng_stream(self, seed):
+        rngs, stacked = _generators(seed)
+        assert not stacked and len(rngs) == 1
+        assert_same_stream(rngs[0], seed)
+
+    def test_stack_draws_default_rng_stream_per_seed(self):
+        rngs, stacked = _generators(tuple(GOOD_SEEDS))
+        assert stacked and len(rngs) == len(GOOD_SEEDS)
+        for rng, seed in zip(rngs, GOOD_SEEDS):
+            assert_same_stream(rng, seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        x = np.ones((4, 3))
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 3, 2, 2, seed=0)
+        calls = [
+            lambda: gen_low_rank(4, 3, 1, seed),
+            lambda: gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 3, 2, 2, seed),
+            lambda: gen_design(DesignKind.ROW_COL_SAMPLE, 4, 3, 2, 2, seed),
+            lambda: measure(x, design, 0.1, seed),
+            lambda: measure(x, design, 0.0, seed),  # draws no noise, checks the seed
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                call()
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads on the first draw, not with the package
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svls.__file__)))
+        code = "import sys, svls; print('numpy.random' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
