@@ -4,7 +4,6 @@ from .baselines import (
     IterativeSolverConfig,
     als_recover,
     gaussian_operator,
-    rowcol_operator_matrix,
     svp_recover,
 )
 from .measurements import (
@@ -26,7 +25,6 @@ from .recovery import (
     relative_error,
     solve_core,
     svls_recover,
-    theoretical_bound,
 )
 from .simulate import (
     ExperimentConfig,
@@ -62,13 +60,11 @@ __all__ = [
     "gen_low_rank",
     "measure",
     "relative_error",
-    "rowcol_operator_matrix",
     "run_trial",
     "solve_core",
     "svls_recover",
     "svp_recover",
     "sweep",
-    "theoretical_bound",
     "trial_seed",
 ]
 

@@ -1,12 +1,13 @@
 """Iterative baselines used for speed/accuracy comparisons.
 
 ``svp_recover`` is singular value projection (iterative hard
-thresholding) on a dense affine operator over the flattened target; it
-is the standard-design baseline and, by the parity rule used in the
-simulation harness, is allotted ``k1*n + k2*m`` scalar measurements to
-match the row/column budget.  Its one step rule is a Barzilai-Borwein
-(or, with no last update, line-search) trial that is divided by 4 until
-the objective does not rise, so it needs no bound on ``sigma_max(op)``.
+thresholding) on a dense operator over the flattened target, the
+standard-design baseline that the simulation harness allots
+``k1*n + k2*m`` scalar measurements to match the row/column budget, or
+on a row/column design through its ``rows``, ``cols`` and ``adjoint``.
+Its one step rule is a Barzilai-Borwein (or, with no last update,
+line-search) trial that is divided by 4 until the objective does not
+rise, so it needs no bound on ``sigma_max(op)``.
 ``als_recover`` alternately refits the two factors of ``X = L @ R.T``
 against the row/column blocks, starting from the one-shot SVD+LS
 estimate (so it isolates the value of iterative refinement); random or
@@ -16,7 +17,7 @@ before ``max_iters``.
 
 ALS's half-steps are PSD Sylvester equations, solved by ``solve_core``'s
 solver.  The cap of 1e5 target entries applies only to the dense
-operators of SVP and of ``rowcol_operator_matrix``.
+operator ``gaussian_operator`` draws.
 """
 
 from __future__ import annotations
@@ -66,22 +67,17 @@ class IterativeSolverConfig:
             raise ValueError("tol must be positive and finite")
 
 
-def _check_dense_size(m: int, n: int) -> None:
-    """Reject an m x n target too large for a dense system over its m*n entries."""
+def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
+    """Draw a read-only k x (m*n) dense Gaussian sensing operator: row i is
+    a flattened i.i.d. standard normal sensing matrix acting on the
+    row-major vec of X.  Targets above ``MAX_TARGET_ENTRIES`` are refused."""
+    if min(m, n, k) < 1:
+        raise ValueError("operator dimensions must be positive")
     if m * n > MAX_TARGET_ENTRIES:
         raise ValueError(
             f"target has {m * n} entries, above the dense-operator cap of "
             f"{MAX_TARGET_ENTRIES}"
         )
-
-
-def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
-    """Draw a read-only k x (m*n) dense Gaussian sensing operator: row i is
-    a flattened i.i.d. standard normal sensing matrix acting on the
-    row-major vec of X."""
-    if min(m, n, k) < 1:
-        raise ValueError("operator dimensions must be positive")
-    _check_dense_size(m, n)
     return _freeze(_generator(seed).standard_normal((k, m * n)))
 
 
@@ -92,25 +88,38 @@ def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r] * s[:r], vt[:r].T
 
 
+def _operator(op: np.ndarray | MeasurementDesign, m: int, n: int) -> tuple:
+    """The forward map ``X -> A(X)`` and its adjoint ``res -> A*(res)``
+    (m x n) of a matrix acting on the row-major vec of X, or of a design,
+    whose measurements are ``rows(X).ravel()`` then ``cols(X).ravel()``."""
+    if not isinstance(op, MeasurementDesign):
+        return (lambda x: op @ x.ravel()), (lambda res: (op.T @ res).reshape(m, n))
+    split = op.k1 * n
+    return (
+        lambda x: np.concatenate([op.rows(x).ravel(), op.cols(x).ravel()]),
+        lambda res: op.adjoint(res[:split].reshape(-1, n), res[split:].reshape(m, -1)),
+    )
+
+
 def _projected_step(
-    x: np.ndarray, grad: np.ndarray, eta: float, op: np.ndarray, b: np.ndarray, r: int
+    x: np.ndarray, grad: np.ndarray, eta: float, forward, b: np.ndarray, r: int
 ) -> tuple:
     """One SVP update ``TruncSVD_r(x - eta * grad)`` as ``(left, right,
-    x_new, resid, objective)``; the objective is inf, and nothing else is
-    computed, when the gradient step is not finite (LAPACK's SVD does not
-    return on infinite input)."""
+    x_new, resid, objective)``, with ``resid = forward(x_new) - b``; the
+    objective is inf, and nothing else is computed, when the gradient
+    step is not finite (LAPACK's SVD does not return on infinite input)."""
     y = x - eta * grad
     if not np.isfinite(y).all():
         return None, None, None, None, math.inf
     left, right = _truncate_svd(y, r)
     x_new = left @ right.T
-    resid = op @ x_new.ravel() - b
+    resid = forward(x_new) - b
     return left, right, x_new, resid, float(resid @ resid)
 
 
 def svp_recover(
     b: np.ndarray,
-    op: np.ndarray,
+    op: np.ndarray | MeasurementDesign,
     m: int,
     n: int,
     r: int,
@@ -118,42 +127,51 @@ def svp_recover(
     truth: np.ndarray | None = None,
 ) -> RecoveryResult:
     """Singular value projection: projected gradient descent on
-    ``||op @ vec(X) - b||^2`` over the rank-r set, for a k x (m*n)
-    operator ``op`` acting on the row-major vec of X.
+    ``||A(X) - b||^2`` over the rank-r set.  ``op`` is a k x (m*n) matrix,
+    ``A(X) = op @ vec(X)`` on the row-major vec of X, or an unstacked
+    design, ``A(X)`` its blocks ``rows(X)`` and ``cols(X)`` raveled in
+    turn (as ``b`` holds ``b_row`` and ``b_col``) and ``A*`` its
+    ``adjoint``; on a design the result carries both blocks' residuals.
 
-    Iterates ``X <- TruncSVD_r(X - eta * reshape(op.T @ (op @ vec(X) - b)))``
-    from ``X = 0``.  The step ``eta`` is the Barzilai-Borwein step
-    ``||dX||^2 / ||op @ vec(dX)||^2`` of the last update or, with none
-    (or one in the null space of ``op``), the line-search step
-    ``||G||^2 / ||op @ vec(G)||^2`` along the gradient G, divided by
-    ``BACKOFF`` while the projected trial would raise the objective.
-    Majorization forbids a rise once ``eta <= 1/sigma_max(op)^2``, so the
-    objective is nonincreasing without that bound being computed;
-    ``MAX_BACKOFFS`` caps the shrinks against rounding, and reaching it
-    ends the iteration at the last accepted iterate, with
-    ``converged=False``.
+    Iterates ``X <- TruncSVD_r(X - eta * A*(A(X) - b))`` from ``X = 0``.
+    The step ``eta`` is the Barzilai-Borwein step ``||dX||^2 /
+    ||A(dX)||^2`` of the last update or, with none (or one in the null
+    space of ``A``), the line-search step ``||G||^2 / ||A(G)||^2`` along
+    the gradient G, divided by ``BACKOFF`` while the projected trial
+    would raise the objective.  Majorization forbids a rise once
+    ``eta <= 1/sigma_max(A)^2``, so the objective is nonincreasing
+    without that bound being computed; ``MAX_BACKOFFS`` caps the shrinks
+    against rounding, and reaching it ends the iteration at the last
+    accepted iterate, with ``converged=False``.
 
     Nonconvergence is not an error: the result carries the iteration
     count, the final objective and ``converged`` either way.  Non-finite
-    ``b`` or ``op`` raise ``ValueError``.
+    ``b``, ``op`` entries or design sensing matrices raise ``ValueError``.
     """
     cfg = cfg or IterativeSolverConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
-    if op.ndim != 2 or op.shape[1] != m * n:
+    if isinstance(op, MeasurementDesign):
+        held = op.a_row if op.a_row is not None else op.row_indices[:, None]
+        if (op.m, op.n) != (m, n) or held.ndim != 2:  # nor a stacked design
+            raise ValueError("design inconsistent with target dimensions")
+        k, sensing = op.total_measurements, (op.a_row, op.a_col) if op.a_row is not None else ()
+    elif op.ndim != 2 or op.shape[1] != m * n:
         raise ValueError("operator shape inconsistent with target dimensions")
-    k = op.shape[0]
+    else:
+        k, sensing = op.shape[0], (op,)
     if b.shape[0] != k:
         raise ValueError(f"expected {k} measurements, got {b.shape[0]}")
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
     if not np.isfinite(b).all():
         raise ValueError("measurements must be finite")
-    if not np.isfinite(op).all():
+    if not all(np.isfinite(a).all() for a in sensing):
         raise ValueError("operator entries must be finite")
+    forward, adjoint = _operator(op, m, n)
     t0 = time.perf_counter()
     x = np.zeros((m, n))
     left, right = np.zeros((m, r)), np.zeros((n, r))
-    resid = -b  # op @ vec(0) - b
+    resid = -b  # A(0) - b
     history = [float(resid @ resid)]
     bb = 0.0  # Barzilai-Borwein step of the last update; 0 means none
     iterations = 0
@@ -161,27 +179,27 @@ def svp_recover(
     # Overflow is caught below as a non-finite objective, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_iters):
-            grad = (op.T @ resid).reshape(m, n)
+            grad = adjoint(resid)
             if bb > 0:
                 eta = bb
             else:  # exact line search along -grad
-                g = op @ grad.ravel()
+                g = forward(grad)
                 g_sq = float(g @ g)
                 # g = 0 only if grad = 0, when every eta gives the same iterate
                 eta = float(np.vdot(grad, grad)) / g_sq if g_sq > 0 else 1.0
-            trial = _projected_step(x, grad, eta, op, b, r)
+            trial = _projected_step(x, grad, eta, forward, b, r)
             backoffs = 0
             while not trial[-1] <= history[-1] and backoffs < MAX_BACKOFFS:
                 eta /= BACKOFF
                 backoffs += 1
-                trial = _projected_step(x, grad, eta, op, b, r)
+                trial = _projected_step(x, grad, eta, forward, b, r)
             if not trial[-1] <= history[-1]:
                 break
             left, right, x_new, resid_new, objective = trial
             iterations += 1
             history.append(objective)
             step = float(np.linalg.norm(x_new - x))
-            dr = resid_new - resid  # op @ vec(x_new - x)
+            dr = resid_new - resid  # A(x_new - x)
             dr_sq = float(dr @ dr)
             bb = step * step / dr_sq if dr_sq > 0 else 0.0
             x, resid = x_new, resid_new
@@ -189,6 +207,9 @@ def svp_recover(
                 converged = True
                 break
     runtime = time.perf_counter() - t0
+    row_res = col_res = None
+    if isinstance(op, MeasurementDesign):  # the two blocks of the final residual
+        row_res, col_res = (float(np.linalg.norm(p)) for p in np.split(resid, [op.k1 * n]))
     left = _freeze(left)
     right.flags.writeable = False  # a transposed view of this call's SVD output
     return RecoveryResult(
@@ -197,6 +218,8 @@ def svp_recover(
         rank_used=r,
         algorithm="svp",
         runtime_seconds=runtime,
+        row_residual=row_res,
+        col_residual=col_res,
         relative_error=None if truth is None else relative_error(left, right, truth),
         iterations=iterations,
         final_objective=history[-1],
@@ -324,16 +347,3 @@ def als_recover(
         converged=converged,
     )
 
-
-def rowcol_operator_matrix(design: MeasurementDesign) -> np.ndarray:
-    """Flatten a row/column design into a dense ``(k1*n + k2*m) x (m*n)``
-    operator acting on the row-major vec of the target.
-
-    Rows are ordered as ``b_row.ravel()`` followed by ``b_col.ravel()``,
-    so ``op @ vec(X)`` equals the concatenated measurement blocks.
-    """
-    _check_dense_size(design.m, design.n)
-    a_row, a_col = design.operators()
-    top = np.kron(a_row, np.eye(design.n))
-    bottom = np.kron(np.eye(design.m), a_col.T)
-    return np.vstack([top, bottom])

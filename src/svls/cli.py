@@ -11,7 +11,9 @@ Subcommands chain into reproducible pipelines::
 
 ``sweep`` runs its trials on one thread unless ``--jobs`` asks for more;
 small trials spend most of their time in Python, which threads do not
-overlap, so extra threads slow them down.
+overlap, so extra threads slow them down.  ``recover --algo svp`` runs
+SVP on the stored design itself, through its ``rows``, ``cols`` and
+``adjoint``, so no target size is refused; its iterate is dense m x n.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors (which
 print a single ``error: ...`` line to standard error).  When a ``--seed``
@@ -22,7 +24,6 @@ or ``--noise-seed`` flag is absent, its default comes from the
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -30,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import matio, simulate
-from .baselines import als_recover, rowcol_operator_matrix, svp_recover
+from .baselines import als_recover, svp_recover
 from .measurements import DesignKind, gen_design, gen_low_rank, measure
-from .recovery import block_residuals, cur_recover, estimate_rank, svls_recover
+from .recovery import cur_recover, estimate_rank, svls_recover
 
 
 def _positive_int(text: str) -> int:
@@ -128,14 +129,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         result = cur_recover(meas, design, truth=truth)
     elif args.algo == "als":
         result = als_recover(meas, design, rank, truth=truth)
-    else:  # svp on the flattened row/column operator
-        op = rowcol_operator_matrix(design)
+    else:  # svp on the row/column design itself
         b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
-        result = svp_recover(b, op, design.m, design.n, rank, truth=truth)
-        row_res, col_res = block_residuals(result.left, result.right, design, meas)
-        result = dataclasses.replace(
-            result, row_residual=row_res, col_residual=col_res
-        )
+        result = svp_recover(b, design, design.m, design.n, rank, truth=truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     matio.write_matrix(out / "x_hat.csv", result.x_hat)

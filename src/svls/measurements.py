@@ -11,12 +11,12 @@ sampling (``ROW_COL_SAMPLE``), whose measurements are single entries of
 X: that design is its two index vectors, applied by the gathers
 ``X[rows]`` and ``X[:, cols]``, which for finite input give the same
 bits as products with 0/1 selection matrices.  ``MeasurementDesign.rows``
-and ``cols`` are the only places a design is applied, and ``operators``
-builds the dense matrices for the solvers that need them.  A ground truth is
-held as its factors.  Given a tuple of seeds, ``gen_low_rank``,
-``gen_design`` and ``measure`` draw a stack of trials, on a leading
-trial axis, for the stacked solvers of ``recovery``; one seed is the
-one-trial case of the same code.
+and ``cols``, and their ``adjoint``, are the only places a design is
+applied, and ``operators`` builds the dense matrices for the solvers
+that need them.  A ground truth is held as its factors.  Given a tuple
+of seeds, ``gen_low_rank``, ``gen_design`` and ``measure`` draw a stack
+of trials, on a leading trial axis, for the stacked solvers of
+``recovery``; one seed is the one-trial case of the same code.
 
 All randomness flows through numpy's PCG64 generator (as
 ``numpy.random.default_rng`` builds it) with a fixed stream order, so
@@ -284,6 +284,18 @@ class MeasurementDesign:
             return y[..., self.col_indices]
         # laid out as y[:, cols] lays out each trial's gather: column-major
         return y.mT[np.arange(len(y))[:, None], self.col_indices].mT
+
+    def adjoint(self, b_row: np.ndarray, b_col: np.ndarray) -> np.ndarray:
+        """``a_row.T @ b_row + b_col @ a_col.T`` for an unstacked design:
+        the m x n adjoint of :meth:`rows` and :meth:`cols` at a k1 x n
+        ``b_row`` and an m x k2 ``b_col``.  A sampling design scatter-adds
+        the blocks, which is exact because its indices are distinct."""
+        if self.a_row is not None:
+            return self.a_row.T @ b_row + b_col @ self.a_col.T
+        out = np.zeros((self.m, self.n))
+        out[self.row_indices] = b_row
+        out[:, self.col_indices] += b_col
+        return out
 
     def operators(self) -> tuple[np.ndarray, np.ndarray]:
         """The dense ``(a_row, a_col)`` of an unstacked design, for the

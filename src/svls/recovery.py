@@ -477,35 +477,3 @@ def estimate_rank(b_row: np.ndarray, b_col: np.ndarray, sigma: float) -> int:
 
     return min(count(b_row), count(b_col))
 
-
-def theoretical_bound(
-    design: MeasurementDesign,
-    sigma: float,
-    r: int,
-    sing_vals: np.ndarray,
-) -> float:
-    """Model upper bound on the Frobenius reconstruction error at noise
-    level ``sigma``.
-
-    First-order noise propagation: per-scalar noise of size ``sigma``
-    enters ``k1*n`` row measurements and ``k2*m`` column measurements,
-    amplified by the conditioning ``s1/sr`` of the retained spectrum
-    (the subspace estimates degrade as the r-th singular value shrinks).
-    The bound is 0 exactly at ``sigma = 0`` and scales linearly with
-    ``sigma``; its absolute constant is conservative rather than sharp.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
-    if sigma == 0.0:
-        return 0.0
-    sv = np.sort(np.abs(np.asarray(sing_vals, dtype=np.float64)))[::-1]
-    if sv.size >= r and sv[r - 1] > 0:
-        kappa = float(sv[0] / sv[r - 1])
-    elif sv.size == 0:
-        kappa = 1.0
-    else:
-        return math.inf
-    spread = math.sqrt(design.k1 * design.n) + math.sqrt(design.k2 * design.m)
-    return sigma * spread * (1.0 + 2.0 * kappa)

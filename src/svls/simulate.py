@@ -302,11 +302,12 @@ def run_trial(
 ) -> TrialRecord:
     """Generate, measure, and recover one instance; pure in (point, seed).
 
-    The ``svp`` baseline runs on a fresh dense Gaussian operator with
-    ``k1*n + k2*m`` scalar measurements (budget parity with the
-    row/column design); the other algorithms consume the row/column
-    blocks directly.  Any exception from a component is captured in the
-    record's error tag, an unknown ``point.design`` string included.
+    The ``svp`` record is the standard-design baseline: SVP on a fresh
+    dense Gaussian operator with ``k1*n + k2*m`` scalar measurements
+    (budget parity with the row/column design), whatever ``point.design``
+    says; the other algorithms consume the row/column blocks directly.
+    Any exception from a component is captured in the record's error
+    tag, an unknown ``point.design`` string included.
     """
     try:
         if point.algorithm == "svp":

@@ -179,3 +179,17 @@ def draw_oracle(
         b_col = b_col + sigma * rng.standard_normal(b_col.shape)
     out["b_row"], out["b_col"] = b_row, b_col
     return out
+
+
+def rowcol_operator_matrix(design: MeasurementDesign) -> np.ndarray:
+    """Flatten a row/column design into a dense ``(k1*n + k2*m) x (m*n)``
+    Kronecker operator acting on the row-major vec of the target: the
+    reference for the design's own forward map and ``adjoint``.
+
+    Rows are ordered as ``b_row.ravel()`` followed by ``b_col.ravel()``,
+    so ``op @ vec(X)`` equals the concatenated measurement blocks.
+    """
+    a_row, a_col = design.operators()
+    top = np.kron(a_row, np.eye(design.n))
+    bottom = np.kron(np.eye(design.m), a_col.T)
+    return np.vstack([top, bottom])

@@ -259,10 +259,9 @@ def test_criterion_8_determinism_and_containment(tmp_path):
 
 
 def test_criterion_9_bound_domination():
-    """Gated: ``theoretical_bound``'s constants are an unproven
-    first-order model, not a derived bound, so the domination check
-    stays off until a bound is proven (ROADMAP item 5)."""
+    """Gated: no error bound is proven in the repo yet, so the
+    domination check stays off until one is (ROADMAP item 5)."""
     pytest.skip(
-        "gated: theoretical_bound's constants are an unproven model; the "
-        "empirical domination check waits for a proven bound (ROADMAP item 5)"
+        "gated: no error bound is proven in the repo yet; the empirical "
+        "domination check waits for a proven bound (ROADMAP item 5)"
     )

@@ -4,18 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import core_objective, product_norm
+from oracles import core_objective, product_norm, rowcol_operator_matrix
 
 from svls import baselines
-from svls.baselines import (
-    IterativeSolverConfig,
-    als_recover,
-    gaussian_operator,
-    rowcol_operator_matrix,
-    svp_recover,
-)
+from svls.baselines import IterativeSolverConfig, als_recover, gaussian_operator, svp_recover
 from svls.measurements import DesignKind, gen_design, gen_low_rank, measure
-from svls.recovery import estimate_col_space, estimate_row_space, solve_core
+from svls.recovery import block_residuals, estimate_col_space, estimate_row_space, solve_core
 
 
 class TestGaussianOperator:
@@ -280,6 +274,7 @@ class TestProjectedStep:
     def setup_method(self):
         truth = gen_low_rank(6, 5, 1, seed=3)
         self.op = gaussian_operator(6, 5, 20, seed=4)
+        self.forward, _ = baselines._operator(self.op, 6, 5)
         self.b = self.op @ truth.x.ravel()
         self.grad = (self.op.T @ -self.b).reshape(6, 5)  # the gradient at X = 0
 
@@ -296,13 +291,13 @@ class TestProjectedStep:
         if bad is not None:
             grad[2, 3] = bad
         with np.errstate(over="ignore", invalid="ignore"):
-            trial = baselines._projected_step(np.zeros((6, 5)), grad, eta, self.op, self.b, 1)
+            trial = baselines._projected_step(np.zeros((6, 5)), grad, eta, self.forward, self.b, 1)
         assert trial == (None, None, None, None, math.inf)
 
     def test_finite_trial_is_the_truncated_step(self):
         eta = 1e-3
         left, right, x_new, resid, objective = baselines._projected_step(
-            np.zeros((6, 5)), self.grad, eta, self.op, self.b, 1
+            np.zeros((6, 5)), self.grad, eta, self.forward, self.b, 1
         )
         u, s, vt = np.linalg.svd(-eta * self.grad)
         assert np.allclose(x_new, s[0] * np.outer(u[:, 0], vt[0]), rtol=0, atol=1e-12)
@@ -546,13 +541,88 @@ class TestRowcolOperatorMatrix:
         assert np.allclose(op @ truth.x.ravel(), stacked, atol=1e-12)
 
 
+def rowcol_instance(kind, m, n, r, k, sigma=0.0, seed=0):
+    """A design, its measurements and SVP's ``b`` for them: ``b_row``
+    then ``b_col``, raveled, as ``rowcol_operator_matrix`` orders them."""
+    design = gen_design(kind, m, n, k, k, seed=seed + 10)
+    meas = measure(gen_low_rank(m, n, r, seed=seed).x, design, sigma, noise_seed=seed + 20)
+    return design, meas, np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
+
+
+class TestDesignOperator:
+    """SVP on a design, applied through ``rows``, ``cols`` and ``adjoint``,
+    against the same SVP on the design's Kronecker copy, the oracle
+    ``rowcol_operator_matrix``."""
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_forward_and_adjoint_match_kronecker_oracle(self, kind):
+        m, n = 9, 7
+        design = gen_design(kind, m, n, 4, 3, seed=5)
+        op = rowcol_operator_matrix(design)
+        forward, adjoint = baselines._operator(design, m, n)
+        rng = np.random.default_rng(6)
+        x, res = rng.standard_normal((m, n)), rng.standard_normal(op.shape[0])
+        assert_close(forward(x), op @ x.ravel(), rtol=1e-12)
+        assert_close(adjoint(res), (op.T @ res).reshape(m, n), rtol=1e-12)
+        if kind is DesignKind.ROW_COL_SAMPLE:  # gathers and a scatter-add: exact
+            assert np.array_equal(forward(x), op @ x.ravel())
+            assert np.array_equal(adjoint(res), (op.T @ res).reshape(m, n))
+        # <A(X), R> = <X, A*(R)>
+        gap = float(forward(x) @ res) - float(np.vdot(x, adjoint(res)))
+        assert abs(gap) <= 1e-12 * np.linalg.norm(forward(x)) * np.linalg.norm(res)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_svp_on_a_sampling_design_is_the_kronecker_path(self, sigma):
+        m, n, r = 20, 16, 2
+        design, meas, b = rowcol_instance(DesignKind.ROW_COL_SAMPLE, m, n, r, 5, sigma)
+        cfg = IterativeSolverConfig(max_iters=60)
+        want = svp_recover(b, rowcol_operator_matrix(design), m, n, r, cfg=cfg)
+        got = svp_recover(b, design, m, n, r, cfg=cfg)
+        assert got.iterations == want.iterations
+        assert got.objective_history == want.objective_history
+        assert got.left.tobytes() == want.left.tobytes()
+        assert got.right.tobytes() == want.right.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_svp_on_a_gaussian_design_agrees_with_the_kronecker_path(self, seed):
+        m, n, r = 20, 16, 2
+        design, meas, b = rowcol_instance(DesignKind.GAUSSIAN_AFFINE, m, n, r, 8, seed=seed)
+        want = svp_recover(b, rowcol_operator_matrix(design), m, n, r)
+        got = svp_recover(b, design, m, n, r)
+        assert want.converged and got.converged
+        assert_close(got.x_hat, want.x_hat, rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_block_residuals_split_from_the_final_residual(self, kind):
+        m, n, r = 20, 16, 2
+        design, meas, b = rowcol_instance(kind, m, n, r, 5, sigma=0.05)
+        result = svp_recover(b, design, m, n, r, cfg=IterativeSolverConfig(max_iters=30))
+        want = block_residuals(result.left, result.right, design, meas)
+        got = (result.row_residual, result.col_residual)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(b))
+        cfg = IterativeSolverConfig(max_iters=1)
+        on_matrix = svp_recover(b, rowcol_operator_matrix(design), m, n, r, cfg=cfg)
+        assert on_matrix.row_residual is None and on_matrix.col_residual is None
+
+    def test_design_checked_like_an_operator(self):
+        design, _, b = rowcol_instance(DesignKind.GAUSSIAN_AFFINE, 6, 5, 1, 2)
+        with pytest.raises(ValueError, match="design inconsistent"):
+            svp_recover(b, design, 5, 6, 1)
+        stacked = gen_design(DesignKind.ROW_COL_SAMPLE, 6, 5, 2, 2, seed=(1, 2))
+        with pytest.raises(ValueError, match="design inconsistent"):
+            svp_recover(b, stacked, 6, 5, 1)
+        with pytest.raises(ValueError, match="expected 22 measurements"):
+            svp_recover(b[:-1], design, 6, 5, 1)
+        a_row = np.array(design.a_row)
+        a_row[1, 2] = np.nan
+        bad = dataclasses.replace(design, a_row=a_row)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            svp_recover(b, bad, 6, 5, 1)
+
+
 def dense_builders(m, n):
-    """The two callers of the dense-size cap, on an m x n target."""
-    design = gen_design(DesignKind.GAUSSIAN_AFFINE, m, n, 2, 2, seed=1)
-    return {
-        "gaussian_operator": lambda: gaussian_operator(m, n, 2, seed=0),
-        "rowcol_operator_matrix": lambda: rowcol_operator_matrix(design),
-    }
+    """The one caller of the dense-size cap, on an m x n target."""
+    return {"gaussian_operator": lambda: gaussian_operator(m, n, 2, seed=0)}
 
 
 class TestDenseSizeCap:
@@ -571,6 +641,16 @@ class TestDenseSizeCap:
             dense_builders(5, 7)[name]()
         with pytest.raises(ValueError, match="31 entries"):
             dense_builders(1, 31)[name]()
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_svp_on_a_design_has_no_cap(self, kind):
+        # the Kronecker copy of this design would be 2 604 x 100 400 (2.1 GB)
+        m, n = 400, 251
+        assert m * n > baselines.MAX_TARGET_ENTRIES
+        design, _, b = rowcol_instance(kind, m, n, 2, 4)
+        result = svp_recover(b, design, m, n, 2, cfg=IterativeSolverConfig(max_iters=2))
+        assert result.iterations == 2
+        assert result.final_objective < result.objective_history[0]
 
 
 class TestIterativeSolverConfig:

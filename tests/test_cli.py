@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from svls import cli
 from svls.cli import build_parser, main
-from svls.matio import read_matrix, write_design, write_matrix, write_measurement_set
+from svls.matio import (
+    read_matrix,
+    read_measurement_set,
+    write_design,
+    write_matrix,
+    write_measurement_set,
+)
 from svls.measurements import (
     DesignKind,
     MeasurementDesign,
@@ -12,6 +19,7 @@ from svls.measurements import (
     gen_low_rank,
     measure,
 )
+from svls.recovery import block_residuals
 
 
 def run_cli(*argv):
@@ -156,6 +164,34 @@ class TestMeasureAndRecover:
             assert isinstance(result["converged"], bool)
             assert result["row_residual"] >= 0
             assert result["col_residual"] >= 0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rowcol"])
+    def test_recover_svp_residuals_are_its_block_residuals(self, monkeypatch, tmp_path, kind):
+        # svp runs on the design itself and splits its own final residual
+        results = []
+        svp_recover = cli.svp_recover
+
+        def spy(*args, **kwargs):
+            results.append(svp_recover(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "svp_recover", spy)
+        x = tmp_path / "x.csv"
+        run_cli("gen-matrix", "--m", 12, "--n", 10, "--rank", 2, "--seed", 7, "--out", x)
+        run_cli("gen-design", "--kind", kind, "--m", 12, "--n", 10, "--k1", 3, "--k2", 3,
+                "--seed", 5, "--out", tmp_path / "design")
+        run_cli("measure", "--x", x, "--design", tmp_path / "design", "--sigma", 0.01,
+                "--noise-seed", 1, "--out", tmp_path / "meas")
+        out = tmp_path / "rec"
+        assert run_cli("recover", "--meas", tmp_path / "meas", "--algo", "svp",
+                       "--rank", 2, "--out", out) == 0
+        (result,) = results
+        meas, design = read_measurement_set(tmp_path / "meas")
+        want = block_residuals(result.left, result.right, design, meas)
+        written = json.loads((out / "result.json").read_text())
+        b_norm = np.hypot(np.linalg.norm(meas.b_row), np.linalg.norm(meas.b_col))
+        assert np.allclose((written["row_residual"], written["col_residual"]), want,
+                           rtol=0, atol=1e-12 * b_norm)
 
     def test_recover_rank_auto(self, pipeline, tmp_path):
         x, _, meas = pipeline

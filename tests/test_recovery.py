@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import core_objective, product_norm, solve_core_bruteforce
+from oracles import core_objective, product_norm, rowcol_operator_matrix, solve_core_bruteforce
 
 from svls import recovery
-from svls.baselines import als_recover, rowcol_operator_matrix, svp_recover
+from svls.baselines import als_recover, svp_recover
 from svls.measurements import (
     DesignKind,
     MeasurementDesign,
@@ -26,7 +26,6 @@ from svls.recovery import (
     relative_error,
     solve_core,
     svls_recover,
-    theoretical_bound,
 )
 
 
@@ -64,10 +63,9 @@ def recover_with(algo, truth, sigma=0.05):
         result = cur_recover(meas, design, truth=truth.x)
     elif algo == "als":
         result = als_recover(meas, design, 2, truth=truth.x)
-    else:
-        op = rowcol_operator_matrix(design)
+    else:  # svp on the design itself
         b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
-        result = svp_recover(b, op, 18, 15, 2, truth=truth.x)
+        result = svp_recover(b, design, 18, 15, 2, truth=truth.x)
     return result, design, meas
 
 
@@ -547,28 +545,6 @@ class TestEstimateRank:
         assert estimate_rank(meas.b_row, meas.b_col, 1e-6) == 3
 
 
-class TestTheoreticalBound:
-    def test_zero_noise_gives_zero(self):
-        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 10, 10, 3, 3, seed=1)
-        assert theoretical_bound(design, 0.0, 2, np.array([5.0, 1.0])) == 0.0
-
-    def test_nondecreasing_in_sigma(self):
-        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 10, 10, 3, 3, seed=1)
-        sv = np.array([5.0, 1.0])
-        values = [theoretical_bound(design, s, 2, sv) for s in (0.0, 0.01, 0.02, 0.1, 1.0)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert all(v >= 0 for v in values)
-
-    def test_negative_sigma_rejected(self):
-        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, seed=0)
-        with pytest.raises(ValueError):
-            theoretical_bound(design, -0.1, 1, np.array([1.0]))
-
-    def test_rank_deficient_spectrum_gives_infinite_bound(self):
-        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, seed=0)
-        assert theoretical_bound(design, 0.1, 2, np.array([1.0, 0.0])) == math.inf
-
-
 class TestFactoredResult:
     @pytest.mark.parametrize("seed", range(5))
     def test_svls_x_hat_is_dense_expression(self, seed):
@@ -628,10 +604,7 @@ class TestFactoredResult:
         dense = dense_residuals(result.x_hat, design, meas)
         factored = block_residuals(result.left, result.right, design, meas)
         assert np.allclose(factored, dense, rtol=0, atol=1e-10)
-        if algo != "svp":  # svp runs without the row/column blocks
-            assert np.allclose(
-                (result.row_residual, result.col_residual), dense, rtol=0, atol=1e-10
-            )
+        assert np.allclose((result.row_residual, result.col_residual), dense, rtol=0, atol=1e-10)
 
 
 class TestGatherOracle:
