@@ -10,8 +10,7 @@ line-search) trial that is divided by 4 until the objective does not
 rise, so it needs no bound on ``sigma_max(op)``.
 ``als_recover`` alternately refits the two factors of ``X = L @ R.T``
 against the row/column blocks, starting from the one-shot SVD+LS
-estimate (so it isolates the value of iterative refinement); random or
-user-supplied initialization is available for fairness experiments.
+estimate, so it measures what iterative refinement adds to that pass.
 Both report ``converged``: whether the ``tol`` stopping rule fired
 before ``max_iters``.
 
@@ -34,7 +33,7 @@ from .measurements import (
 from .recovery import (
     CORE_EIG_RTOL,
     RecoveryResult,
-    _check_blocks,
+    _check_svls,
     _factor_objective,
     block_residuals,
     estimate_col_space,
@@ -146,7 +145,8 @@ def svp_recover(
 
     Nonconvergence is not an error: the result carries the iteration
     count, the final objective and ``converged`` either way.  Non-finite
-    ``b``, ``op`` entries or design sensing matrices raise ``ValueError``.
+    ``b`` or ``op`` entries raise ``ValueError``; a design checks its own
+    entries when it is built.
     """
     cfg = cfg or IterativeSolverConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -154,18 +154,18 @@ def svp_recover(
         held = op.a_row if op.a_row is not None else op.row_indices[:, None]
         if (op.m, op.n) != (m, n) or held.ndim != 2:  # nor a stacked design
             raise ValueError("design inconsistent with target dimensions")
-        k, sensing = op.total_measurements, (op.a_row, op.a_col) if op.a_row is not None else ()
+        k = op.total_measurements
     elif op.ndim != 2 or op.shape[1] != m * n:
         raise ValueError("operator shape inconsistent with target dimensions")
     else:
-        k, sensing = op.shape[0], (op,)
+        k = op.shape[0]
     if b.shape[0] != k:
         raise ValueError(f"expected {k} measurements, got {b.shape[0]}")
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
     if not np.isfinite(b).all():
         raise ValueError("measurements must be finite")
-    if not all(np.isfinite(a).all() for a in sensing):
+    if not (isinstance(op, MeasurementDesign) or np.isfinite(op).all()):
         raise ValueError("operator entries must be finite")
     forward, adjoint = _operator(op, m, n)
     t0 = time.perf_counter()
@@ -277,39 +277,22 @@ def als_recover(
     r: int,
     cfg: IterativeSolverConfig | None = None,
     truth: np.ndarray | None = None,
-    init: str | tuple[np.ndarray, np.ndarray] = "svls",
-    init_seed: int = 0,
 ) -> RecoveryResult:
-    """Alternating least squares on the factors of ``X = L @ R.T``.
+    """Alternating least squares on the factors of ``X = L @ R.T``, from
+    the SVD+LS estimate of :func:`svls_recover`, whose checks it makes.
 
     Each half-step solves an exact linear least-squares problem for one
     factor against both measurement blocks (its minimum-norm solution,
     see ``_refit``), so the objective is nonincreasing across
-    half-steps.  ``init`` is ``"svls"`` (default: start from the
-    one-shot SVD+LS estimate), ``"random"`` (seeded by ``init_seed``),
-    or an explicit, finite ``(L0, R0)`` pair.
+    half-steps and ALS ends no worse than the estimate it starts from.
     """
     cfg = cfg or IterativeSolverConfig()
-    top = min(design.m, design.n, design.k1, design.k2)
-    if not 1 <= r <= top:
-        raise ValueError(f"rank {r} outside valid range [1, {top}]")
-    _check_blocks(design, meas)
+    _check_svls(design, meas, r)
     t0 = time.perf_counter()
-    if init == "svls":
-        u = estimate_col_space(meas.b_col, r)
-        v = estimate_row_space(meas.b_row, r)
-        left = u.basis @ solve_core(u, v, design, meas)
-        right = np.array(v.basis)
-    elif init == "random":
-        rng = _generator(init_seed)
-        left = rng.standard_normal((design.m, r))
-        right = rng.standard_normal((design.n, r))
-    else:
-        left, right = (np.asarray(f, dtype=np.float64) for f in init)
-        if left.shape != (design.m, r) or right.shape != (design.n, r):
-            raise ValueError("initial factors have wrong shapes")
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
-            raise ValueError("initial factors must be finite")
+    u = estimate_col_space(meas.b_col, r)
+    v = estimate_row_space(meas.b_row, r)
+    left = u.basis @ solve_core(u, v, design, meas)
+    right = v.basis
     # thin SVDs of a_row.T and a_col, the operators of both refits
     a_row, a_col = design.operators()
     row_op = np.linalg.svd(a_row.T, full_matrices=False)

@@ -188,11 +188,11 @@ class MeasurementDesign:
     """A row/column measurement design for an m x n target.
 
     A Gaussian design holds the dense sensing matrices ``a_row``
-    (k1 x m) and ``a_col`` (n x k2).  A ``ROW_COL_SAMPLE`` design holds
-    only the sampled ``row_indices`` (k1) and ``col_indices`` (k2),
-    checked to be distinct and in range and kept as read-only int64
-    copies: its operators are gathers, applied by :meth:`rows` and
-    :meth:`cols`.
+    (k1 x m) and ``a_col`` (n x k2), checked to be finite.  A
+    ``ROW_COL_SAMPLE`` design holds only the sampled ``row_indices`` (k1)
+    and ``col_indices`` (k2), checked to be distinct and in range and kept
+    as read-only int64 copies: its operators are gathers, applied by
+    :meth:`rows` and :meth:`cols`.
 
     A stacked design holds the same arrays with a leading trial axis,
     and a tuple of seeds; its :meth:`rows` and :meth:`cols` apply each
@@ -218,14 +218,16 @@ class MeasurementDesign:
                 "a Gaussian design holds a_row and a_col only, a sampling "
                 "design row_indices and col_indices only"
             )
-        if self.a_row is not None and not (
-            self.a_row.ndim == self.a_col.ndim in (2, 3)
-            and self.a_row.shape[:-2] == self.a_col.shape[:-2]
-            and self.a_row.shape[-1] == self.m
-            and self.a_col.shape[-2] == self.n
-        ):
-            raise ValueError("a_row must be k1 x m and a_col n x k2")
-        if self.row_indices is None:
+        if self.row_indices is None:  # a Gaussian design
+            if not (
+                self.a_row.ndim == self.a_col.ndim in (2, 3)
+                and self.a_row.shape[:-2] == self.a_col.shape[:-2]
+                and self.a_row.shape[-1] == self.m
+                and self.a_col.shape[-2] == self.n
+            ):
+                raise ValueError("a_row must be k1 x m and a_col n x k2")
+            if not (np.isfinite(self.a_row).all() and np.isfinite(self.a_col).all()):
+                raise ValueError("a_row and a_col entries must be finite")
             return
         stacked = None  # the leading shape of row_indices
         for name, size in (("row_indices", self.m), ("col_indices", self.n)):
@@ -313,12 +315,20 @@ class MeasurementDesign:
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Observed blocks ``b_row`` (k1 x n) and ``b_col`` (m x k2), or stacks
-    of them with a tuple of noise seeds; the design holds the measurement counts."""
+    of them with a tuple of noise seeds; the design holds the measurement
+    counts.  The blocks are checked to be finite, and ``sigma`` to be a
+    finite nonnegative number."""
 
     b_row: np.ndarray
     b_col: np.ndarray
     sigma: float
     noise_seed: int | tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not _is_finite_nonnegative(self.sigma):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not (np.isfinite(self.b_row).all() and np.isfinite(self.b_col).all()):
+            raise ValueError("b_row and b_col entries must be finite")
 
 
 def gen_low_rank(m: int, n: int, r: int, seed: int | tuple[int, ...]) -> GroundTruth:
@@ -376,7 +386,8 @@ def measure(
     ``design`` a stacked design, one trial per seed, and each trial's
     noise is drawn from its own seed.  With ``sigma = 0`` the blocks
     equal ``design.rows(x)`` and ``design.cols(x)`` exactly (no noise
-    stream is consumed).
+    stream is consumed).  ``sigma`` must be a finite nonnegative number,
+    not a bool, and is checked before ``x`` is scanned for finiteness.
     """
     seeds, stacked = _seeds(noise_seed)
     x = np.asarray(x, dtype=np.float64)
@@ -389,8 +400,8 @@ def measure(
     held = design.row_indices[..., None] if design.a_row is None else design.a_row
     if held.shape[:-2] != x.shape[:-2]:  # the design's trials
         raise ValueError("x and design must be stacked alike, one target per trial")
-    if not 0 <= sigma <= sys.float_info.max:
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if not _is_finite_nonnegative(sigma):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     flat = x.reshape(-1, x.shape[-1])
     rows = max(1, ERROR_BLOCK_ENTRIES // max(1, flat.shape[1]))
     for i in range(0, len(flat), rows):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from svls.measurements import (
     ERROR_BLOCK_ENTRIES,
     DesignKind,
     MeasurementDesign,
+    MeasurementSet,
     _generators,
     gen_design,
     gen_low_rank,
@@ -146,6 +148,17 @@ class TestGenDesign:
                 DesignKind.ROW_COL_SAMPLE, 3, 4, 0, row_indices=[0], col_indices=rows
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["a_row", "a_col"])
+    @pytest.mark.parametrize("seed", [0, (0, 1)], ids=["single", "stacked"])
+    def test_non_finite_sensing_entry_rejected(self, bad, name, seed):
+        # refused when built (replace builds anew), so no solver sees it
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 3, 2, 2, seed=seed)
+        a = np.array(getattr(design, name))
+        a[..., 1, 0] = bad
+        with pytest.raises(ValueError, match="a_row and a_col entries must be finite"):
+            dataclasses.replace(design, **{name: a})
+
     def test_sampling_k1_above_m_rejected(self):
         with pytest.raises(ValueError):
             gen_design(DesignKind.ROW_COL_SAMPLE, 2, 2, 3, 1, seed=0)
@@ -241,7 +254,11 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(np.zeros((3, 3)), d, -1.0, 0)
 
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "sigma",
+        [np.nan, np.inf, np.float32(np.inf), True, "0.1", None],
+        ids=["nan", "inf", "float32_inf", "bool", "str", "none"],
+    )
     def test_non_finite_sigma_rejected(self, sigma):
         d = gen_design(DesignKind.GAUSSIAN_AFFINE, 3, 3, 2, 2, seed=0)
         with pytest.raises(ValueError, match="sigma must be finite"):
@@ -293,6 +310,12 @@ class TestMeasureChecks:
         with pytest.raises(ValueError, match="sigma must be finite"):
             measure(np.full((3, 3), np.nan), d, -1.0, 0)
 
+    def test_noise_overflow_rejected(self):
+        # finite sigma, but sigma times a normal draw overflows to inf
+        d = gen_design(DesignKind.GAUSSIAN_AFFINE, 3, 3, 2, 2, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="b_row and b_col"):
+            measure(np.zeros((3, 3)), d, sys.float_info.max, 0)
+
     @pytest.mark.parametrize("kind", list(DesignKind))
     def test_stack_needs_one_target_per_seed(self, kind):
         x = gen_low_rank(4, 3, 1, (3, 4)).x
@@ -325,6 +348,31 @@ class TestMeasureChecks:
                 DesignKind.ROW_COL_SAMPLE, 4, 3, (0, 1), row_indices=rows,
                 col_indices=[[0], [1]],
             )
+
+
+class TestMeasurementSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["b_row", "b_col"])
+    def test_non_finite_block_rejected(self, bad, name):
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 3, 2, 2, seed=0)
+        meas = measure(np.ones((4, 3)), design, 0.0, 0)
+        block = np.array(getattr(meas, name))
+        block[1, 1] = bad
+        with pytest.raises(ValueError, match="b_row and b_col entries must be finite"):
+            dataclasses.replace(meas, **{name: block})
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [np.nan, np.inf, -1e-3, np.float32(np.inf), True, "0.1", None],
+        ids=["nan", "inf", "negative", "float32_inf", "bool", "str", "none"],
+    )
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            MeasurementSet(np.ones((2, 3)), np.ones((4, 2)), sigma, 0)
+
+    @pytest.mark.parametrize("sigma", [0, 0.0, np.float32(0.5), np.int64(2), 1e300])
+    def test_good_sigma_accepted(self, sigma):
+        assert MeasurementSet(np.ones((2, 3)), np.ones((4, 2)), sigma, 0).sigma == sigma
 
 
 STACK_FUZZ = settings(derandomize=True, max_examples=80, deadline=None, database=None)

@@ -520,7 +520,7 @@ class TestBlockShapeCheck:
         solve = {
             "svls": lambda: svls_recover(meas, design, 2),
             "cur": lambda: cur_recover(meas, design),
-            "als": lambda: als_recover(meas, design, 2, init="random"),
+            "als": lambda: als_recover(meas, design, 2),
         }[algo]
         with pytest.raises(ValueError, match="measurement block dimensions inconsistent"):
             solve()

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -632,26 +633,35 @@ class TestStackContainment:
         # a cur trial in its point's first stack, an svls one in its second
         targets = [7, 30 + 27]
         seeds = {simulate._subseed(clean[i].seed, "noise") for i in targets}
-        measure = simulate.measure
 
-        def faulty(x, design, sigma, noise_seed):
-            # measure draws a stack of trials, or one trial (run_trial)
-            meas = measure(x, design, sigma, noise_seed)
+        def hit(noise_seed):
+            # a stack of trials, or one trial (run_trial)
             stacked = isinstance(noise_seed, tuple)
-            hit = [j for j, s in enumerate(noise_seed if stacked else (noise_seed,)) if s in seeds]
-            if not hit:
-                return meas
-            if failure == "draw":
-                raise RuntimeError("no measurement")
-            # a nan in the target trial's W and b_col: its SVDs fail
-            b_col = meas.b_col.copy()
-            trials = b_col if stacked else b_col[None]
-            rows = design.row_indices.reshape(-1, design.k1)
-            for j in hit:
-                trials[j, rows[j if stacked else 0][0], 0] = math.nan
-            return dataclasses.replace(meas, b_col=b_col)
+            return not seeds.isdisjoint(noise_seed if stacked else (noise_seed,))
 
-        monkeypatch.setattr(simulate, "measure", faulty)
+        if failure == "draw":
+            measure = simulate.measure
+
+            def faulty(x, design, sigma, noise_seed):
+                if hit(noise_seed):
+                    raise RuntimeError("no measurement")
+                return measure(x, design, sigma, noise_seed)
+
+            monkeypatch.setattr(simulate, "measure", faulty)
+        else:
+            # a set holding a nan is refused when built, so the target
+            # trial's solve fails as a nan's SVD would: in a stack, and alone
+            def failing(solve):
+                def wrapped(meas, *args, **kwargs):
+                    if hit(meas.noise_seed):
+                        raise np.linalg.LinAlgError("SVD did not converge")
+                    return solve(meas, *args, **kwargs)
+                return wrapped
+
+            for algo, (check, solve) in simulate._STACKED.items():
+                monkeypatch.setitem(simulate._STACKED, algo, (check, failing(solve)))
+                name = f"{algo}_recover"
+                monkeypatch.setattr(simulate, name, failing(getattr(simulate, name)))
         records = sweep(cfg)
         assert [i for i, rec in enumerate(records) if rec.error] == targets
         for i in targets:
