@@ -38,6 +38,7 @@ from .measurements import (
     DesignKind,
     MeasurementDesign,
     MeasurementSet,
+    _all_finite,
     _freeze,
 )
 
@@ -117,6 +118,8 @@ def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> f
     ``ERROR_BLOCK_ENTRIES`` entries in one pass over ``x_true``, so no
     m x n temporary is formed and each block is still in cache when its
     difference and norms are taken (:func:`_errors` on a stack of one).
+    A truth with a NaN or infinite entry raises ``ValueError``; a finite
+    truth costs no extra pass, as its squared norm comes out finite.
     """
     return _errors(left[None], right[None], np.asarray(x_true)[None])[0]
 
@@ -312,6 +315,9 @@ def _errors(
             diff, flat = diff.reshape(len(xt), -1), block.reshape(len(xt), -1)
             num, denom = num + np.vecdot(diff, diff), denom + np.vecdot(flat, flat)
         num_sq[t : t + step], denom_sq[t : t + step] = num, denom
+    # a truth's squared norm is finite unless an entry is, or the squares overflow
+    if any(not _all_finite(truths[t]) for t in np.flatnonzero(~np.isfinite(denom_sq))):
+        raise ValueError("truth entries must be finite")
     num, denom = np.sqrt(num_sq), np.sqrt(denom_sq)
     # against a zero truth: 0.0 for a zero estimate, else inf
     zero = np.where(num == 0.0, 0.0, math.inf)
@@ -427,6 +433,7 @@ def svls_recover(
         Target rank; must satisfy ``r <= min(k1, k2, m, n)``.
     truth : ndarray, optional
         Ground-truth matrix; when given, ``relative_error`` is filled in.
+        Its entries must be finite (``ValueError``).
 
     In the noiseless case with ``k1 = k2 = r`` and generic inputs the
     estimate is exact up to floating-point error.  This is

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from svls.measurements import (
     DesignKind,
     MeasurementDesign,
     MeasurementSet,
+    _all_finite,
     _generators,
     gen_design,
     gen_low_rank,
@@ -348,6 +350,82 @@ class TestMeasureChecks:
                 DesignKind.ROW_COL_SAMPLE, 4, 3, (0, 1), row_indices=rows,
                 col_indices=[[0], [1]],
             )
+
+
+class TestFinitenessCertificate:
+    """measure decides finiteness from one BLAS pass of column sums and
+    scans the target only when a sum is not finite; ``np.isfinite`` of the
+    whole array is the oracle."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_non_finite_entry_rejected(self, kind, stacked, where, bad):
+        seeds = (1, 2, 3) if stacked else 1
+        x = np.array(gen_low_rank(7, 5, 2, seeds).x)
+        design = gen_design(kind, 7, 5, 3, 2, seeds)
+        flat = x.reshape(-1)  # in a stack, the middle entry is the middle trial's
+        flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = bad
+        assert not _all_finite(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x entries must be finite"):
+                measure(x, design, 0.1, (4, 5, 6) if stacked else 4)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_overflowing_column_sums_still_measure(self, kind, stacked):
+        # every entry finite, but the column of 1e308 sums past float max:
+        # the certificate fails and the scan accepts the target
+        seeds = (1, 2, 3) if stacked else 1
+        x = np.ones((3, 6, 4) if stacked else (6, 4))
+        x[..., 1] = 1e308
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.ones(6) @ x).all()
+        design = gen_design(kind, 6, 4, 3, 2, seeds)
+        if kind is DesignKind.GAUSSIAN_AFFINE:  # scaled so its products stay finite
+            design = dataclasses.replace(design, a_row=design.a_row * 1e-3,
+                                         a_col=design.a_col * 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            meas = measure(x, design, 0.0, (4, 5, 6) if stacked else 4)
+        assert np.array_equal(meas.b_row, design.rows(x))
+        assert np.array_equal(meas.b_col, design.cols(x))
+
+    def test_matches_isfinite(self):
+        rng = np.random.default_rng(3)
+        cases = [rng.standard_normal((5, 4)), np.full((3, 2), 1e308), np.zeros((2, 0, 3)),
+                 rng.standard_normal((4, 3, 2)).transpose(0, 2, 1)]
+        for bad in (np.nan, np.inf, -np.inf):
+            for a in (rng.standard_normal((9, 4)), np.full((9, 4), 1e308)):
+                a[4, 2] = bad
+                cases.append(a)
+        both = np.ones((4, 3))
+        both[0, 1], both[2, 1] = np.inf, -np.inf  # a column sum of NaN
+        cases.append(both)
+        for a in cases:
+            assert _all_finite(a) == np.isfinite(a).all()
+
+
+class TestColumnProductOrder:
+    """A Gaussian design takes ``y @ a_col`` as ``(a_col.T @ y.T).T``: the
+    same product to rounding, and in a stack the same bits as alone."""
+
+    @pytest.mark.parametrize("m, n, k", [(12, 10, 3), (50, 50, 3), (50, 50, 4), (300, 251, 6)])
+    def test_gaussian_cols_match_the_product(self, m, n, k):
+        seeds = (1, 2, 3)
+        stacked = gen_design(DesignKind.GAUSSIAN_AFFINE, m, n, 2, k, seeds)
+        y = np.random.default_rng(m + k).standard_normal((len(seeds), m, n))
+        got = stacked.cols(y)
+        for t, seed in enumerate(seeds):
+            alone = gen_design(DesignKind.GAUSSIAN_AFFINE, m, n, 2, k, seed)
+            one = alone.cols(y[t])
+            want = y[t] @ alone.a_col
+            assert np.linalg.norm(one - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.array_equal(got[t], one)
+            # an unstacked design applies itself to every slice of a stack
+            assert np.array_equal(alone.cols(y)[t], one)
 
 
 class TestMeasurementSet:

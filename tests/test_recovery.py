@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -730,6 +731,49 @@ class TestRelativeError:
             tracemalloc.stop()
         assert peak < 2e6
         assert result.relative_error == relative_error(result.left, result.right, truth.x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("algo", ["svls", "cur", "als", "svp", "relative_error"])
+    def test_non_finite_truth_rejected(self, algo, bad):
+        truth = gen_low_rank(30, 30, 2, seed=7)
+        kind = DesignKind.ROW_COL_SAMPLE if algo == "cur" else DesignKind.GAUSSIAN_AFFINE
+        design = gen_design(kind, 30, 30, 4, 4, seed=8)
+        meas = measure(truth.x, design, 0.01, noise_seed=9)
+        b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
+        x = np.array(truth.x)
+        x[12, 17] = bad
+        run = {
+            "svls": lambda: svls_recover(meas, design, 2, truth=x),
+            "cur": lambda: cur_recover(meas, design, truth=x),
+            "als": lambda: als_recover(meas, design, 2, truth=x),
+            "svp": lambda: svp_recover(b, design, 30, 30, 2, truth=x),
+            "relative_error": lambda: relative_error(truth.left_factor, truth.right_factor, x),
+        }[algo]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="truth entries must be finite"):
+                run()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_in_last_row_block_rejected(self, bad):
+        m, n = 1100, 300
+        assert m * n > recovery.ERROR_BLOCK_ENTRIES
+        rng = np.random.default_rng(10)
+        left, right = rng.standard_normal((m, 2)), rng.standard_normal((n, 2))
+        x_true = left @ right.T
+        x_true[-1, -1] = bad
+        with pytest.raises(ValueError, match="truth entries must be finite"):
+            relative_error(left, right, x_true)
+
+    def test_one_bad_trial_of_a_stack_rejected(self):
+        truth = gen_low_rank(20, 20, 2, (1, 2, 3))
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 20, 20, 4, 4, (4, 5, 6))
+        meas = measure(truth.x, design, 0.0, (7, 8, 9))
+        assert max(recovery.svls_stack(meas, design, 2, truth.x).relative_error) < 1e-10
+        x = np.array(truth.x)
+        x[1, 3, 4] = np.nan
+        with pytest.raises(ValueError, match="truth entries must be finite"):
+            recovery.svls_stack(meas, design, 2, x)
 
     def test_zero_truth(self):
         zeros = np.zeros((4, 1))
