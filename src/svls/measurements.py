@@ -55,8 +55,8 @@ import numpy as np
 # their scratch memory does not grow with m*n.  relative_error is fastest
 # at 2^15-2^16 entries: a truth block and its product scratch then fit in
 # a 2 MB per-core L2 beside BLAS's packing buffers; larger blocks spill.
-# A sweep's stack of trials holds one dense stack of truths of at most
-# this many entries: at 50 x 50 a sweep was fastest at 2^16 (2^14-2^18).
+# It is also the memory bound on a sweep's stack of trials, which holds
+# one dense stack of truths of at most this many entries (or one truth).
 ERROR_BLOCK_ENTRIES = 1 << 16
 
 

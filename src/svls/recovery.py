@@ -17,9 +17,10 @@ read.
 blocks drawn as stacks by ``gen_design`` and ``measure``) in one pass:
 numpy's ``svd``, ``eigh`` and ``matmul`` run over the leading trial
 axis, one LAPACK or BLAS call per trial, so every trial gets the bits it
-gets alone.  ``svls_recover`` and ``cur_recover`` are their one-trial
-case, and the subspace and core helpers take a leading trial axis or
-none.
+gets alone.  They only solve; ``_errors`` scores a stack against its
+truths in one call.  ``svls_recover`` and ``cur_recover`` are their
+one-trial case, scored by ``relative_error``, and the subspace and core
+helpers take a leading trial axis or none.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .measurements import (
 CORE_EIG_RTOL = 1e-12
 
 ORTHONORMALITY_TOL = 1e-8
+
+# float's normal range, where a sum of squares keeps every digit
+_NORMAL_MIN, _NORMAL_MAX = np.finfo(np.float64).smallest_normal, np.finfo(np.float64).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +123,9 @@ def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> f
     m x n temporary is formed and each block is still in cache when its
     difference and norms are taken (:func:`_errors` on a stack of one).
     A truth with a NaN or infinite entry raises ``ValueError``; a finite
-    truth costs no extra pass, as its squared norm comes out finite.
+    truth costs no extra pass, as its squared norm comes out finite.  Sums
+    of squares that leave float's normal range are taken again from a
+    power-of-two rescale of truth and estimate.
     """
     return _errors(left[None], right[None], np.asarray(x_true)[None])[0]
 
@@ -270,28 +276,36 @@ def solve_core(
 class StackSolution(NamedTuple):
     """The estimates of a stack of trials: ``left`` (T x m x q) and
     ``right`` (T x n x q) with ``x_hat = left @ right.T`` per trial, the
-    svls ``core`` (T x r x r, None for cur), each trial's ``rank_used``
-    and ``relative_error`` (None without truths), and each trial's share
-    of the stack's solve time."""
+    svls ``core`` (T x r x r, None for cur), each trial's ``rank_used``,
+    and each trial's share of the stack's solve time.  Scoring the stack
+    against its truths is :func:`_errors`'s."""
 
     left: np.ndarray
     right: np.ndarray
     core: np.ndarray | None
     rank_used: np.ndarray
-    relative_error: list[float] | None
     runtime_seconds: float
 
 
-def _errors(
-    left: np.ndarray, right: np.ndarray, truths: np.ndarray | None
-) -> list[float] | None:
-    """Each trial's :func:`relative_error` against its slice of the stack
-    ``truths``, in one pass: truths of over ``ERROR_BLOCK_ENTRIES`` entries
-    in row blocks, one at a time, smaller ones whole, a few at a time.  A
-    trial's sums are the same dot products either way, with the same bits.
+def _exponent(a: np.ndarray) -> int:
+    """The binary exponent of ``a``'s largest magnitude; for a zero ``a``,
+    one below every float's."""
+    top = max(a.max(initial=0.0), -a.min(initial=0.0))
+    return int(np.frexp(top)[1]) if top else -2048
+
+
+def _errors(left: np.ndarray, right: np.ndarray, truths: np.ndarray) -> list[float]:
+    """Each trial's :func:`relative_error` of the stack of estimates
+    ``left @ right.T`` against its slice of the stack ``truths``, in one
+    pass: truths of over ``ERROR_BLOCK_ENTRIES`` entries in row blocks, one
+    at a time, smaller ones whole, a few at a time.  A trial's sums are the
+    same dot products either way, with the same bits.  A trial whose sums
+    of squares leave float's normal range (entries above about 1e154 or
+    below about 1e-154) is summed again from its estimate and truth times
+    the power of two that brings the truth's largest entry (for a zero
+    truth, the estimate's) near 1; an estimate above about 1e154 times
+    its truth then reads inf.
     """
-    if truths is None:
-        return None
     truths = np.asarray(truths, dtype=np.float64)
     count, m, n = len(truths), left.shape[-2], right.shape[-2]
     if truths.shape[1:] != (m, n):
@@ -304,20 +318,35 @@ def _errors(
     right_t = right.mT if rows == m else np.ascontiguousarray(right.mT)
     # one buffer holds every block's product and difference
     scratch = np.empty((min(step, count), rows, n))
-    num_sq, denom_sq = np.empty(count), np.empty(count)
-    for t in range(0, count, step):
-        lt, rt, xt = left[t : t + step], right_t[t : t + step], truths[t : t + step]
+
+    def sums(t: slice, shift: int = 0) -> tuple:
+        # the squared norms of the trials' differences and truths, times 4**-shift
+        lt, rt, xt = left[t], right_t[t], truths[t]
+        if shift:
+            lt = np.ldexp(lt, -shift)
         num = denom = 0.0
         for i in range(0, m, rows):
             block = xt[:, i : i + rows]
+            if shift:
+                block = np.ldexp(block, -shift)
             diff = np.matmul(lt[:, i : i + rows], rt, out=scratch[: len(xt), : block.shape[1]])
             diff -= block
             diff, flat = diff.reshape(len(xt), -1), block.reshape(len(xt), -1)
             num, denom = num + np.vecdot(diff, diff), denom + np.vecdot(flat, flat)
-        num_sq[t : t + step], denom_sq[t : t + step] = num, denom
+        return num, denom
+
+    num_sq, denom_sq = np.empty(count), np.empty(count)
+    with np.errstate(over="ignore"):  # an overflowed sum is taken again below
+        for t in range(0, count, step):
+            num_sq[t : t + step], denom_sq[t : t + step] = sums(slice(t, t + step))
+    low, high = np.minimum(num_sq, denom_sq), np.maximum(num_sq, denom_sq)
+    out = np.flatnonzero(~((_NORMAL_MIN <= low) & (high <= _NORMAL_MAX)))  # nan included
     # a truth's squared norm is finite unless an entry is, or the squares overflow
-    if any(not _all_finite(truths[t]) for t in np.flatnonzero(~np.isfinite(denom_sq))):
+    if any(not (np.isfinite(denom_sq[t]) or _all_finite(truths[t])) for t in out):
         raise ValueError("truth entries must be finite")
+    for t in out:
+        shift = max(_exponent(truths[t]), _exponent(left[t]) + _exponent(right[t]))
+        num_sq[t : t + 1], denom_sq[t : t + 1] = sums(slice(t, t + 1), shift)
     num, denom = np.sqrt(num_sq), np.sqrt(denom_sq)
     # against a zero truth: 0.0 for a zero estimate, else inf
     zero = np.where(num == 0.0, 0.0, math.inf)
@@ -340,14 +369,8 @@ def _check_cur(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:
     _check_blocks(design, meas)
 
 
-def svls_stack(
-    meas: MeasurementSet,
-    design: MeasurementDesign,
-    r: int,
-    truths: np.ndarray | None = None,
-) -> StackSolution:
-    """:func:`svls_recover` of every trial of a stack, in one pass;
-    ``truths`` is the stack of the trials' dense truths."""
+def svls_stack(meas: MeasurementSet, design: MeasurementDesign, r: int) -> StackSolution:
+    """:func:`svls_recover`'s estimate of every trial of a stack, in one pass."""
     _check_svls(design, meas, r)
     t0 = time.perf_counter()
     u = estimate_col_space(meas.b_col, r)
@@ -355,20 +378,15 @@ def svls_stack(
     core = _freeze(solve_core(u, v, design, meas))
     left = _freeze(u.basis @ core)
     seconds = (time.perf_counter() - t0) / len(left)
-    return StackSolution(
-        left, v.basis, core, np.full(len(left), r), _errors(left, v.basis, truths), seconds
-    )
+    return StackSolution(left, v.basis, core, np.full(len(left), r), seconds)
 
 
 def cur_stack(
-    meas: MeasurementSet,
-    design: MeasurementDesign,
-    r: int | None = None,
-    truths: np.ndarray | None = None,
+    meas: MeasurementSet, design: MeasurementDesign, r: int | None = None
 ) -> StackSolution:
-    """:func:`cur_recover` of every trial of a stack, in one pass (``r``
-    is unused).  The kept singular values of W are a prefix of its
-    spectrum, so the trials are grouped by their kept rank q and each
+    """:func:`cur_recover`'s estimate of every trial of a stack, in one
+    pass (``r`` is unused).  The kept singular values of W are a prefix of
+    its spectrum, so the trials are grouped by their kept rank q and each
     group's pseudo-inverses are taken together from the first q."""
     _check_cur(design, meas, r)
     t0 = time.perf_counter()
@@ -389,16 +407,16 @@ def cur_stack(
     right = meas.b_row.mT.copy(order="K")
     right.flags.writeable = False
     seconds = (time.perf_counter() - t0) / len(left)
-    return StackSolution(left, right, None, rank_used, _errors(left, right, truths), seconds)
+    return StackSolution(left, right, None, rank_used, seconds)
 
 
 def _one_trial(
     solve, algorithm: str, meas: MeasurementSet, design: MeasurementDesign, r, truth
 ) -> RecoveryResult:
-    """``solve`` on the one trial ``(meas, design, truth)`` viewed as a
-    stack of one, to which the design applies itself."""
+    """``solve`` on the one trial ``(meas, design)`` viewed as a stack of
+    one, to which the design applies itself, scored against ``truth``."""
     stack = MeasurementSet(meas.b_row[None], meas.b_col[None], meas.sigma, (meas.noise_seed,))
-    sol = solve(stack, design, r, None if truth is None else np.asarray(truth)[None])
+    sol = solve(stack, design, r)
     left, right = sol.left[0], sol.right[0]
     row_res, col_res = block_residuals(left, right, design, meas)
     return RecoveryResult(
@@ -410,7 +428,7 @@ def _one_trial(
         core=None if sol.core is None else sol.core[0],
         row_residual=row_res,
         col_residual=col_res,
-        relative_error=None if truth is None else sol.relative_error[0],
+        relative_error=None if truth is None else relative_error(left, right, truth),
     )
 
 

@@ -11,8 +11,9 @@ tag, never aborting the sweep.
 
 An ``svls`` or ``cur`` point runs its trials in stacks, each drawn in
 one call of each generator of ``measurements`` (every trial from its own
-seeds, as ``run_trial`` draws it) and solved in one call of a stacked
-solver of ``recovery``; each record is the one ``run_trial`` gives (see
+seeds, as ``run_trial`` draws it), solved in one call of a stacked
+solver of ``recovery`` and scored against its truths in one call of
+``recovery._errors``; each record is the one ``run_trial`` gives (see
 ``_run_stacked``).  ``svp`` and ``als`` run trial by trial.
 
 Record CSVs use a fixed column order (parameters first, then metrics),
@@ -46,7 +47,9 @@ from .measurements import (
     ERROR_BLOCK_ENTRIES, DesignKind, _generator, _is_finite_nonnegative, _is_int,
     gen_design, gen_low_rank, measure,
 )
-from .recovery import _check_cur, _check_svls, cur_recover, cur_stack, svls_recover, svls_stack
+from .recovery import (
+    _check_cur, _check_svls, _errors, cur_recover, cur_stack, svls_recover, svls_stack,
+)
 
 ALGORITHMS = ("svls", "cur", "svp", "als")
 # The algorithms whose trials run in stacks: the stacked solver, and the
@@ -344,43 +347,41 @@ def _run_stacked(
     seed)`` trials, each the record ``run_trial`` gives.
 
     A stack of no trials is drawn first, for the generators' checks, and
-    then the solver's point-level checks are made: a point failing them
-    gives every trial that error, drawing none, and one failing the
-    generators' sends every trial through ``run_trial``.  The trials then
-    run in stacks of at most ``ERROR_BLOCK_ENTRIES`` truth entries (at
-    least one trial), each drawn by :func:`_draw` and solved in one call.
-    A stack whose draw or solve raises runs again trial by trial, so only
-    a failing trial gets an error record, with ``run_trial``'s message.
+    then the solver's are made.  Each depends on the point alone, so a
+    point failing one gives every trial that error (the message it gets
+    alone) and draws no trial.  The trials then run in stacks of at most
+    ``ERROR_BLOCK_ENTRIES`` truth entries (at least one trial): one step
+    draws a stack (:func:`_draw`), solves it and scores it (``_errors``).
+    A stack whose step raises is split into stacks of one that take the
+    same step, so only a failing trial gets an error record.
     """
     check, solve = _STACKED[point.algorithm]
-    try:
-        design, meas = _draw(point, ())[1:]
-    except Exception:
-        return [run_trial(point, seed, t, success_threshold) for t, seed in trials]
     fields = _point_fields(point)
     try:
-        check(design, meas, point.rank)
+        check(*_draw(point, ())[1:], point.rank)
     except Exception as exc:
         return [_record(fields, seed, t, success_threshold, exc=exc) for t, seed in trials]
 
     def solved(chunk: list[tuple[int, int]]) -> list[TrialRecord]:
         # what the stack holds is let go on return: one stack of truths at a time
         x, design, meas = _draw(point, tuple(seed for _, seed in chunk))
-        sol = solve(meas, design, point.rank, x)
+        sol = solve(meas, design, point.rank)
         return [
             _record(fields, seed, t, success_threshold, rel, 0, sol.runtime_seconds)
-            for (t, seed), rel in zip(chunk, sol.relative_error)
+            for (t, seed), rel in zip(chunk, _errors(sol.left, sol.right, x))
         ]
 
-    size = max(1, ERROR_BLOCK_ENTRIES // (point.m * point.n))
-    records = []
-    for i in range(0, len(trials), size):
-        chunk = trials[i : i + size]
+    def contained(chunk: list[tuple[int, int]]) -> list[TrialRecord]:
         try:
-            records += solved(chunk)
-        except Exception:  # contained trial by trial
-            records += [run_trial(point, seed, t, success_threshold) for t, seed in chunk]
-    return records
+            return solved(chunk)
+        except Exception as exc:
+            if len(chunk) == 1:
+                ((t, seed),) = chunk
+                return [_record(fields, seed, t, success_threshold, exc=exc)]
+        return [rec for trial in chunk for rec in contained([trial])]
+
+    size = max(1, ERROR_BLOCK_ENTRIES // (point.m * point.n))
+    return [rec for i in range(0, len(trials), size) for rec in contained(trials[i : i + size])]
 
 
 def sweep(config: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
@@ -389,8 +390,11 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
     Records come back in canonical order (sorted by parameter tuple,
     then trial index) whatever the parallelism level.  Each ``svls`` or
     ``cur`` point is one task, run in stacks; every other trial is a task
-    of its own.
+    of its own.  ``jobs``, the number of worker threads, must be an
+    integer of at least 1, not a bool (``ValueError``).
     """
+    if not (_is_int(jobs) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
     tasks = []
     for rank, kind, (k1, k2), sigma, algo in itertools.product(
         config.ranks, config.design_kinds, config.k_values, config.sigmas, config.algorithms

@@ -769,16 +769,76 @@ class TestRelativeError:
         truth = gen_low_rank(20, 20, 2, (1, 2, 3))
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 20, 20, 4, 4, (4, 5, 6))
         meas = measure(truth.x, design, 0.0, (7, 8, 9))
-        assert max(recovery.svls_stack(meas, design, 2, truth.x).relative_error) < 1e-10
+        sol = recovery.svls_stack(meas, design, 2)
+        assert max(recovery._errors(sol.left, sol.right, truth.x)) < 1e-10
         x = np.array(truth.x)
         x[1, 3, 4] = np.nan
         with pytest.raises(ValueError, match="truth entries must be finite"):
-            recovery.svls_stack(meas, design, 2, x)
+            recovery._errors(sol.left, sol.right, x)
+
+    # at 1e-155 the truth's squared norm is normal and, 1e-3 off, the
+    # difference's is subnormal, with about 35 bits
+    SCALES = [1e150, 1e155, 1e-150, 1e-155, 1e-160, 1e-170]
+
+    @staticmethod
+    def estimate(off):
+        """A 30 x 30 rank-2 truth and an estimate ``off`` from it, and the
+        estimate's error at unit scale."""
+        truth = gen_low_rank(30, 30, 2, seed=11)
+        rng = np.random.default_rng(12)
+        left = truth.left_factor + off * rng.standard_normal(truth.left_factor.shape)
+        return truth, left, relative_error(left, truth.right_factor, truth.x)
+
+    @pytest.mark.parametrize("off", [1e-3, 1.0])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_scale_outside_the_normal_range(self, scale, off):
+        # the squares of entries above about 1e154 overflow, and those of
+        # entries below about 1e-154 lose digits or vanish
+        truth, left, want = self.estimate(off)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(left * scale, truth.right_factor, truth.x * scale)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_one_rescaled_trial_in_a_stack(self, scale):
+        truths, lefts, wants = zip(*(self.estimate(off) for off in (1e-3, 1.0, 0.1)))
+        x = np.stack([truth.x for truth in truths])
+        left = np.stack(lefts)
+        right = np.stack([truth.right_factor for truth in truths])
+        clean = recovery._errors(left, right, x)
+        x[1] *= scale
+        left[1] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = recovery._errors(left, right, x)
+        assert abs(got[1] - wants[1]) <= 1e-12 * wants[1]
+        assert (got[0], got[2]) == (clean[0], clean[2])  # the others keep their bits
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_scale_outside_the_normal_range_through_svls(self, scale):
+        # the error of the estimate svls gives at this scale, against that
+        # of the same estimate brought back to unit scale
+        truth = gen_low_rank(30, 30, 2, seed=11)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 30, 30, 4, 4, seed=12)
+        x = truth.x * scale
+        meas = measure(x, design, 1e-3 * scale, noise_seed=13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = svls_recover(meas, design, 2, truth=x)
+        want = relative_error(result.left / scale, result.right, truth.x)
+        assert 1e-5 < want < 1e-1
+        assert abs(result.relative_error - want) <= 1e-12 * want
 
     def test_zero_truth(self):
         zeros = np.zeros((4, 1))
         assert relative_error(zeros, zeros[:3], np.zeros((4, 3))) == 0.0
         assert relative_error(np.ones((4, 1)), np.ones((3, 1)), np.zeros((4, 3))) == math.inf
+        # an estimate whose squares underflow is still not zero
+        tiny = np.full((4, 1), 1e-170)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert relative_error(tiny, np.ones((3, 1)), np.zeros((4, 3))) == math.inf
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -149,6 +149,15 @@ class TestSweep:
         cfg = small_config(trials=4)
         assert sweep(cfg, jobs=1) == sweep(cfg, jobs=4)
 
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.5, "2", None])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be an integer of at least 1"):
+            sweep(small_config(), jobs=jobs)
+
+    def test_numpy_integer_jobs_accepted(self):
+        cfg = small_config()
+        assert sweep(cfg, jobs=np.int64(2)) == sweep(cfg)
+
     def test_failed_trials_do_not_abort(self):
         cfg = small_config(algorithms=("svls", "cur"), trials=2)
         records = sweep(cfg)
@@ -490,9 +499,9 @@ def stack_sizes(monkeypatch):
     """Record the number of trials in every stack a sweep solves."""
     sizes = []
     for algo, (check, solve) in list(simulate._STACKED.items()):
-        def counted(meas, design, r, truths, solve=solve):
+        def counted(meas, design, r, solve=solve):
             sizes.append(len(meas.b_row))
-            return solve(meas, design, r, truths)
+            return solve(meas, design, r)
 
         monkeypatch.setitem(simulate._STACKED, algo, (check, counted))
     return sizes
@@ -675,6 +684,32 @@ class TestStackContainment:
         rest = [i for i in range(len(clean)) if i not in targets]
         assert [records[i] for i in rest] == [clean[i] for i in rest]
 
+    def test_one_failing_score_is_contained(self, monkeypatch):
+        cfg = small_config(**self.CONFIG)
+        clean = sweep(cfg)
+        # a cur trial in its point's first stack, an svls one in its second
+        targets = [7, 30 + 27]
+        bad = []  # the targets' truths
+        for i in targets:
+            point = TrialPoint(**{name: getattr(clean[i], name) for name in POINT_FIELDS})
+            bad.append(simulate._draw(point, clean[i].seed)[0])
+        errors = simulate._errors
+
+        def faulty(left, right, truths):
+            if any(np.array_equal(x, truth) for x in bad for truth in truths):
+                raise FloatingPointError("no score")
+            return errors(left, right, truths)
+
+        monkeypatch.setattr(simulate, "_errors", faulty)
+        records = sweep(cfg)
+        assert [i for i, rec in enumerate(records) if rec.error] == targets
+        for i in targets:
+            assert records[i].error == "FloatingPointError: no score"
+            assert math.isnan(records[i].relative_error) and not records[i].success
+            assert records[i].seed == clean[i].seed
+        rest = [i for i in range(len(clean)) if i not in targets]
+        assert [records[i] for i in rest] == [clean[i] for i in rest]
+
     @pytest.mark.parametrize(
         "overrides, tag",
         [
@@ -705,8 +740,7 @@ class TestStackContainment:
         records = sweep(cfg)
         assert {rec.error for rec in records} == {tag}
         points = len(records) // cfg.trials
-        if "k1=60" not in tag:  # failed after the first draw, which sufficed
-            assert len(draws) == points
+        assert len(draws) == points  # the stack of no trials, which sufficed
         monkeypatch.undo()
         want, _ = oracle_records(records, monkeypatch)
         assert records == want
