@@ -28,13 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import (
-    MeasurementDesign, MeasurementSet, _freeze, _generator, _is_finite_nonnegative, _is_int,
+    GroundTruth, MeasurementDesign, MeasurementSet, _freeze, _generator,
+    _is_finite_nonnegative, _is_int,
 )
 from .recovery import (
     CORE_EIG_RTOL,
     RecoveryResult,
     _check_svls,
     _factor_objective,
+    _factored_norms,
+    _norms,
     block_residuals,
     estimate_col_space,
     estimate_row_space,
@@ -123,7 +126,7 @@ def svp_recover(
     n: int,
     r: int,
     cfg: IterativeSolverConfig | None = None,
-    truth: np.ndarray | None = None,
+    truth: np.ndarray | GroundTruth | None = None,
 ) -> RecoveryResult:
     """Singular value projection: projected gradient descent on
     ``||A(X) - b||^2`` over the rank-r set.  ``op`` is a k x (m*n) matrix,
@@ -209,7 +212,7 @@ def svp_recover(
     runtime = time.perf_counter() - t0
     row_res = col_res = None
     if isinstance(op, MeasurementDesign):  # the two blocks of the final residual
-        row_res, col_res = (float(np.linalg.norm(p)) for p in np.split(resid, [op.k1 * n]))
+        row_res, col_res = (float(_norms(p[None])) for p in np.split(resid, [op.k1 * n]))
     left = _freeze(left)
     right.flags.writeable = False  # a transposed view of this call's SVD output
     return RecoveryResult(
@@ -259,24 +262,12 @@ def _refit(
     return y_t.T @ (wt / w[:, None])
 
 
-def _step_norms(
-    left: np.ndarray, right: np.ndarray, prev_left: np.ndarray, prev_right: np.ndarray
-) -> tuple[float, float]:
-    """``||L R.T - L0 R0.T||_F = ||[R, R0] @ T.T||_F`` and ``||L R.T||_F``
-    from one thin QR ``[L, -L0] = Q T``, whose leading r x r block is
-    the triangular factor of ``L``; neither product is formed."""
-    t = np.linalg.qr(np.hstack([left, -prev_left]), mode="r")
-    r = left.shape[1]
-    step = np.linalg.norm(np.hstack([right, prev_right]) @ t.T)
-    return float(step), float(np.linalg.norm(right @ t[:r, :r].T))
-
-
 def als_recover(
     meas: MeasurementSet,
     design: MeasurementDesign,
     r: int,
     cfg: IterativeSolverConfig | None = None,
-    truth: np.ndarray | None = None,
+    truth: np.ndarray | GroundTruth | None = None,
 ) -> RecoveryResult:
     """Alternating least squares on the factors of ``X = L @ R.T``, from
     the SVD+LS estimate of :func:`svls_recover`, whose checks it makes.
@@ -308,7 +299,7 @@ def als_recover(
         history.append(_factor_objective(left, right, design, meas))
         left = _refit(right, b_col.T, b_row.T, col_op, row_op)
         history.append(_factor_objective(left, right, design, meas))
-        step, size = _step_norms(left, right, prev_left, prev_right)
+        step, size = map(float, _factored_norms(left, right, prev_left, prev_right))
         if step <= cfg.tol * max(size, 1e-300):
             converged = True
             break

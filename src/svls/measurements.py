@@ -32,12 +32,16 @@ In a stack each trial draws, in that order, from its own generator
 seeded by its entry of the tuple, into its slice of the stack, so its
 values do not depend on the stack.  A seed is a nonnegative integer,
 Python's or numpy's (not a bool); any other seed raises ``ValueError``.
-A stack's generators are seeded in one pass: numpy's ``SeedSequence``
-builds each seed's entropy pool, and the pools are hashed into PCG64
-states together, as ``SeedSequence.generate_state`` hashes one, so
-each generator is the one ``default_rng`` builds from its seed.  All
+A stack's generators are seeded in one numpy pass: each seed is mixed
+into its entropy pool as ``SeedSequence`` mixes it, and the pools are
+hashed into PCG64 states as ``SeedSequence.generate_state`` hashes one,
+so each generator is the one ``default_rng`` builds from its seed.  All
 returned arrays, stacked ones included, are marked read-only; values are
 safe to share across threads.
+
+``measure`` takes the target dense, or as its ``GroundTruth`` (stacked
+or not), whose factors it measures without forming the m x n product:
+``b_row = rows(L) @ R.T`` and ``b_col = L @ cols(R.T)``.
 """
 
 from __future__ import annotations
@@ -50,13 +54,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _all_finite's fallback scan and recovery.relative_error visit an m x n
-# matrix in row blocks of about this many entries (512 KB of float64), so
-# their scratch memory does not grow with m*n.  relative_error is fastest
-# at 2^15-2^16 entries: a truth block and its product scratch then fit in
-# a 2 MB per-core L2 beside BLAS's packing buffers; larger blocks spill.
-# It is also the memory bound on a sweep's stack of trials, which holds
-# one dense stack of truths of at most this many entries (or one truth).
+# _all_finite's fallback scan and recovery.relative_error against a dense
+# truth visit an m x n matrix in row blocks of about this many entries
+# (512 KB of float64), so their scratch memory does not grow with m*n.
+# relative_error is fastest at 2^15-2^16 entries: a truth block and its
+# product scratch then fit in a 2 MB per-core L2 beside BLAS's packing
+# buffers; larger blocks spill.  It does not bound a sweep's stacks, which
+# hold their truths as factors (simulate.STACK_ENTRIES).
 ERROR_BLOCK_ENTRIES = 1 << 16
 
 
@@ -93,13 +97,79 @@ def _seeds(seed) -> tuple[tuple[int, ...], bool]:
     return seeds, stacked
 
 
-# SeedSequence.generate_state's output hash, with numpy's INIT_B = 0x8B51F9DD
-# and MULT_B = 0x58F38DED: word i of the state is pool word i % 4, XORed with
-# INIT_B * MULT_B^i and multiplied by INIT_B * MULT_B^(i+1) (mod 2^32), then
-# v ^= v >> 16.  A PCG64 takes 8 words.
-_HASH_CONSTS = [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)]
-_HASH_XOR = np.array(_HASH_CONSTS[:8], dtype=np.uint32)
-_HASH_MUL = np.array(_HASH_CONSTS[1:], dtype=np.uint32)
+# numpy's SeedSequence, vectorized over seeds.  Its hashmix call j XORs a
+# word with INIT_A * MULT_A^j and multiplies it by INIT_A * MULT_A^(j+1)
+# (mod 2^32), then v ^= v >> 16; mix(x, y) is MIX_MULT_L * x -
+# MIX_MULT_R * y (mod 2^32), then the same shift.  generate_state's output
+# hash is hashmix with INIT_B and MULT_B.  The constants are numpy's.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_POOL = 4  # words in an entropy pool
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The XOR and multiplier constants of hashmix calls 0 to calls - 1."""
+    c = [init * pow(mult, j, 1 << 32) % (1 << 32) for j in range(calls + 1)]
+    return np.array(c[:-1], dtype=np.uint32), np.array(c[1:], dtype=np.uint32)
+
+
+# mix_entropy hashes the first 4 words into the pool (calls 0-3), then
+# in round src mixes hashmix(pool[src]) into every other pool word
+# (calls 4-15, 3 a round), then mixes each further word into all 4 (4
+# calls a word).  A round's constants are laid out by destination word;
+# the source's own slot is unused.
+def _by_destination(constants: np.ndarray) -> np.ndarray:
+    """Rows src = 0-3: round src's constants in the slots of its destinations."""
+    rounds = np.zeros((_POOL, _POOL), dtype=np.uint32)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        rounds[src, dst] = constants[_POOL + 3 * src : _POOL + 3 * src + 3]
+    return rounds
+
+
+_ENTROPY_XOR, _ENTROPY_MUL = _hash_constants(_INIT_A, _MULT_A, 16)
+_ROUND_XOR, _ROUND_MUL = map(_by_destination, (_ENTROPY_XOR, _ENTROPY_MUL))
+# generate_state's hash of a PCG64's 8 words: word i is pool word i % 4
+_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mix(x, y); ``y`` is overwritten."""
+    x = x * _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> _SHIFT
+    return x
+
+
+def _pools(seeds: tuple[int, ...]) -> np.ndarray:
+    """Each seed's ``SeedSequence`` entropy pool (seeds x 4 words), as
+    ``mix_entropy`` mixes it: the seed's 32-bit words, least significant
+    first (one word for 0), zero-padded to the pool's 4."""
+    ints = [int(s) for s in seeds]
+    width = max(_POOL, (max(ints, default=0).bit_length() + 31) // 32)
+    raw = b"".join(s.to_bytes(4 * width, "little") for s in ints)
+    entropy = np.frombuffer(raw, dtype="<u4").reshape(len(ints), width)
+    pool = _hashmix(entropy[:, :_POOL], _ENTROPY_XOR[:_POOL], _ENTROPY_MUL[:_POOL])
+    for src in range(_POOL):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], _ROUND_XOR[src], _ROUND_MUL[src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    if width > _POOL:  # seeds of 2^128 and above: each word past the 4th
+        words = np.array([max(1, (s.bit_length() + 31) // 32) for s in ints])
+        xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL * (width - _POOL))
+        for w in range(_POOL, width):
+            more, j = words > w, 16 + _POOL * (w - _POOL)
+            word = _hashmix(entropy[more, w, None], xor[j : j + _POOL], mul[j : j + _POOL])
+            pool[more] = _mix(pool[more], word)
+    return pool
 
 
 @functools.cache
@@ -124,18 +194,14 @@ def _generators(seed: int | tuple[int, ...]) -> tuple[list[np.random.Generator],
     """One generator per seed, each as ``np.random.default_rng`` builds it,
     and whether a tuple of seeds asked for a stack.
 
-    numpy's ``SeedSequence`` mixes each seed into its entropy pool; the
-    pools of all seeds are hashed into PCG64 states in one pass."""
+    Every seed is mixed into its entropy pool, and the pools are hashed
+    into PCG64 states, in one numpy pass (:func:`_pools`)."""
     seeds, stacked = _seeds(seed)
-    pools = np.empty((len(seeds), 2, 4), dtype="<u4")  # each pool twice: 8 words
-    for pool, s in zip(pools, seeds):
-        pool[...] = np.random.SeedSequence(s).pool
-    words = pools.reshape(-1, 8)
-    words ^= _HASH_XOR
-    words *= _HASH_MUL
-    words ^= words >> 16
+    if not seeds:  # a stack of no trials, as a sweep draws for a point's checks
+        return [], stacked
+    words = _hashmix(np.tile(_pools(seeds), 2), _STATE_XOR, _STATE_MUL)
     # two little-endian words per uint64, as generate_state(4, np.uint64) pairs them
-    states = words.view("<u8").astype(np.uint64, copy=False)
+    states = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     seeded = _state_seed_sequence()
     return [np.random.Generator(np.random.PCG64(seeded(s))) for s in states], stacked
 
@@ -180,8 +246,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class GroundTruth:
     """A rank-``rank`` target held as its factors; the dense
     ``x = left_factor @ right_factor.T`` is built on first access and
-    cached.  A stack of truths holds its factors on a leading trial axis,
-    with a tuple of seeds, and its ``x`` is the stack of dense targets."""
+    cached.  ``measure``, ``recovery.relative_error`` and every solver's
+    ``truth=`` take the truth itself and use its factors, so ``x`` is
+    never built on their paths.  A stack of truths holds its factors on a
+    leading trial axis, with a tuple of seeds, and its ``x`` is the stack
+    of dense targets."""
 
     left_factor: np.ndarray
     right_factor: np.ndarray
@@ -394,36 +463,58 @@ def gen_design(
 
 
 def measure(
-    x: np.ndarray, design: MeasurementDesign, sigma: float, noise_seed: int | tuple[int, ...]
+    x: np.ndarray | GroundTruth,
+    design: MeasurementDesign,
+    sigma: float,
+    noise_seed: int | tuple[int, ...],
 ) -> MeasurementSet:
     """Apply the affine measurement operator, adding i.i.d. Gaussian
     noise of standard deviation ``sigma`` to every scalar observation.
 
-    With a tuple of noise seeds, ``x`` is a stack of targets and
-    ``design`` a stacked design, one trial per seed, and each trial's
-    noise is drawn from its own seed.  With ``sigma = 0`` the blocks
-    equal ``design.rows(x)`` and ``design.cols(x)`` exactly (no noise
-    stream is consumed).  ``sigma`` must be a finite nonnegative number,
-    not a bool, and is checked before ``x``'s finiteness, which one BLAS
-    pass of column sums certifies (:func:`_all_finite`).
+    ``x`` is the dense target or its ``GroundTruth``, whose factors are
+    measured as ``b_row = design.rows(L) @ R.T`` and ``b_col = L @
+    design.cols(R.T)``, in O((m + n) r (k1 + k2)), with no m x n product.
+    With a tuple of noise seeds, ``x`` is a stack of targets (or a stacked
+    truth) and ``design`` a stacked design, one trial per seed, and each
+    trial's noise is drawn from its own seed.  With ``sigma = 0`` the
+    blocks are those products exactly (no noise stream is consumed).
+    ``sigma`` must be a finite nonnegative number, not a bool, and is
+    checked before ``x``'s finiteness: a truth's factors are checked, and
+    a dense ``x`` is certified by one BLAS pass of column sums
+    (:func:`_all_finite`).
     """
     seeds, stacked = _seeds(noise_seed)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 + stacked or stacked and len(x) != len(seeds):
+    factored = isinstance(x, GroundTruth)
+    if factored:
+        left, right = (np.asarray(f, dtype=np.float64) for f in (x.left_factor, x.right_factor))
+        if not (
+            left.ndim == right.ndim >= 2
+            and (left.shape[:-2], left.shape[-1]) == (right.shape[:-2], right.shape[-1])
+        ):
+            raise ValueError("truth factors must be m x r and n x r, stacked alike")
+        shape, arrays = (*left.shape[:-1], right.shape[-2]), (left, right)
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        shape, arrays = x.shape, (x,)
+    if len(shape) != 2 + stacked or stacked and shape[0] != len(seeds):
         raise ValueError("x must be a 2-d matrix, or a stack of one per noise seed")
-    if x.shape[-2:] != (design.m, design.n):
+    if shape[-2:] != (design.m, design.n):
         raise ValueError(
-            f"design expects a {design.m}x{design.n} target, got {x.shape[-2]}x{x.shape[-1]}"
+            f"design expects a {design.m}x{design.n} target, got {shape[-2]}x{shape[-1]}"
         )
     held = design.row_indices[..., None] if design.a_row is None else design.a_row
-    if held.shape[:-2] != x.shape[:-2]:  # the design's trials
+    if held.shape[:-2] != shape[:-2]:  # the design's trials
         raise ValueError("x and design must be stacked alike, one target per trial")
     if not _is_finite_nonnegative(sigma):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    if not _all_finite(x):
+    if not all(map(_all_finite, arrays)):
         raise ValueError("x entries must be finite")
-    b_row = np.ascontiguousarray(design.rows(x))
-    b_col = np.ascontiguousarray(design.cols(x))
+    if factored:
+        b_row = design.rows(left) @ right.mT
+        b_col = left @ design.cols(right.mT)
+    else:
+        b_row = np.ascontiguousarray(design.rows(x))
+        b_col = np.ascontiguousarray(design.cols(x))
     if sigma > 0:
         noises = _normal(noise_seed, b_row.shape[-2:], b_col.shape[-2:])
         for block, noise in zip((b_row, b_col), noises):

@@ -9,9 +9,13 @@ block (a skeleton decomposition), which is exact at the minimal
 measurement count.
 
 Estimates are returned as thin factors ``x_hat = left @ right.T``; the
-residuals and the error against a dense truth are computed from the
-factors, so no m x n matrix is formed unless ``RecoveryResult.x_hat`` is
-read.
+residuals and the error are computed from the factors, so no m x n
+matrix is formed unless ``RecoveryResult.x_hat`` is read.  A truth is
+given dense or as its ``GroundTruth``; against a ``GroundTruth`` the
+error takes one thin QR (:func:`_factored_norms`), in O((m + n) r^2),
+and against a dense truth one blocked pass over it.  Every norm of the
+module is summed again from a power-of-two rescale when its sum of
+squares leaves float's normal range (:func:`_norms`).
 
 ``svls_stack`` and ``cur_stack`` solve a stack of trials (designs and
 blocks drawn as stacks by ``gen_design`` and ``measure``) in one pass:
@@ -37,6 +41,7 @@ import numpy as np
 from .measurements import (
     ERROR_BLOCK_ENTRIES,
     DesignKind,
+    GroundTruth,
     MeasurementDesign,
     MeasurementSet,
     _all_finite,
@@ -115,19 +120,66 @@ class RecoveryResult:
         return out
 
 
-def relative_error(left: np.ndarray, right: np.ndarray, x_true: np.ndarray) -> float:
-    """Relative Frobenius error ``||left @ right.T - x_true||_F / ||x_true||_F``.
+def relative_error(
+    left: np.ndarray, right: np.ndarray, x_true: np.ndarray | GroundTruth
+) -> float:
+    """Relative Frobenius error ``||left @ right.T - x_true||_F / ||x_true||_F``
+    (:func:`_errors` on a stack of one).
 
-    Both squared norms are summed over row blocks of about
+    Against a ``GroundTruth`` both norms come from one thin QR of the
+    factors (:func:`_factored_norms`), in O((m + n) r^2).  Against a dense
+    truth both squared norms are summed over row blocks of about
     ``ERROR_BLOCK_ENTRIES`` entries in one pass over ``x_true``, so no
     m x n temporary is formed and each block is still in cache when its
-    difference and norms are taken (:func:`_errors` on a stack of one).
-    A truth with a NaN or infinite entry raises ``ValueError``; a finite
-    truth costs no extra pass, as its squared norm comes out finite.  Sums
-    of squares that leave float's normal range are taken again from a
-    power-of-two rescale of truth and estimate.
+    difference and norms are taken.  A truth with a NaN or infinite entry
+    (or factor entry) raises ``ValueError``; a finite dense truth costs no
+    extra pass, as its squared norm comes out finite.  Sums of squares
+    that leave float's normal range are taken again from a power-of-two
+    rescale.
     """
+    if isinstance(x_true, GroundTruth):
+        factors = (x_true.left_factor[None], x_true.right_factor[None])
+        return _errors(left[None], right[None], GroundTruth(*factors, (x_true.seed,)))[0]
     return _errors(left[None], right[None], np.asarray(x_true)[None])[0]
+
+
+def _exponent(a: np.ndarray) -> int:
+    """The binary exponent of ``a``'s largest magnitude; for a zero ``a``,
+    one below every float's."""
+    top = max(a.max(initial=0.0), -a.min(initial=0.0))
+    return int(np.frexp(top)[1]) if top else -2048
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of the matrix ``a``, or of each matrix of a
+    stack, from its sum of squares.  A matrix whose sum leaves float's
+    normal range (entries above about 1e154 or below about 1e-154, or a
+    zero matrix) is summed again from its entries times the power of two
+    that brings its largest one near 1; a norm above float max reads inf."""
+    flat = a.reshape(-1, a.shape[-2] * a.shape[-1])
+    with np.errstate(over="ignore"):
+        squares = np.vecdot(flat, flat)
+        norms = np.sqrt(squares)
+        for t, square in enumerate(squares.tolist()):
+            if not _NORMAL_MIN <= square <= _NORMAL_MAX:  # nan included
+                shift = _exponent(flat[t])
+                scaled = np.ldexp(flat[t], -shift)
+                norms[t] = np.ldexp(np.sqrt(scaled @ scaled), shift)
+    return norms.reshape(a.shape[:-2])
+
+
+def _factored_norms(
+    left: np.ndarray, right: np.ndarray, left2: np.ndarray, right2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``||L R.T - L2 R2.T||_F = ||[R, R2] @ T.T||_F`` and ``||L R.T||_F``,
+    of one pair of factorizations or of each trial of stacks, from one
+    thin QR ``[L, -L2] = Q T``, whose leading block is the triangular
+    factor of ``L``; neither m x n product is formed.  The norms of the
+    two n-row products are :func:`_norms`'s."""
+    p = left.shape[-1]
+    t = np.linalg.qr(np.concatenate([left, -left2], axis=-1), mode="r")
+    step = np.concatenate([right, right2], axis=-1) @ t.mT
+    return _norms(step), _norms(right @ t[..., :p, :p].mT)
 
 
 def block_residuals(
@@ -137,9 +189,9 @@ def block_residuals(
     meas: MeasurementSet,
 ) -> tuple[float, float]:
     """Frobenius misfits of ``left @ right.T`` against ``b_row`` and
-    ``b_col``, computed through the thin factors."""
-    row_res = float(np.linalg.norm(design.rows(left) @ right.T - meas.b_row))
-    col_res = float(np.linalg.norm(left @ design.cols(right.T) - meas.b_col))
+    ``b_col``, computed through the thin factors (:func:`_norms`)."""
+    row_res = float(_norms(design.rows(left) @ right.T - meas.b_row))
+    col_res = float(_norms(left @ design.cols(right.T) - meas.b_col))
     return row_res, col_res
 
 
@@ -149,9 +201,10 @@ def _factor_objective(
     design: MeasurementDesign,
     meas: MeasurementSet,
 ) -> float:
-    """Squared data misfit of ``left @ right.T``, from :func:`block_residuals`."""
+    """Squared data misfit of ``left @ right.T``, from :func:`block_residuals`;
+    inf above float max."""
     row_res, col_res = block_residuals(left, right, design, meas)
-    return row_res**2 + col_res**2
+    return row_res * row_res + col_res * col_res
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
@@ -287,24 +340,43 @@ class StackSolution(NamedTuple):
     runtime_seconds: float
 
 
-def _exponent(a: np.ndarray) -> int:
-    """The binary exponent of ``a``'s largest magnitude; for a zero ``a``,
-    one below every float's."""
-    top = max(a.max(initial=0.0), -a.min(initial=0.0))
-    return int(np.frexp(top)[1]) if top else -2048
-
-
-def _errors(left: np.ndarray, right: np.ndarray, truths: np.ndarray) -> list[float]:
+def _errors(
+    left: np.ndarray, right: np.ndarray, truths: np.ndarray | GroundTruth
+) -> list[float]:
     """Each trial's :func:`relative_error` of the stack of estimates
-    ``left @ right.T`` against its slice of the stack ``truths``, in one
-    pass: truths of over ``ERROR_BLOCK_ENTRIES`` entries in row blocks, one
-    at a time, smaller ones whole, a few at a time.  A trial's sums are the
-    same dot products either way, with the same bits.  A trial whose sums
-    of squares leave float's normal range (entries above about 1e154 or
-    below about 1e-154) is summed again from its estimate and truth times
-    the power of two that brings the truth's largest entry (for a zero
-    truth, the estimate's) near 1; an estimate above about 1e154 times
-    its truth then reads inf.
+    ``left @ right.T`` against its truth: a trial of a stacked
+    ``GroundTruth``, scored from the factors (:func:`_factored_norms`),
+    or a slice of a dense stack of truths (:func:`_dense_norms`)."""
+    if isinstance(truths, GroundTruth):
+        factors = truths.left_factor, truths.right_factor
+        if tuple(f.shape[:-1] for f in factors) != (left.shape[:-1], right.shape[:-1]):
+            raise ValueError(
+                f"truth factors {factors[0].shape} and {factors[1].shape} do not match "
+                f"estimate factors {left.shape} and {right.shape}"
+            )
+        if not all(np.isfinite(f).all() for f in factors):
+            raise ValueError("truth entries must be finite")
+        num, denom = _factored_norms(*factors, left, right)
+    else:
+        num, denom = _dense_norms(left, right, truths)
+    # against a zero truth: 0.0 for a zero estimate, else inf
+    zero = np.where(num == 0.0, 0.0, math.inf)
+    return np.divide(num, denom, out=zero, where=denom != 0.0).tolist()
+
+
+def _dense_norms(
+    left: np.ndarray, right: np.ndarray, truths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's ``||x - left @ right.T||_F`` and ``||x||_F`` for its
+    slice ``x`` of the dense stack ``truths``, in one pass: truths of over
+    ``ERROR_BLOCK_ENTRIES`` entries in row blocks, one at a time, smaller
+    ones whole, a few at a time.  A trial's sums are the same dot products
+    either way, with the same bits.  A trial whose sums of squares leave
+    float's normal range (entries above about 1e154 or below about
+    1e-154) is summed again from its estimate and truth times the power of
+    two that brings the truth's largest entry (for a zero truth, the
+    estimate's) near 1; an estimate above about 1e154 times its truth
+    then reads inf.
     """
     truths = np.asarray(truths, dtype=np.float64)
     count, m, n = len(truths), left.shape[-2], right.shape[-2]
@@ -347,10 +419,7 @@ def _errors(left: np.ndarray, right: np.ndarray, truths: np.ndarray) -> list[flo
     for t in out:
         shift = max(_exponent(truths[t]), _exponent(left[t]) + _exponent(right[t]))
         num_sq[t : t + 1], denom_sq[t : t + 1] = sums(slice(t, t + 1), shift)
-    num, denom = np.sqrt(num_sq), np.sqrt(denom_sq)
-    # against a zero truth: 0.0 for a zero estimate, else inf
-    zero = np.where(num == 0.0, 0.0, math.inf)
-    return np.divide(num, denom, out=zero, where=denom != 0.0).tolist()
+    return np.sqrt(num_sq), np.sqrt(denom_sq)
 
 
 def _check_svls(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:
@@ -436,7 +505,7 @@ def svls_recover(
     meas: MeasurementSet,
     design: MeasurementDesign,
     r: int,
-    truth: np.ndarray | None = None,
+    truth: np.ndarray | GroundTruth | None = None,
 ) -> RecoveryResult:
     """Recover a rank-``r`` estimate by SVD subspace estimation plus the
     core least-squares solve.
@@ -449,8 +518,9 @@ def svls_recover(
         The design that produced them.
     r : int
         Target rank; must satisfy ``r <= min(k1, k2, m, n)``.
-    truth : ndarray, optional
-        Ground-truth matrix; when given, ``relative_error`` is filled in.
+    truth : ndarray or GroundTruth, optional
+        Ground truth, dense or as its factors; when given,
+        ``relative_error`` is filled in (see :func:`relative_error`).
         Its entries must be finite (``ValueError``).
 
     In the noiseless case with ``k1 = k2 = r`` and generic inputs the
@@ -463,7 +533,7 @@ def svls_recover(
 def cur_recover(
     meas: MeasurementSet,
     design: MeasurementDesign,
-    truth: np.ndarray | None = None,
+    truth: np.ndarray | GroundTruth | None = None,
 ) -> RecoveryResult:
     """Skeleton reconstruction ``x_hat = b_col @ pinv(W) @ b_row`` for
     sampling designs, with ``W`` the k1 x k2 overlap block, held as the

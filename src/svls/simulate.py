@@ -14,7 +14,10 @@ one call of each generator of ``measurements`` (every trial from its own
 seeds, as ``run_trial`` draws it), solved in one call of a stacked
 solver of ``recovery`` and scored against its truths in one call of
 ``recovery._errors``; each record is the one ``run_trial`` gives (see
-``_run_stacked``).  ``svp`` and ``als`` run trial by trial.
+``_run_stacked``).  ``svp`` and ``als`` run trial by trial.  A trial's
+truth stays its factors: it is measured and scored through them, and
+only the ``svp`` baseline's dense operator reads the m x n target, so a
+stack is sized by its factors, designs and blocks (``STACK_ENTRIES``).
 
 Record CSVs use a fixed column order (parameters first, then metrics),
 17-significant-digit numerics, and ``\\n`` line endings.  Wall-clock
@@ -44,8 +47,7 @@ from typing import Iterable, Sequence
 from .baselines import als_recover, gaussian_operator, svp_recover
 from .matio import format_float
 from .measurements import (
-    ERROR_BLOCK_ENTRIES, DesignKind, _generator, _is_finite_nonnegative, _is_int,
-    gen_design, gen_low_rank, measure,
+    DesignKind, _generator, _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
 )
 from .recovery import (
     _check_cur, _check_svls, _errors, cur_recover, cur_stack, svls_recover, svls_stack,
@@ -55,6 +57,13 @@ ALGORITHMS = ("svls", "cur", "svp", "als")
 # The algorithms whose trials run in stacks: the stacked solver, and the
 # checks it makes before it solves, which depend on the point alone.
 _STACKED = {"svls": (_check_svls, svls_stack), "cur": (_check_cur, cur_stack)}
+# A stack of trials holds, per trial, the truth's factors ((m + n) r), a
+# Gaussian design (k1 m + n k2) and the blocks (k1 n + m k2): at most
+# (m + n)(r + k1 + k2) float64 entries.  A stack takes as many trials as
+# fit in STACK_ENTRIES of them, 8 MB (and at least one trial); the
+# solver's temporaries are of the same order.  At 50 x 50, r = 3,
+# k = 8, that is 551 trials; at 10^5 x 10^5, r = 10, k = 20, one.
+STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,13 +297,13 @@ def _record(
 
 
 def _draw(point: TrialPoint, seed: int | tuple[int, ...]) -> tuple:
-    """A trial's dense truth (built once), design and measurement set; for a
+    """A trial's truth (its factors), design and measurement set; for a
     tuple of trial seeds, a stack's, drawn in one call of each generator."""
-    x = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth")).x
+    truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
     design = gen_design(
         point.design, point.m, point.n, point.k1, point.k2, _subseed(seed, "design")
     )
-    return x, design, measure(x, design, point.sigma, _subseed(seed, "noise"))
+    return truth, design, measure(truth, design, point.sigma, _subseed(seed, "noise"))
 
 
 def run_trial(
@@ -321,15 +330,15 @@ def run_trial(
             if point.sigma > 0:
                 noise = _generator(_subseed(seed, "noise")).standard_normal(b.shape)
                 b = b + point.sigma * noise
-            result = svp_recover(b, op, point.m, point.n, point.rank, truth=truth.x)
+            result = svp_recover(b, op, point.m, point.n, point.rank, truth=truth)
         else:
-            x, design, meas = _draw(point, seed)
+            truth, design, meas = _draw(point, seed)
             if point.algorithm == "svls":
-                result = svls_recover(meas, design, point.rank, truth=x)
+                result = svls_recover(meas, design, point.rank, truth=truth)
             elif point.algorithm == "cur":
-                result = cur_recover(meas, design, truth=x)
+                result = cur_recover(meas, design, truth=truth)
             elif point.algorithm == "als":
-                result = als_recover(meas, design, point.rank, truth=x)
+                result = als_recover(meas, design, point.rank, truth=truth)
             else:
                 raise ValueError(f"unknown algorithm {point.algorithm!r}")
     except Exception as exc:  # contained: failures become records
@@ -350,8 +359,9 @@ def _run_stacked(
     then the solver's are made.  Each depends on the point alone, so a
     point failing one gives every trial that error (the message it gets
     alone) and draws no trial.  The trials then run in stacks of at most
-    ``ERROR_BLOCK_ENTRIES`` truth entries (at least one trial): one step
-    draws a stack (:func:`_draw`), solves it and scores it (``_errors``).
+    ``STACK_ENTRIES`` entries of factors, designs and blocks (at least one
+    trial): one step draws a stack (:func:`_draw`), solves it and scores
+    it against its truths' factors (``_errors``).
     A stack whose step raises is split into stacks of one that take the
     same step, so only a failing trial gets an error record.
     """
@@ -363,12 +373,13 @@ def _run_stacked(
         return [_record(fields, seed, t, success_threshold, exc=exc) for t, seed in trials]
 
     def solved(chunk: list[tuple[int, int]]) -> list[TrialRecord]:
-        # what the stack holds is let go on return: one stack of truths at a time
-        x, design, meas = _draw(point, tuple(seed for _, seed in chunk))
+        # what the stack holds is let go on return: one stack at a time
+        truth, design, meas = _draw(point, tuple(seed for _, seed in chunk))
         sol = solve(meas, design, point.rank)
+        del design, meas  # and its design and blocks before it is scored
         return [
             _record(fields, seed, t, success_threshold, rel, 0, sol.runtime_seconds)
-            for (t, seed), rel in zip(chunk, _errors(sol.left, sol.right, x))
+            for (t, seed), rel in zip(chunk, _errors(sol.left, sol.right, truth))
         ]
 
     def contained(chunk: list[tuple[int, int]]) -> list[TrialRecord]:
@@ -380,7 +391,7 @@ def _run_stacked(
                 return [_record(fields, seed, t, success_threshold, exc=exc)]
         return [rec for trial in chunk for rec in contained([trial])]
 
-    size = max(1, ERROR_BLOCK_ENTRIES // (point.m * point.n))
+    size = max(1, STACK_ENTRIES // ((point.m + point.n) * (point.rank + point.k1 + point.k2)))
     return [rec for i in range(0, len(trials), size) for rec in contained(trials[i : i + size])]
 
 

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from oracles import core_objective, product_norm, rowcol_operator_matrix
 
-from svls import baselines
+from svls import baselines, recovery
 from svls.baselines import IterativeSolverConfig, als_recover, gaussian_operator, svp_recover
 from svls.measurements import DesignKind, gen_design, gen_low_rank, measure
 from svls.recovery import (
@@ -429,6 +430,23 @@ class TestAlsRecover:
         hist = np.array(result.objective_history)
         assert np.all(np.diff(hist) <= 1e-9 * (1.0 + hist[:-1]))
 
+    @pytest.mark.parametrize("scale", [1e155, 1e-170])
+    def test_scale_outside_the_normal_range(self, scale):
+        # the step norms' sums of squares overflow (1e155) or vanish
+        # (1e-170) unless rescaled; the stop then fires as at unit scale
+        truth = gen_low_rank(30, 30, 2, seed=1)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 30, 30, 4, 4, seed=2)
+        unit = als_recover(measure(truth.x, design, 1e-3, noise_seed=3), design, 2)
+        meas = measure(truth.x * scale, design, 1e-3 * scale, noise_seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = als_recover(meas, design, 2)
+        assert unit.converged and unit.iterations > 10
+        assert result.converged and result.iterations == unit.iterations
+        want = recovery.relative_error(unit.left, unit.right, truth.x)
+        got = recovery.relative_error(result.left / scale, result.right, truth.x)
+        assert abs(got - want) <= 1e-8 * want
+
     def test_estimate_rank_capped(self):
         truth = gen_low_rank(10, 10, 2, seed=1)
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 10, 10, 4, 4, seed=2)
@@ -469,7 +487,7 @@ class TestAlsRecover:
         rng = np.random.default_rng(m + n + r)
         left, prev_left = rng.standard_normal((m, r)), rng.standard_normal((m, r))
         right, prev_right = rng.standard_normal((n, r)), rng.standard_normal((n, r))
-        step, size = baselines._step_norms(left, right, prev_left, prev_right)
+        step, size = map(float, recovery._factored_norms(left, right, prev_left, prev_right))
         want_step = product_norm(np.hstack([left, -prev_left]), np.hstack([right, prev_right]))
         want_size = product_norm(left, right)
         assert abs(step - want_step) <= 1e-12 * want_step

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -15,10 +16,12 @@ from oracles import draw_oracle
 from svls.measurements import (
     ERROR_BLOCK_ENTRIES,
     DesignKind,
+    GroundTruth,
     MeasurementDesign,
     MeasurementSet,
     _all_finite,
     _generators,
+    _pools,
     gen_design,
     gen_low_rank,
     measure,
@@ -302,6 +305,60 @@ class TestMeasure:
             t.x[0, 0] = 1.0
 
 
+class TestFactoredMeasure:
+    """``measure`` on a ``GroundTruth`` applies the design to the factors;
+    the dense target's measurement is the oracle."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_matches_dense(self, kind, sigma):
+        truth = gen_low_rank(10, 12, 3, seed=1)
+        design = gen_design(kind, 10, 12, 4, 5, seed=2)
+        got = measure(truth, design, sigma, noise_seed=3)
+        assert "x" not in vars(truth)  # no m x n product was formed
+        want = measure(truth.x, design, sigma, noise_seed=3)
+        for a, b in [(got.b_row, want.b_row), (got.b_col, want.b_col)]:
+            assert not a.flags.writeable and a.shape == b.shape
+            if kind is DesignKind.ROW_COL_SAMPLE:
+                # gathers of the same dot products: the same bits (k >= 2;
+                # a 1-row gather takes numpy's matrix-vector kernel)
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_stack_slices_are_each_trials(self, kind):
+        seeds = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+        truth = gen_low_rank(9, 7, 2, seeds[0])
+        design = gen_design(kind, 9, 7, 3, 4, seeds[1])
+        stack = measure(truth, design, 0.1, seeds[2])
+        assert stack.b_row.shape == (3, 3, 7) and stack.b_col.shape == (3, 9, 4)
+        for t, (s_truth, s_design, s_noise) in enumerate(zip(*seeds)):
+            alone = measure(
+                gen_low_rank(9, 7, 2, s_truth), gen_design(kind, 9, 7, 3, 4, s_design), 0.1,
+                s_noise,
+            )
+            assert stack.b_row[t].tobytes() == alone.b_row.tobytes()
+            assert stack.b_col[t].tobytes() == alone.b_col.tobytes()
+
+    def test_checks(self):
+        truth = gen_low_rank(6, 5, 2, seed=1)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 6, 5, 3, 3, seed=2)
+        bad_rank = GroundTruth(truth.left_factor, truth.right_factor[:, :1], 1)
+        with pytest.raises(ValueError, match="m x r and n x r, stacked alike"):
+            measure(bad_rank, design, 0.1, 3)
+        with pytest.raises(ValueError, match="design expects a 6x5 target, got 5x6"):
+            measure(GroundTruth(truth.right_factor, truth.left_factor, 1), design, 0.1, 3)
+        with pytest.raises(ValueError, match="stack of one per noise seed"):
+            measure(truth, design, 0.1, (3,))
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            measure(truth, design, math.inf, 3)
+        left = np.array(truth.left_factor)
+        left[2, 1] = np.nan
+        with pytest.raises(ValueError, match="x entries must be finite"):
+            measure(GroundTruth(left, truth.right_factor, 1), design, 0.1, 3)
+
+
 class TestMeasureChecks:
     def test_shape_and_sigma_checked_before_finiteness(self):
         # a nan target must be refused for its shape, or for sigma, first:
@@ -515,6 +572,39 @@ class TestStackedDraws:
         meas = measure(truth.x, design, 0.1, ())
         assert truth.x.shape == (0, 5, 4) and (design.k1, design.k2) == (3, 2)
         assert meas.b_row.shape == (0, 3, 4) and meas.b_col.shape == (0, 5, 2)
+
+
+# one to seven 32-bit words of entropy, the pool's 4 and past it
+POOL_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**200]
+
+
+class TestPoolPass:
+    """The one numpy pass that mixes seeds into their entropy pools and
+    hashes those into PCG64 states, against numpy's ``SeedSequence``."""
+
+    @pytest.mark.parametrize("seed", POOL_SEEDS, ids=repr)
+    def test_seed_alone_and_in_a_stack(self, seed):
+        want = np.random.default_rng(seed).bit_generator.state
+        ((alone,), stacked) = _generators(seed)
+        assert not stacked and alone.bit_generator.state == want
+        rngs, _ = _generators(tuple(POOL_SEEDS))
+        assert rngs[POOL_SEEDS.index(seed)].bit_generator.state == want
+        assert np.array_equal(_pools((seed,))[0], np.random.SeedSequence(seed).pool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of([st.integers(0, 2**bits - 1) for bits in (32, 64, 128, 300)]),
+            max_size=8,
+        )
+    )
+    def test_any_seeds(self, seeds):
+        rngs, stacked = _generators(tuple(seeds))
+        assert stacked and len(rngs) == len(seeds)
+        for rng, seed in zip(rngs, seeds):
+            want = np.random.default_rng(seed).bit_generator.state
+            assert rng.bit_generator.state == want
+            assert _generators(seed)[0][0].bit_generator.state == want
 
 
 # every width of entropy numpy's SeedSequence takes from an integer

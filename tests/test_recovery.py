@@ -11,6 +11,7 @@ from svls import recovery
 from svls.baselines import als_recover, svp_recover
 from svls.measurements import (
     DesignKind,
+    GroundTruth,
     MeasurementDesign,
     MeasurementSet,
     gen_design,
@@ -843,6 +844,154 @@ class TestRelativeError:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             relative_error(np.ones((4, 1)), np.ones((3, 1)), np.ones((3, 4)))
+
+
+class TestFactoredTruth:
+    """A ``GroundTruth`` is measured and scored through its factors; the
+    dense truth's paths are the oracle."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    @pytest.mark.parametrize("algo", ["svls", "cur", "als", "svp"])
+    def test_error_matches_dense(self, algo, sigma):
+        truth = gen_low_rank(18, 15, 2, seed=3)
+        result, _, _ = recover_with(algo, truth, sigma)
+        want = result.relative_error  # the blocked pass over truth.x
+        got = relative_error(result.left, result.right, truth)
+        if want > 1e-8:
+            assert abs(got - want) <= 1e-12 * want
+        else:  # an exact recovery: both read rounding
+            assert got < 1e-12 and want < 1e-12
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    def test_factored_trial_matches_dense(self, kind, sigma):
+        # measured and scored through the factors, against both dense
+        truth = gen_low_rank(40, 30, 3, seed=5)
+        design = gen_design(kind, 40, 30, 5, 6, seed=6)
+        factored = measure(truth, design, sigma, noise_seed=7)
+        dense = measure(truth.x, design, sigma, noise_seed=7)
+        for got, want in [(factored.b_row, dense.b_row), (factored.b_col, dense.b_col)]:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for algo in ["svls", "cur"] if kind is DesignKind.ROW_COL_SAMPLE else ["svls"]:
+            recover = {
+                "svls": lambda meas, x: svls_recover(meas, design, 3, truth=x),
+                "cur": lambda meas, x: cur_recover(meas, design, truth=x),
+            }[algo]
+            got = recover(factored, truth).relative_error
+            want = recover(dense, truth.x).relative_error
+            if want > 1e-8:
+                assert abs(got - want) <= 1e-12 * want, algo
+            else:
+                assert got < 1e-12 and want < 1e-12, algo
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_stacked_errors_are_each_trials(self, kind):
+        truth = gen_low_rank(20, 16, 2, (1, 2, 3))
+        design = gen_design(kind, 20, 16, 4, 4, (4, 5, 6))
+        meas = measure(truth, design, 1e-3, (7, 8, 9))
+        sol = recovery.svls_stack(meas, design, 2)
+        got = recovery._errors(sol.left, sol.right, truth)
+        for t, seed in enumerate(truth.seed):
+            alone = GroundTruth(truth.left_factor[t], truth.right_factor[t], seed)
+            assert got[t] == relative_error(sol.left[t], sol.right[t], alone)
+        assert "x" not in vars(truth)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_large_trial_forms_no_dense_matrix(self, kind):
+        # one 20000 x 20000 matrix takes 3.2 GB; the trial's factors,
+        # design and blocks take a few MB
+        m = n = 20_000
+        tracemalloc.start()
+        try:
+            truth = gen_low_rank(m, n, 5, seed=1)
+            design = gen_design(kind, m, n, 10, 10, seed=2)
+            meas = measure(truth, design, 1e-3, noise_seed=3)
+            result = svls_recover(meas, design, 5, truth=truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert result.relative_error < 1e-2
+        assert "x" not in vars(truth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("algo", ["svls", "cur", "als", "svp", "relative_error"])
+    def test_non_finite_factor_rejected(self, algo, bad):
+        truth = gen_low_rank(30, 30, 2, seed=7)
+        kind = DesignKind.ROW_COL_SAMPLE if algo == "cur" else DesignKind.GAUSSIAN_AFFINE
+        design = gen_design(kind, 30, 30, 4, 4, seed=8)
+        meas = measure(truth, design, 0.01, noise_seed=9)
+        b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
+        right = np.array(truth.right_factor)
+        right[12, 1] = bad
+        x = GroundTruth(truth.left_factor, right, truth.seed)
+        run = {
+            "svls": lambda: svls_recover(meas, design, 2, truth=x),
+            "cur": lambda: cur_recover(meas, design, truth=x),
+            "als": lambda: als_recover(meas, design, 2, truth=x),
+            "svp": lambda: svp_recover(b, design, 30, 30, 2, truth=x),
+            "relative_error": lambda: relative_error(truth.left_factor, truth.right_factor, x),
+        }[algo]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="truth entries must be finite"):
+                run()
+
+    def test_factors_of_another_shape_rejected(self):
+        truth = gen_low_rank(30, 20, 2, seed=7)
+        with pytest.raises(ValueError, match="do not match"):
+            relative_error(truth.left_factor[:-1], truth.right_factor, truth)
+
+    @pytest.mark.parametrize("off", [1e-3, 1.0])
+    @pytest.mark.parametrize("scale", TestRelativeError.SCALES)
+    def test_scale_outside_the_normal_range(self, scale, off):
+        truth, left, want = TestRelativeError.estimate(off)
+        scaled = GroundTruth(truth.left_factor * scale, truth.right_factor, truth.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(left * scale, truth.right_factor, scaled)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_zero_truth(self):
+        zero = GroundTruth(np.zeros((6, 2)), np.zeros((5, 2)), 0)
+        rng = np.random.default_rng(3)
+        left, right = rng.standard_normal((6, 2)), rng.standard_normal((5, 2))
+        assert relative_error(left, right, zero) == math.inf
+        assert relative_error(0 * left, right, zero) == 0.0
+
+
+class TestResidualScale:
+    """Each residual is a norm of the same power-of-two rescale: outside
+    float's normal range it reads the unit-scale residual times the scale."""
+
+    @pytest.mark.parametrize("scale", TestRelativeError.SCALES)
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_residuals_scale_with_the_data(self, kind, scale):
+        # rank 2 on a rank-3 truth, so the residuals are far from zero
+        truth = gen_low_rank(30, 30, 3, seed=11)
+        design = gen_design(kind, 30, 30, 4, 4, seed=12)
+        unit = svls_recover(measure(truth, design, 0.0, 13), design, 2)
+        scaled = GroundTruth(truth.left_factor * scale, truth.right_factor, truth.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = svls_recover(measure(scaled, design, 0.0, 13), design, 2)
+        for got, want in [(result.row_residual, unit.row_residual),
+                          (result.col_residual, unit.col_residual)]:
+            assert want > 1.0
+            assert abs(got - want * scale) <= 1e-13 * want * scale
+
+    def test_objective_above_float_max_reads_inf(self):
+        truth = gen_low_rank(30, 30, 2, seed=1)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 30, 30, 4, 4, seed=2)
+        meas = measure(truth, design, 0.0, 3)
+        left = truth.left_factor + 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = recovery._factor_objective(left, truth.right_factor, design, meas)
+            rows, cols = block_residuals(1e200 * left, truth.right_factor, design, meas)
+            huge = recovery._factor_objective(1e200 * left, truth.right_factor, design, meas)
+        assert 0 < unit < math.inf and math.isfinite(rows) and math.isfinite(cols)
+        assert huge == math.inf
 
 
 class TestProductNorm:

@@ -514,9 +514,10 @@ class TestStackedPoints:
     """``svls`` and ``cur`` points run in stacks; every record must be the
     one the per-trial oracles give."""
 
-    # 60 x 45 truths: 24 trials a stack, so 30 trials are a full stack and
-    # a partial one.  k = 2 < r fails svls at the point; at k = (8, 10)
-    # with noise, cur keeps 3 or 4 singular values of W from trial to trial.
+    # 60 x 45 truths, whose stacks are sized in the test to 24 trials at
+    # k = (8, 10), so its 30 trials are a full stack and a partial one.
+    # k = 2 < r fails svls at the point; at k = (8, 10) with noise, cur
+    # keeps 3 or 4 singular values of W from trial to trial.
     CONFIG = dict(
         m=60,
         n=45,
@@ -529,16 +530,26 @@ class TestStackedPoints:
         base_seed=404,
     )
 
+    # (m + n)(r + k1 + k2) entries a trial: 24 trials at k = (8, 10)
+    PER_STACK = 24
+    STACK_ENTRIES = PER_STACK * (60 + 45) * (3 + 8 + 10)
+
     def test_records_equal_the_per_trial_oracles(self, monkeypatch):
         sizes = stack_sizes(monkeypatch)
+        monkeypatch.setattr(simulate, "STACK_ENTRIES", self.STACK_ENTRIES)
         alone = []  # no stack falls back to trial-by-trial runs
         monkeypatch.setattr(simulate, "run_trial", lambda *args: alone.append(args))
         records = sweep(small_config(**self.CONFIG))
         monkeypatch.undo()
         assert alone == []
-        per_stack = simulate.ERROR_BLOCK_ENTRIES // (60 * 45)
-        # 24 points, of which 4 fail svls's rank check and 6 cur's design check
-        assert 30 % per_stack and sizes == [per_stack, 30 % per_stack] * 14
+        per_stack = self.PER_STACK
+        full = [per_stack, 30 - per_stack]
+        # 24 points, of which 4 fail svls's rank check and 6 cur's design
+        # check.  In point order, at both sigmas: Gaussian svls at k = 3 and
+        # (8, 10), then rowcol cur at k = 2, svls and cur at k = 3, and svls
+        # and cur at (8, 10); a point at (8, 10) takes a full and a partial
+        # stack, the others, with fewer entries a trial, one stack of 30
+        assert sizes == [30, 30] + full * 2 + [30, 30] + [30] * 4 + full * 4
         want, cur_ranks = oracle_records(records, monkeypatch)
         assert len(records) == len(want) == 2 * 3 * 2 * 2 * 30
         for got, ref in zip(records, want):
@@ -563,7 +574,7 @@ class TestStackedPoints:
 
     def test_large_trials_run_one_at_a_time(self, monkeypatch):
         sizes = stack_sizes(monkeypatch)
-        monkeypatch.setattr(simulate, "ERROR_BLOCK_ENTRIES", 100)
+        monkeypatch.setattr(simulate, "STACK_ENTRIES", 100)
         cfg = small_config(k_values=((3, 3),), algorithms=("svls", "cur"),
                            design_kinds=(DesignKind.ROW_COL_SAMPLE,))
         records = sweep(cfg)
@@ -572,6 +583,8 @@ class TestStackedPoints:
         assert records == want
 
     def test_each_stack_drawn_in_one_call_of_each_generator(self, monkeypatch):
+        # 24 trials a stack at k = (3, 3)
+        monkeypatch.setattr(simulate, "STACK_ENTRIES", 24 * (60 + 45) * (3 + 3 + 3))
         labels = {"gen_low_rank": "truth", "gen_design": "design", "measure": "noise"}
         calls = {name: [] for name in labels}
         for name, seen in calls.items():
@@ -593,12 +606,11 @@ class TestStackedPoints:
 
 
 class TestStackWorkingSet:
-    """A stack holds one stack of dense truths at a time: at 50 x 50 a
-    stack of 26 trials holds 26 x 2 500 x 8 B = 520 KB of truths, built
-    once for ``measure`` and the errors.  Beside it, the blocks, design,
-    solver temporaries and the errors' scratch took 0.41-0.58 MB at k = 8
-    (0.93-1.10 MB in all).  A second stack of truths, or a difference
-    stack of their size, would add 0.52 MB."""
+    """A point's 52 trials at 50 x 50, r = 3, k = 8 run as one stack, which
+    holds its truths as factors (125 KB), its blocks (333 KB) and, for a
+    Gaussian design, the design (333 KB); with the noise and the solver's
+    temporaries, and the scoring QR's once the design and blocks are let
+    go, it peaked at 0.93-1.25 MB.  The 52 dense truths would add 1.04 MB."""
 
     BOUND = 1.3e6
 
@@ -608,7 +620,7 @@ class TestStackWorkingSet:
          (DesignKind.ROW_COL_SAMPLE, "cur")],
     )
     def test_one_point_peak_allocation(self, kind, algo):
-        assert simulate.ERROR_BLOCK_ENTRIES // (50 * 50) == 26
+        assert simulate.STACK_ENTRIES // ((50 + 50) * (3 + 8 + 8)) >= 52  # one stack
         point = TrialPoint(50, 50, 3, kind, 8, 8, 1e-3, algo)
         trials = [(t, trial_seed(611, point, t)) for t in range(52)]
         simulate._run_stacked(point, trials, 1e-4)  # lazy imports and caches
@@ -623,6 +635,12 @@ class TestStackWorkingSet:
 
 
 class TestStackContainment:
+    @pytest.fixture(autouse=True)
+    def stacks_of_26(self, monkeypatch):
+        # (m + n)(r + k1 + k2) entries a trial: each point's 30 trials take
+        # a stack of 26 and one of 4
+        monkeypatch.setattr(simulate, "STACK_ENTRIES", 26 * (50 + 50) * (3 + 4 + 4))
+
     CONFIG = dict(
         m=50,
         n=50,
@@ -689,14 +707,14 @@ class TestStackContainment:
         clean = sweep(cfg)
         # a cur trial in its point's first stack, an svls one in its second
         targets = [7, 30 + 27]
-        bad = []  # the targets' truths
+        bad = []  # the targets' truths' left factors
         for i in targets:
             point = TrialPoint(**{name: getattr(clean[i], name) for name in POINT_FIELDS})
-            bad.append(simulate._draw(point, clean[i].seed)[0])
+            bad.append(simulate._draw(point, clean[i].seed)[0].left_factor)
         errors = simulate._errors
 
         def faulty(left, right, truths):
-            if any(np.array_equal(x, truth) for x in bad for truth in truths):
+            if any(np.array_equal(x, f) for x in bad for f in truths.left_factor):
                 raise FloatingPointError("no score")
             return errors(left, right, truths)
 
