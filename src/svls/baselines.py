@@ -35,6 +35,7 @@ from .recovery import (
     CORE_EIG_RTOL,
     RecoveryResult,
     _check_svls,
+    _exponent,
     _factor_objective,
     _factored_norms,
     _norms,
@@ -146,6 +147,12 @@ def svp_recover(
     against rounding, and reaching it ends the iteration at the last
     accepted iterate, with ``converged=False``.
 
+    SVP commutes exactly with scaling ``b`` by a power of two, so it runs
+    on ``b`` times the power of two that brings its largest entry near 1
+    and scales back ``left``, the residuals and the objectives: data far
+    outside float's normal range takes the unit-scale iterations, and an
+    objective above float max reads inf.
+
     Nonconvergence is not an error: the result carries the iteration
     count, the final objective and ``converged`` either way.  Non-finite
     ``b`` or ``op`` entries raise ``ValueError``; a design checks its own
@@ -171,6 +178,8 @@ def svp_recover(
     if not (isinstance(op, MeasurementDesign) or np.isfinite(op).all()):
         raise ValueError("operator entries must be finite")
     forward, adjoint = _operator(op, m, n)
+    shift = _exponent(b)
+    b = np.ldexp(b, -shift)
     t0 = time.perf_counter()
     x = np.zeros((m, n))
     left, right = np.zeros((m, r)), np.zeros((n, r))
@@ -211,9 +220,12 @@ def svp_recover(
                 break
     runtime = time.perf_counter() - t0
     row_res = col_res = None
-    if isinstance(op, MeasurementDesign):  # the two blocks of the final residual
-        row_res, col_res = (float(_norms(p[None])) for p in np.split(resid, [op.k1 * n]))
-    left = _freeze(left)
+    with np.errstate(over="ignore"):  # back to b's scale, where a norm may read inf
+        if isinstance(op, MeasurementDesign):  # the two blocks of the final residual
+            blocks = np.split(resid, [op.k1 * n])
+            row_res, col_res = (float(np.ldexp(_norms(p[None]), shift)) for p in blocks)
+        history = np.ldexp(history, 2 * shift).tolist()
+        left = _freeze(np.ldexp(left, shift))
     right.flags.writeable = False  # a transposed view of this call's SVD output
     return RecoveryResult(
         left=left,

@@ -54,13 +54,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _all_finite's fallback scan and recovery.relative_error against a dense
-# truth visit an m x n matrix in row blocks of about this many entries
+# _all_finite's fallback scan and recovery.relative_error against one
+# dense m x n truth visit it in row blocks of about this many entries
 # (512 KB of float64), so their scratch memory does not grow with m*n.
 # relative_error is fastest at 2^15-2^16 entries: a truth block and its
 # product scratch then fit in a 2 MB per-core L2 beside BLAS's packing
-# buffers; larger blocks spill.  It does not bound a sweep's stacks, which
-# hold their truths as factors (simulate.STACK_ENTRIES).
+# buffers; larger blocks spill.  A sweep's stacks hold their truths as
+# factors and are scored from them, with no dense pass; their size is
+# bounded by simulate.STACK_ENTRIES.
 ERROR_BLOCK_ENTRIES = 1 << 16
 
 
@@ -476,7 +477,9 @@ def measure(
     design.cols(R.T)``, in O((m + n) r (k1 + k2)), with no m x n product.
     With a tuple of noise seeds, ``x`` is a stack of targets (or a stacked
     truth) and ``design`` a stacked design, one trial per seed, and each
-    trial's noise is drawn from its own seed.  With ``sigma = 0`` the
+    trial's noise is drawn from its own seed.  Each trial's noise, for
+    ``b_row`` then ``b_col``, is added as it is drawn, so no stack of
+    noise is held beside the blocks.  With ``sigma = 0`` the
     blocks are those products exactly (no noise stream is consumed).
     ``sigma`` must be a finite nonnegative number, not a bool, and is
     checked before ``x``'s finiteness: a truth's factors are checked, and
@@ -515,9 +518,11 @@ def measure(
     else:
         b_row = np.ascontiguousarray(design.rows(x))
         b_col = np.ascontiguousarray(design.cols(x))
-    if sigma > 0:
-        noises = _normal(noise_seed, b_row.shape[-2:], b_col.shape[-2:])
-        for block, noise in zip((b_row, b_col), noises):
-            noise *= sigma
-            block += noise
+    if sigma > 0:  # each trial's noise, b_row's then b_col's, added as it is drawn
+        stacks = (b_row, b_col) if stacked else (b_row[None], b_col[None])
+        for rng, *blocks in zip(_generators(noise_seed)[0], *stacks):
+            for block in blocks:
+                noise = rng.standard_normal(block.shape)
+                noise *= sigma
+                block += noise
     return MeasurementSet(_freeze(b_row), _freeze(b_col), float(sigma), noise_seed)

@@ -11,11 +11,11 @@ measurement count.
 Estimates are returned as thin factors ``x_hat = left @ right.T``; the
 residuals and the error are computed from the factors, so no m x n
 matrix is formed unless ``RecoveryResult.x_hat`` is read.  A truth is
-given dense or as its ``GroundTruth``; against a ``GroundTruth`` the
-error takes one thin QR (:func:`_factored_norms`), in O((m + n) r^2),
-and against a dense truth one blocked pass over it.  Every norm of the
-module is summed again from a power-of-two rescale when its sum of
-squares leaves float's normal range (:func:`_norms`).
+given dense or as its ``GroundTruth``; against a ``GroundTruth``, one
+or a stack, the error takes one thin QR (:func:`_factored_norms`), in
+O((m + n) r^2), and against one dense truth one blocked pass over it.
+Every norm of the module is summed again from a power-of-two rescale
+when its sum of squares leaves float's normal range (:func:`_norms`).
 
 ``svls_stack`` and ``cur_stack`` solve a stack of trials (designs and
 blocks drawn as stacks by ``gen_design`` and ``measure``) in one pass:
@@ -124,23 +124,20 @@ def relative_error(
     left: np.ndarray, right: np.ndarray, x_true: np.ndarray | GroundTruth
 ) -> float:
     """Relative Frobenius error ``||left @ right.T - x_true||_F / ||x_true||_F``
-    (:func:`_errors` on a stack of one).
+    of one estimate against one truth, dense or a ``GroundTruth``.
 
-    Against a ``GroundTruth`` both norms come from one thin QR of the
-    factors (:func:`_factored_norms`), in O((m + n) r^2).  Against a dense
-    truth both squared norms are summed over row blocks of about
-    ``ERROR_BLOCK_ENTRIES`` entries in one pass over ``x_true``, so no
-    m x n temporary is formed and each block is still in cache when its
-    difference and norms are taken.  A truth with a NaN or infinite entry
-    (or factor entry) raises ``ValueError``; a finite dense truth costs no
-    extra pass, as its squared norm comes out finite.  Sums of squares
-    that leave float's normal range are taken again from a power-of-two
-    rescale.
+    Against a ``GroundTruth`` this is :func:`_errors` on a stack of one,
+    in O((m + n) r^2); against a dense m x n truth it is one blocked pass
+    over it (:func:`_dense_norms`), with no m x n temporary.  A truth with
+    a NaN or infinite entry (or factor entry) raises ``ValueError``; a
+    finite dense truth costs no extra pass, as its squared norm comes out
+    finite.  Against a zero truth the error is 0.0 for a zero estimate,
+    else inf.
     """
     if isinstance(x_true, GroundTruth):
         factors = (x_true.left_factor[None], x_true.right_factor[None])
         return _errors(left[None], right[None], GroundTruth(*factors, (x_true.seed,)))[0]
-    return _errors(left[None], right[None], np.asarray(x_true)[None])[0]
+    return _ratios(*_dense_norms(left, right, x_true)).tolist()
 
 
 def _exponent(a: np.ndarray) -> int:
@@ -340,86 +337,62 @@ class StackSolution(NamedTuple):
     runtime_seconds: float
 
 
-def _errors(
-    left: np.ndarray, right: np.ndarray, truths: np.ndarray | GroundTruth
-) -> list[float]:
+def _errors(left: np.ndarray, right: np.ndarray, truths: GroundTruth) -> list[float]:
     """Each trial's :func:`relative_error` of the stack of estimates
-    ``left @ right.T`` against its truth: a trial of a stacked
-    ``GroundTruth``, scored from the factors (:func:`_factored_norms`),
-    or a slice of a dense stack of truths (:func:`_dense_norms`)."""
-    if isinstance(truths, GroundTruth):
-        factors = truths.left_factor, truths.right_factor
-        if tuple(f.shape[:-1] for f in factors) != (left.shape[:-1], right.shape[:-1]):
-            raise ValueError(
-                f"truth factors {factors[0].shape} and {factors[1].shape} do not match "
-                f"estimate factors {left.shape} and {right.shape}"
-            )
-        if not all(np.isfinite(f).all() for f in factors):
-            raise ValueError("truth entries must be finite")
-        num, denom = _factored_norms(*factors, left, right)
-    else:
-        num, denom = _dense_norms(left, right, truths)
-    # against a zero truth: 0.0 for a zero estimate, else inf
-    zero = np.where(num == 0.0, 0.0, math.inf)
-    return np.divide(num, denom, out=zero, where=denom != 0.0).tolist()
-
-
-def _dense_norms(
-    left: np.ndarray, right: np.ndarray, truths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's ``||x - left @ right.T||_F`` and ``||x||_F`` for its
-    slice ``x`` of the dense stack ``truths``, in one pass: truths of over
-    ``ERROR_BLOCK_ENTRIES`` entries in row blocks, one at a time, smaller
-    ones whole, a few at a time.  A trial's sums are the same dot products
-    either way, with the same bits.  A trial whose sums of squares leave
-    float's normal range (entries above about 1e154 or below about
-    1e-154) is summed again from its estimate and truth times the power of
-    two that brings the truth's largest entry (for a zero truth, the
-    estimate's) near 1; an estimate above about 1e154 times its truth
-    then reads inf.
-    """
-    truths = np.asarray(truths, dtype=np.float64)
-    count, m, n = len(truths), left.shape[-2], right.shape[-2]
-    if truths.shape[1:] != (m, n):
-        raise ValueError(f"truth shape {truths.shape[1:]} differs from estimate shape {(m, n)}")
-    rows = max(1, ERROR_BLOCK_ENTRIES // max(1, n))
-    # small truths whole, a few at a time in a scratch of a quarter block
-    step = max(1, ERROR_BLOCK_ENTRIES // 4 // max(1, m * n)) if rows >= m else 1
-    rows = max(1, min(rows, m))
-    # one contiguous right.T for every block; a single block keeps x_hat's bits
-    right_t = right.mT if rows == m else np.ascontiguousarray(right.mT)
-    # one buffer holds every block's product and difference
-    scratch = np.empty((min(step, count), rows, n))
-
-    def sums(t: slice, shift: int = 0) -> tuple:
-        # the squared norms of the trials' differences and truths, times 4**-shift
-        lt, rt, xt = left[t], right_t[t], truths[t]
-        if shift:
-            lt = np.ldexp(lt, -shift)
-        num = denom = 0.0
-        for i in range(0, m, rows):
-            block = xt[:, i : i + rows]
-            if shift:
-                block = np.ldexp(block, -shift)
-            diff = np.matmul(lt[:, i : i + rows], rt, out=scratch[: len(xt), : block.shape[1]])
-            diff -= block
-            diff, flat = diff.reshape(len(xt), -1), block.reshape(len(xt), -1)
-            num, denom = num + np.vecdot(diff, diff), denom + np.vecdot(flat, flat)
-        return num, denom
-
-    num_sq, denom_sq = np.empty(count), np.empty(count)
-    with np.errstate(over="ignore"):  # an overflowed sum is taken again below
-        for t in range(0, count, step):
-            num_sq[t : t + step], denom_sq[t : t + step] = sums(slice(t, t + step))
-    low, high = np.minimum(num_sq, denom_sq), np.maximum(num_sq, denom_sq)
-    out = np.flatnonzero(~((_NORMAL_MIN <= low) & (high <= _NORMAL_MAX)))  # nan included
-    # a truth's squared norm is finite unless an entry is, or the squares overflow
-    if any(not (np.isfinite(denom_sq[t]) or _all_finite(truths[t])) for t in out):
+    ``left @ right.T`` against its trial of the stacked ``GroundTruth``
+    ``truths``, scored from the factors (:func:`_factored_norms`)."""
+    factors = truths.left_factor, truths.right_factor
+    if tuple(f.shape[:-1] for f in factors) != (left.shape[:-1], right.shape[:-1]):
+        raise ValueError(
+            f"truth factors {factors[0].shape} and {factors[1].shape} do not match "
+            f"estimate factors {left.shape} and {right.shape}"
+        )
+    if not all(np.isfinite(f).all() for f in factors):
         raise ValueError("truth entries must be finite")
-    for t in out:
-        shift = max(_exponent(truths[t]), _exponent(left[t]) + _exponent(right[t]))
-        num_sq[t : t + 1], denom_sq[t : t + 1] = sums(slice(t, t + 1), shift)
-    return np.sqrt(num_sq), np.sqrt(denom_sq)
+    return _ratios(*_factored_norms(*factors, left, right)).tolist()
+
+
+def _ratios(num, denom) -> np.ndarray:
+    """``num / denom``; against a zero truth, 0.0 for a zero estimate, else inf."""
+    zero = np.where(num == 0.0, 0.0, math.inf)
+    return np.divide(num, denom, out=zero, where=denom != 0.0)
+
+
+def _dense_norms(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """``||x - left @ right.T||_F`` and ``||x||_F`` for the dense m x n
+    truth ``x``, summed over row blocks of about ``ERROR_BLOCK_ENTRIES``
+    entries.  A sum of squares outside float's normal range is taken again
+    block by block, from :func:`_norms`, joined by ``math.hypot``."""
+    x = np.asarray(x, dtype=np.float64)
+    m, n = left.shape[0], right.shape[0]
+    if x.shape != (m, n):
+        raise ValueError(f"truth shape {x.shape} differs from estimate shape {(m, n)}")
+    rows = max(1, min(m, ERROR_BLOCK_ENTRIES // max(1, n)))
+    # one contiguous right.T for every block; a single block keeps x_hat's bits
+    right_t = right.T if rows == m else np.ascontiguousarray(right.T)
+    scratch = np.empty((rows, n))  # every block's product and difference
+
+    def blocks():
+        for i in range(0, m, rows):
+            block = x[i : i + rows]
+            diff = np.matmul(left[i : i + rows], right_t, out=scratch[: len(block)])
+            diff -= block
+            yield diff, block
+
+    num = denom = 0.0
+    with np.errstate(over="ignore"):  # an overflowed sum is taken again below
+        for diff, block in blocks():
+            diff, block = diff.ravel(), block.ravel()
+            num, denom = num + np.vecdot(diff, diff), denom + np.vecdot(block, block)
+        if _NORMAL_MIN <= num <= _NORMAL_MAX and _NORMAL_MIN <= denom <= _NORMAL_MAX:
+            return math.sqrt(num), math.sqrt(denom)
+        # a truth's squared norm is finite unless an entry is, or the squares overflow
+        if not (math.isfinite(denom) or _all_finite(x)):
+            raise ValueError("truth entries must be finite")
+        num = denom = 0.0
+        for diff, block in blocks():
+            num, denom = math.hypot(num, _norms(diff)), math.hypot(denom, _norms(block))
+    return num, denom
 
 
 def _check_svls(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:

@@ -613,6 +613,37 @@ class TestDesignOperator:
             svp_recover(b[:-1], design, 6, 5, 1)
 
 
+class TestSvpScale:
+    """SVP commutes exactly with scaling ``b`` by a power of two: far
+    outside float's normal range, where its sums of squares would overflow
+    (2^515) or vanish (2^-565), it takes the unit-scale iterations."""
+
+    @pytest.mark.parametrize("e", [515, -565])
+    @pytest.mark.parametrize("on", ["gaussian", "rowcol", "operator"])
+    def test_scaled_data_takes_the_unit_scale_iterations(self, on, e):
+        m, n, r = 20, 20, 2
+        if on == "operator":
+            op = gaussian_operator(m, n, 240, seed=30)
+            b = op @ gen_low_rank(m, n, r, seed=0).x.ravel()
+        else:
+            op, _, b = rowcol_instance(DesignKind(on), m, n, r, 6)
+        unit = svp_recover(b, op, m, n, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = svp_recover(b * 2.0**e, op, m, n, r)
+        assert unit.converged and unit.iterations > 1
+        assert (got.iterations, got.converged) == (unit.iterations, unit.converged)
+        assert got.left.tobytes() == np.ldexp(unit.left, e).tobytes()
+        assert got.right.tobytes() == unit.right.tobytes()
+        with np.errstate(over="ignore"):  # above float max an objective reads inf
+            want = np.ldexp(unit.objective_history, 2 * e).tolist()
+        assert list(got.objective_history) == want
+        if on != "operator":
+            for got_res, unit_res in [(got.row_residual, unit.row_residual),
+                                      (got.col_residual, unit.col_residual)]:
+                assert got_res == np.ldexp(unit_res, e)
+
+
 def dense_builders(m, n):
     """The one caller of the dense-size cap, on an m x n target."""
     return {"gaussian_operator": lambda: gaussian_operator(m, n, 2, seed=0)}

@@ -573,6 +573,22 @@ class TestStackedDraws:
         assert truth.x.shape == (0, 5, 4) and (design.k1, design.k2) == (3, 2)
         assert meas.b_row.shape == (0, 3, 4) and meas.b_col.shape == (0, 5, 2)
 
+    def test_noise_added_as_it_is_drawn(self):
+        # 52 trials at 50 x 50, k = 8: the blocks take 333 KB.  Each
+        # trial's noise is added as it is drawn, which peaked at 381 KB;
+        # both noise stacks drawn before either was added peaked at 708 KB.
+        truth = gen_low_rank(50, 50, 3, tuple(range(52)))
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 50, 50, 8, 8, tuple(range(100, 152)))
+        seeds = tuple(range(200, 252))
+        measure(truth, design, 1e-3, seeds)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            measure(truth, design, 1e-3, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e5
+
 
 # one to seven 32-bit words of entropy, the pool's 4 and past it
 POOL_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**200]

@@ -769,13 +769,15 @@ class TestRelativeError:
     def test_one_bad_trial_of_a_stack_rejected(self):
         truth = gen_low_rank(20, 20, 2, (1, 2, 3))
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 20, 20, 4, 4, (4, 5, 6))
-        meas = measure(truth.x, design, 0.0, (7, 8, 9))
+        meas = measure(truth, design, 0.0, (7, 8, 9))
         sol = recovery.svls_stack(meas, design, 2)
-        assert max(recovery._errors(sol.left, sol.right, truth.x)) < 1e-10
-        x = np.array(truth.x)
-        x[1, 3, 4] = np.nan
-        with pytest.raises(ValueError, match="truth entries must be finite"):
-            recovery._errors(sol.left, sol.right, x)
+        assert max(recovery._errors(sol.left, sol.right, truth)) < 1e-10
+        for bad in [np.nan, np.inf, -np.inf]:
+            right = np.array(truth.right_factor)
+            right[1, 3, 1] = bad
+            bad_truth = GroundTruth(truth.left_factor, right, truth.seed)
+            with pytest.raises(ValueError, match="truth entries must be finite"):
+                recovery._errors(sol.left, sol.right, bad_truth)
 
     # at 1e-155 the truth's squared norm is normal and, 1e-3 off, the
     # difference's is subnormal, with about 35 bits
@@ -801,18 +803,30 @@ class TestRelativeError:
             got = relative_error(left * scale, truth.right_factor, truth.x * scale)
         assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("off", [1e-3, 1.0])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_scale_outside_the_normal_range_in_row_blocks(self, monkeypatch, scale, off):
+        # each of the 10 row blocks of 3 rows is summed again on its own
+        truth, left, want = self.estimate(off)
+        monkeypatch.setattr(recovery, "ERROR_BLOCK_ENTRIES", 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(left * scale, truth.right_factor, truth.x * scale)
+        assert abs(got - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("scale", SCALES)
     def test_one_rescaled_trial_in_a_stack(self, scale):
+        # a stacked GroundTruth's trials are scored apart
         truths, lefts, wants = zip(*(self.estimate(off) for off in (1e-3, 1.0, 0.1)))
-        x = np.stack([truth.x for truth in truths])
-        left = np.stack(lefts)
+        truth_left = np.stack([truth.left_factor for truth in truths])
         right = np.stack([truth.right_factor for truth in truths])
-        clean = recovery._errors(left, right, x)
-        x[1] *= scale
+        left = np.stack(lefts)
+        clean = recovery._errors(left, right, GroundTruth(truth_left, right, (11, 11, 11)))
+        truth_left[1] *= scale
         left[1] *= scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = recovery._errors(left, right, x)
+            got = recovery._errors(left, right, GroundTruth(truth_left, right, (11, 11, 11)))
         assert abs(got[1] - wants[1]) <= 1e-12 * wants[1]
         assert (got[0], got[2]) == (clean[0], clean[2])  # the others keep their bits
 
