@@ -287,7 +287,9 @@ def als_recover(
     Each half-step solves an exact linear least-squares problem for one
     factor against both measurement blocks (its minimum-norm solution,
     see ``_refit``), so the objective is nonincreasing across
-    half-steps and ALS ends no worse than the estimate it starts from.
+    half-steps and ends no higher than at the estimate it starts from.
+    The error carries no such guarantee: where sigma_r nears the noise, ALS
+    fits the noise, and its error can end above its start's.
     """
     cfg = cfg or IterativeSolverConfig()
     _check_svls(design, meas, r)

@@ -9,15 +9,15 @@ of its configuration regardless of how many worker threads run it.
 Failures inside a trial are contained: they become records with an error
 tag, never aborting the sweep.
 
-An ``svls`` or ``cur`` point runs its trials in stacks, each drawn in
-one call of each generator of ``measurements`` (every trial from its own
-seeds, as ``run_trial`` draws it), solved in one call of a stacked
-solver of ``recovery`` and scored against its truths in one call of
-``recovery._errors``; each record is the one ``run_trial`` gives (see
-``_run_stacked``).  ``svp`` and ``als`` run trial by trial.  A trial's
-truth stays its factors: it is measured and scored through them, and
-only the ``svp`` baseline's dense operator reads the m x n target, so a
-stack is sized by its factors, designs and blocks (``STACK_ENTRIES``).
+Every trial takes one path, ``_run_point``: once a point in ``sweep``,
+on one trial in ``run_trial``.  An ``svls`` or ``cur`` point runs its
+trials in stacks, each drawn in one call of each generator of
+``measurements`` (every trial from its own seeds), solved in one call of
+a stacked solver of ``recovery`` and scored in one call of
+``recovery._errors``; an ``als`` or ``svp`` trial is a stack of one,
+solved and scored by its baseline.  A trial's truth stays its factors,
+and only the ``svp`` baseline's dense operator reads the m x n target,
+so a stack is sized by its factors, designs and blocks (``STACK_ENTRIES``).
 
 Record CSVs use a fixed column order (parameters first, then metrics),
 17-significant-digit numerics, and ``\\n`` line endings.  Wall-clock
@@ -49,6 +49,7 @@ from .matio import format_float
 from .measurements import (
     DesignKind, _generator, _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
 )
+# cur_recover and svls_recover go uncalled: the benchmark's tracer patches them (ROADMAP item 11)
 from .recovery import (
     _check_cur, _check_svls, _errors, cur_recover, cur_stack, svls_recover, svls_stack,
 )
@@ -306,6 +307,26 @@ def _draw(point: TrialPoint, seed: int | tuple[int, ...]) -> tuple:
     return truth, design, measure(truth, design, point.sigma, _subseed(seed, "noise"))
 
 
+def _als(point: TrialPoint, seed: int):
+    truth, design, meas = _draw(point, seed)
+    return als_recover(meas, design, point.rank, truth=truth)
+
+
+def _svp(point: TrialPoint, seed: int):
+    truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
+    k = point.k1 * point.n + point.k2 * point.m
+    op = gaussian_operator(point.m, point.n, k, _subseed(seed, "design"))
+    b = op @ truth.x.ravel()
+    if point.sigma > 0:
+        noise = _generator(_subseed(seed, "noise")).standard_normal(b.shape)
+        b = b + point.sigma * noise
+    return svp_recover(b, op, point.m, point.n, point.rank, truth=truth)
+
+
+# The algorithms with no stacked form, whose trials are stacks of one.
+_SINGLE = {"als": _als, "svp": _svp}
+
+
 def run_trial(
     point: TrialPoint,
     seed: int,
@@ -314,72 +335,56 @@ def run_trial(
 ) -> TrialRecord:
     """Generate, measure, and recover one instance; pure in (point, seed).
 
-    The ``svp`` record is the standard-design baseline: SVP on a fresh
-    dense Gaussian operator with ``k1*n + k2*m`` scalar measurements
+    It is the sweep's point path on one trial, so its record is the one a
+    sweep gives.  The ``svp`` record is the standard-design baseline: SVP
+    on a fresh dense Gaussian operator with ``k1*n + k2*m`` measurements
     (budget parity with the row/column design), whatever ``point.design``
-    says; the other algorithms consume the row/column blocks directly.
-    Any exception from a component is captured in the record's error
-    tag, an unknown ``point.design`` string included.
+    says.  Any exception, from an unknown ``point.design`` string or
+    algorithm too, is captured in the record's error tag.
     """
-    try:
-        if point.algorithm == "svp":
-            truth = gen_low_rank(point.m, point.n, point.rank, _subseed(seed, "truth"))
-            k = point.k1 * point.n + point.k2 * point.m
-            op = gaussian_operator(point.m, point.n, k, _subseed(seed, "design"))
-            b = op @ truth.x.ravel()
-            if point.sigma > 0:
-                noise = _generator(_subseed(seed, "noise")).standard_normal(b.shape)
-                b = b + point.sigma * noise
-            result = svp_recover(b, op, point.m, point.n, point.rank, truth=truth)
-        else:
-            truth, design, meas = _draw(point, seed)
-            if point.algorithm == "svls":
-                result = svls_recover(meas, design, point.rank, truth=truth)
-            elif point.algorithm == "cur":
-                result = cur_recover(meas, design, truth=truth)
-            elif point.algorithm == "als":
-                result = als_recover(meas, design, point.rank, truth=truth)
-            else:
-                raise ValueError(f"unknown algorithm {point.algorithm!r}")
-    except Exception as exc:  # contained: failures become records
-        return _record(_point_fields(point), seed, trial_index, success_threshold, exc=exc)
-    return _record(
-        _point_fields(point), seed, trial_index, success_threshold, result.relative_error,
-        result.iterations or 0, result.runtime_seconds,
-    )
+    return _run_point(point, [(trial_index, seed)], success_threshold)[0]
 
 
-def _run_stacked(
+def _run_point(
     point: TrialPoint, trials: list[tuple[int, int]], success_threshold: float
 ) -> list[TrialRecord]:
-    """The records of an ``svls`` or ``cur`` point's ``(trial_index,
-    seed)`` trials, each the record ``run_trial`` gives.
+    """The records of a point's ``(trial_index, seed)`` trials.
 
-    A stack of no trials is drawn first, for the generators' checks, and
-    then the solver's are made.  Each depends on the point alone, so a
-    point failing one gives every trial that error (the message it gets
-    alone) and draws no trial.  The trials then run in stacks of at most
-    ``STACK_ENTRIES`` entries of factors, designs and blocks (at least one
-    trial): one step draws a stack (:func:`_draw`), solves it and scores
-    it against its truths' factors (``_errors``).
-    A stack whose step raises is split into stacks of one that take the
-    same step, so only a failing trial gets an error record.
+    For ``svls`` and ``cur``, a stack of no trials is drawn first, for the
+    generators' checks, and then the solver's are made.  Each depends on
+    the point alone, so a point failing one (or naming no algorithm) gives
+    every trial that error (the message it gets alone) and draws no
+    trial.  The trials then run in stacks of at most ``STACK_ENTRIES``
+    entries of factors, designs and blocks (at least one trial; one for
+    ``_SINGLE``): one step draws a stack (:func:`_draw`), solves it and
+    scores it against its truths' factors (``_errors``).  A stack whose
+    step raises is split into stacks of one that take the same step, so
+    only a failing trial gets an error record.
     """
-    check, solve = _STACKED[point.algorithm]
-    fields = _point_fields(point)
+    algo, fields = point.algorithm, _point_fields(point)
     try:
-        check(*_draw(point, ())[1:], point.rank)
+        if algo in _STACKED:
+            check, solve = _STACKED[algo]
+            check(*_draw(point, ())[1:], point.rank)
+        elif algo not in _SINGLE:
+            raise ValueError(f"unknown algorithm {algo!r}")
     except Exception as exc:
         return [_record(fields, seed, t, success_threshold, exc=exc) for t, seed in trials]
 
     def solved(chunk: list[tuple[int, int]]) -> list[TrialRecord]:
         # what the stack holds is let go on return: one stack at a time
-        truth, design, meas = _draw(point, tuple(seed for _, seed in chunk))
-        sol = solve(meas, design, point.rank)
-        del design, meas  # and its design and blocks before it is scored
+        seeds = tuple(seed for _, seed in chunk)
+        if algo in _SINGLE:
+            sol = _SINGLE[algo](point, *seeds)
+            rels, iterations = [sol.relative_error], sol.iterations or 0
+        else:
+            truth, design, meas = _draw(point, seeds)
+            sol = solve(meas, design, point.rank)
+            del design, meas  # and its design and blocks before it is scored
+            rels, iterations = _errors(sol.left, sol.right, truth), 0
         return [
-            _record(fields, seed, t, success_threshold, rel, 0, sol.runtime_seconds)
-            for (t, seed), rel in zip(chunk, _errors(sol.left, sol.right, truth))
+            _record(fields, seed, t, success_threshold, rel, iterations, sol.runtime_seconds)
+            for (t, seed), rel in zip(chunk, rels)
         ]
 
     def contained(chunk: list[tuple[int, int]]) -> list[TrialRecord]:
@@ -391,7 +396,8 @@ def _run_stacked(
                 return [_record(fields, seed, t, success_threshold, exc=exc)]
         return [rec for trial in chunk for rec in contained([trial])]
 
-    size = max(1, STACK_ENTRIES // ((point.m + point.n) * (point.rank + point.k1 + point.k2)))
+    per_trial = (point.m + point.n) * (point.rank + point.k1 + point.k2)
+    size = 1 if algo in _SINGLE else max(1, STACK_ENTRIES // per_trial)
     return [rec for i in range(0, len(trials), size) for rec in contained(trials[i : i + size])]
 
 
@@ -399,39 +405,30 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
     """Run every (parameter tuple, trial) combination.
 
     Records come back in canonical order (sorted by parameter tuple,
-    then trial index) whatever the parallelism level.  Each ``svls`` or
-    ``cur`` point is one task, run in stacks; every other trial is a task
-    of its own.  ``jobs``, the number of worker threads, must be an
-    integer of at least 1, not a bool (``ValueError``).
+    then trial index) whatever the parallelism level.  Each point is one
+    task, whatever its algorithm (see ``_run_point``).  ``jobs``, the
+    number of worker threads, must be an integer of at least 1, not a
+    bool (``ValueError``).
     """
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
-    tasks = []
-    for rank, kind, (k1, k2), sigma, algo in itertools.product(
-        config.ranks, config.design_kinds, config.k_values, config.sigmas, config.algorithms
-    ):
-        point = TrialPoint(
-            m=config.m, n=config.n, rank=rank, design=kind, k1=k1, k2=k2, sigma=sigma,
-            algorithm=algo,
+    points = [
+        TrialPoint(config.m, config.n, rank, kind, k1, k2, sigma, algo)
+        for rank, kind, (k1, k2), sigma, algo in itertools.product(
+            config.ranks, config.design_kinds, config.k_values, config.sigmas, config.algorithms
         )
-        prefix = _seed_prefix(config.base_seed, point)  # trial_seed, once per point
-        if algo in _STACKED:
-            tasks.append((point, prefix, range(config.trials)))
-        else:
-            tasks.extend((point, prefix, (t,)) for t in range(config.trials))
+    ]
 
-    def run(task):
-        point, prefix, indices = task
-        trials = [(t, _hash64(f"{prefix}{t}")) for t in indices]
-        if point.algorithm in _STACKED:
-            return _run_stacked(point, trials, config.success_threshold)
-        return [run_trial(point, seed, t, config.success_threshold) for t, seed in trials]
+    def run(point: TrialPoint) -> list[TrialRecord]:
+        prefix = _seed_prefix(config.base_seed, point)  # trial_seed, once per point
+        trials = [(t, _hash64(f"{prefix}{t}")) for t in range(config.trials)]
+        return _run_point(point, trials, config.success_threshold)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = [rec for recs in pool.map(run, tasks) for rec in recs]
+            records = [rec for recs in pool.map(run, points) for rec in recs]
     else:
-        records = [rec for task in tasks for rec in run(task)]
+        records = [rec for point in points for rec in run(point)]
     records.sort(key=_record_order)
     return records
 

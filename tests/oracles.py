@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from svls import simulate
 from svls.measurements import DesignKind, MeasurementDesign, MeasurementSet, _freeze
 from svls.recovery import (
     CORE_EIG_RTOL,
@@ -95,6 +96,49 @@ def cur_recover_oracle(
         row_residual=row_res,
         col_residual=col_res,
         relative_error=None if truth is None else relative_error(left, right, truth),
+    )
+
+
+def run_trial_oracle(
+    point: simulate.TrialPoint,
+    seed: int,
+    trial_index: int = 0,
+    success_threshold: float = 1e-4,
+) -> simulate.TrialRecord:
+    """Independent reference for ``simulate.run_trial`` and each record of
+    a sweep: the trial run alone, in its own branch per algorithm, as it
+    was before every trial took the sweep's point path, with the
+    per-trial oracles in place of the stacked solvers.  The draws and the
+    baselines are reached through ``simulate``'s names, as the point path
+    reaches them, so a test's patch of one reaches both."""
+    fields = simulate._point_fields(point)
+    try:
+        if point.algorithm == "svp":
+            truth = simulate.gen_low_rank(
+                point.m, point.n, point.rank, simulate._subseed(seed, "truth")
+            )
+            k = point.k1 * point.n + point.k2 * point.m
+            op = simulate.gaussian_operator(point.m, point.n, k, simulate._subseed(seed, "design"))
+            b = op @ truth.x.ravel()
+            if point.sigma > 0:
+                noise_seed = simulate._subseed(seed, "noise")
+                b = b + point.sigma * simulate._generator(noise_seed).standard_normal(b.shape)
+            result = simulate.svp_recover(b, op, point.m, point.n, point.rank, truth=truth)
+        else:
+            truth, design, meas = simulate._draw(point, seed)
+            if point.algorithm == "svls":
+                result = svls_recover_oracle(meas, design, point.rank, truth=truth)
+            elif point.algorithm == "cur":
+                result = cur_recover_oracle(meas, design, truth=truth)
+            elif point.algorithm == "als":
+                result = simulate.als_recover(meas, design, point.rank, truth=truth)
+            else:
+                raise ValueError(f"unknown algorithm {point.algorithm!r}")
+    except Exception as exc:  # contained: failures become records
+        return simulate._record(fields, seed, trial_index, success_threshold, exc=exc)
+    return simulate._record(
+        fields, seed, trial_index, success_threshold, result.relative_error,
+        result.iterations or 0, result.runtime_seconds,
     )
 
 

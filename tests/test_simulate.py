@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cur_recover_oracle, svls_recover_oracle
+import oracles
+from oracles import cur_recover_oracle, run_trial_oracle
 
 from svls import simulate
 from svls.measurements import DesignKind
@@ -474,25 +475,22 @@ class TestTrendMonotonicity:
         assert rates[-1] > 0.95  # k = 4 > r
 
 
-def oracle_records(records, monkeypatch, success_threshold=1e-4):
-    """Each record's trial rerun alone through ``run_trial``, with the
-    per-trial oracles in place of ``svls_recover`` and ``cur_recover``,
-    and the oracle's kept rank of each ``cur`` trial."""
-    cur_ranks = {}
+def record_point(rec):
+    return TrialPoint(**{name: getattr(rec, name) for name in POINT_FIELDS})
 
-    def cur(meas, design, truth=None):
-        result = cur_recover_oracle(meas, design, truth)
-        cur_ranks[meas.noise_seed] = result.rank_used
-        return result
 
-    monkeypatch.setattr(simulate, "svls_recover", svls_recover_oracle)
-    monkeypatch.setattr(simulate, "cur_recover", cur)
-    want = []
-    for rec in records:
-        point = TrialPoint(**{name: getattr(rec, name) for name in POINT_FIELDS})
-        want.append(run_trial(point, rec.seed, rec.trial_index, success_threshold))
-    monkeypatch.undo()
-    return want, cur_ranks
+def oracle_records(records, success_threshold=1e-4):
+    """Each record's trial rerun alone through ``run_trial_oracle``."""
+    return [
+        run_trial_oracle(record_point(rec), rec.seed, rec.trial_index, success_threshold)
+        for rec in records
+    ]
+
+
+def cur_rank(rec):
+    """The oracle's kept rank of W on a ``cur`` record's trial."""
+    _, design, meas = simulate._draw(record_point(rec), rec.seed)
+    return cur_recover_oracle(meas, design).rank_used
 
 
 def stack_sizes(monkeypatch):
@@ -537,11 +535,8 @@ class TestStackedPoints:
     def test_records_equal_the_per_trial_oracles(self, monkeypatch):
         sizes = stack_sizes(monkeypatch)
         monkeypatch.setattr(simulate, "STACK_ENTRIES", self.STACK_ENTRIES)
-        alone = []  # no stack falls back to trial-by-trial runs
-        monkeypatch.setattr(simulate, "run_trial", lambda *args: alone.append(args))
         records = sweep(small_config(**self.CONFIG))
         monkeypatch.undo()
-        assert alone == []
         per_stack = self.PER_STACK
         full = [per_stack, 30 - per_stack]
         # 24 points, of which 4 fail svls's rank check and 6 cur's design
@@ -550,7 +545,7 @@ class TestStackedPoints:
         # and cur at (8, 10); a point at (8, 10) takes a full and a partial
         # stack, the others, with fewer entries a trial, one stack of 30
         assert sizes == [30, 30] + full * 2 + [30, 30] + [30] * 4 + full * 4
-        want, cur_ranks = oracle_records(records, monkeypatch)
+        want = oracle_records(records)
         assert len(records) == len(want) == 2 * 3 * 2 * 2 * 30
         for got, ref in zip(records, want):
             assert got.error == ref.error
@@ -561,7 +556,7 @@ class TestStackedPoints:
         # the point-level svls failure, and cur's kept rank varying inside a stack
         assert any(r.error.startswith("ValueError: rank 3") for r in records)
         first_stack = [
-            cur_ranks[simulate._subseed(r.seed, "noise")]
+            cur_rank(r)
             for r in records
             if (r.algorithm, r.design, r.k1, r.sigma) == ("cur", "rowcol", 8, 1e-3)
             and r.trial_index < per_stack
@@ -579,8 +574,7 @@ class TestStackedPoints:
                            design_kinds=(DesignKind.ROW_COL_SAMPLE,))
         records = sweep(cfg)
         assert sizes == [1] * 6
-        want, _ = oracle_records(records, monkeypatch)
-        assert records == want
+        assert records == oracle_records(records)
 
     def test_each_stack_drawn_in_one_call_of_each_generator(self, monkeypatch):
         # 24 trials a stack at k = (3, 3)
@@ -601,8 +595,54 @@ class TestStackedPoints:
         for name, seen in calls.items():
             subseeds = [simulate._subseed(rec.seed, labels[name]) for rec in records]
             assert seen == [(), tuple(subseeds[:24]), tuple(subseeds[24:])], name
-        want, _ = oracle_records(records, monkeypatch)
-        assert records == want
+        assert records == oracle_records(records)
+
+
+class TestSingleTrialPoints:
+    """``als`` and ``svp`` points take the sweep's point path too, each
+    trial a stack of one; every record must be the one the per-trial
+    oracle gives."""
+
+    # k = 1 < r fails ALS's rank check in every trial of its point, where
+    # SVP runs under-measured; at k = 6 both converge
+    CONFIG = dict(
+        m=10,
+        n=10,
+        ranks=(2,),
+        design_kinds=tuple(DesignKind),
+        k_values=((1, 1), (6, 6)),
+        sigmas=(0.0, 1e-3),
+        algorithms=("als", "svp"),
+        trials=3,
+        base_seed=21,
+    )
+
+    def test_records_equal_the_per_trial_oracle(self):
+        records = sweep(small_config(**self.CONFIG))
+        assert len(records) == 2 * 2 * 2 * 2 * 3
+        assert records == oracle_records(records)
+        assert records == [run_trial(record_point(r), r.seed, r.trial_index) for r in records]
+        failed = [r for r in records if r.error]
+        assert {(r.algorithm, r.k1) for r in failed} == {("als", 1)}
+        assert len(failed) == 2 * 2 * 3
+        assert {r.error for r in failed} == {"ValueError: rank 2 outside valid range [1, 1]"}
+        assert all(r.iterations >= 1 for r in records if not r.error)
+
+    def test_parallel_records_equal_serial(self):
+        cfg = small_config(**self.CONFIG)
+        assert sweep(cfg, jobs=3) == sweep(cfg, jobs=1)
+
+    def test_one_task_per_point(self, monkeypatch):
+        tasks = []
+        run_point = simulate._run_point
+
+        def counted(point, trials, success_threshold):
+            tasks.append((point.algorithm, [t for t, _ in trials]))
+            return run_point(point, trials, success_threshold)
+
+        monkeypatch.setattr(simulate, "_run_point", counted)
+        sweep(small_config(**dict(self.CONFIG, algorithms=("svls", "cur", "als", "svp"))))
+        assert tasks == [(algo, [0, 1, 2]) for algo in ("svls", "cur", "als", "svp")] * 8
 
 
 class TestStackWorkingSet:
@@ -623,10 +663,10 @@ class TestStackWorkingSet:
         assert simulate.STACK_ENTRIES // ((50 + 50) * (3 + 8 + 8)) >= 52  # one stack
         point = TrialPoint(50, 50, 3, kind, 8, 8, 1e-3, algo)
         trials = [(t, trial_seed(611, point, t)) for t in range(52)]
-        simulate._run_stacked(point, trials, 1e-4)  # lazy imports and caches
+        simulate._run_point(point, trials, 1e-4)  # lazy imports and caches
         tracemalloc.start()
         try:
-            records = simulate._run_stacked(point, trials, 1e-4)
+            records = simulate._run_point(point, trials, 1e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -653,52 +693,69 @@ class TestStackContainment:
         base_seed=5,
     )
 
-    @pytest.mark.parametrize("failure", ["draw", "solve"])
-    def test_one_failing_trial_is_contained(self, monkeypatch, failure):
-        cfg = small_config(**self.CONFIG)
-        clean = sweep(cfg)
-        # a cur trial in its point's first stack, an svls one in its second
-        targets = [7, 30 + 27]
-        seeds = {simulate._subseed(clean[i].seed, "noise") for i in targets}
+    # The points each failing test runs, and the trials it fails: a cur
+    # trial in its point's first stack and an svls one in its second; or
+    # an als and an svp trial, each a stack of one.
+    POINTS = {
+        "stacked": ({}, [7, 30 + 27]),
+        "single": (dict(m=10, n=10, ranks=(2,), k_values=((6, 6),), algorithms=("als", "svp"),
+                        trials=3), [1, 3 + 2]),
+    }
 
-        def hit(noise_seed):
-            # a stack of trials, or one trial (run_trial)
-            stacked = isinstance(noise_seed, tuple)
-            return not seeds.isdisjoint(noise_seed if stacked else (noise_seed,))
+    @pytest.mark.parametrize("failure", ["draw", "solve"])
+    @pytest.mark.parametrize("points", list(POINTS))
+    def test_one_failing_trial_is_contained(self, monkeypatch, failure, points):
+        overrides, targets = self.POINTS[points]
+        cfg = small_config(**dict(self.CONFIG, **overrides))
+        clean = sweep(cfg)
+        seeds = {
+            simulate._subseed(clean[i].seed, label)
+            for i in targets
+            for label in ("truth", "design", "noise")
+        }
+
+        def hit(seed):
+            # a stack's seeds, or one trial's
+            return not seeds.isdisjoint(seed if isinstance(seed, tuple) else (seed,))
 
         if failure == "draw":
-            measure = simulate.measure
+            # a trial's last draw: its blocks, or the svp baseline's operator
+            for name in ("measure", "gaussian_operator"):
+                def faulty(*args, draw=getattr(simulate, name)):
+                    if hit(args[-1]):
+                        raise RuntimeError("no measurement")
+                    return draw(*args)
 
-            def faulty(x, design, sigma, noise_seed):
-                if hit(noise_seed):
-                    raise RuntimeError("no measurement")
-                return measure(x, design, sigma, noise_seed)
-
-            monkeypatch.setattr(simulate, "measure", faulty)
+                monkeypatch.setattr(simulate, name, faulty)
         else:
             # a set holding a nan is refused when built, so the target
-            # trial's solve fails as a nan's SVD would: in a stack, and alone
+            # trial's solve fails as a nan's SVD would: in a stack, alone,
+            # and in the oracle
             def failing(solve):
-                def wrapped(meas, *args, **kwargs):
-                    if hit(meas.noise_seed):
+                def wrapped(data, *args, **kwargs):
+                    # a stack's or a trial's blocks, or svp's data and truth
+                    seed = data.noise_seed if hasattr(data, "noise_seed") else kwargs["truth"].seed
+                    if hit(seed):
                         raise np.linalg.LinAlgError("SVD did not converge")
-                    return solve(meas, *args, **kwargs)
+                    return solve(data, *args, **kwargs)
                 return wrapped
 
             for algo, (check, solve) in simulate._STACKED.items():
                 monkeypatch.setitem(simulate._STACKED, algo, (check, failing(solve)))
-                name = f"{algo}_recover"
+                name = f"{algo}_recover_oracle"
+                monkeypatch.setattr(oracles, name, failing(getattr(oracles, name)))
+            for name in ("als_recover", "svp_recover"):
                 monkeypatch.setattr(simulate, name, failing(getattr(simulate, name)))
         records = sweep(cfg)
         assert [i for i, rec in enumerate(records) if rec.error] == targets
         for i in targets:
-            point = TrialPoint(**{name: getattr(clean[i], name) for name in POINT_FIELDS})
-            alone = run_trial(point, clean[i].seed, clean[i].trial_index)
+            point, seed, t = record_point(clean[i]), clean[i].seed, clean[i].trial_index
+            alone = run_trial_oracle(point, seed, t)
             assert alone.error == {
                 "draw": "RuntimeError: no measurement",
                 "solve": "LinAlgError: SVD did not converge",
             }[failure]
-            assert records[i] == alone
+            assert records[i] == alone == run_trial(point, seed, t)
         rest = [i for i in range(len(clean)) if i not in targets]
         assert [records[i] for i in rest] == [clean[i] for i in rest]
 
@@ -709,8 +766,7 @@ class TestStackContainment:
         targets = [7, 30 + 27]
         bad = []  # the targets' truths' left factors
         for i in targets:
-            point = TrialPoint(**{name: getattr(clean[i], name) for name in POINT_FIELDS})
-            bad.append(simulate._draw(point, clean[i].seed)[0].left_factor)
+            bad.append(simulate._draw(record_point(clean[i]), clean[i].seed)[0].left_factor)
         errors = simulate._errors
 
         def faulty(left, right, truths):
@@ -760,5 +816,4 @@ class TestStackContainment:
         points = len(records) // cfg.trials
         assert len(draws) == points  # the stack of no trials, which sufficed
         monkeypatch.undo()
-        want, _ = oracle_records(records, monkeypatch)
-        assert records == want
+        assert records == oracle_records(records)
