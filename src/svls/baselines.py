@@ -9,14 +9,16 @@ Its one step rule is a Barzilai-Borwein (or, with no last update,
 line-search) trial that is divided by 4 until the objective does not
 rise, so it needs no bound on ``sigma_max(op)``.
 ``als_recover`` alternately refits the two factors of ``X = L @ R.T``
-against the row/column blocks, starting from the one-shot SVD+LS
-estimate, so it measures what iterative refinement adds to that pass.
+against the row/column blocks, starting from ``svls_recover``'s one
+SVD+LS pass, so it measures what iterative refinement adds to that pass.
 Both report ``converged``: whether the ``tol`` stopping rule fired
 before ``max_iters``.
 
 ALS's half-steps are PSD Sylvester equations, solved by ``solve_core``'s
-solver.  The cap of 1e5 target entries applies only to the dense
-operator ``gaussian_operator`` draws.
+solver through the thin SVDs of the design's operators: LAPACK's for a
+Gaussian design, and for a sampling design its selected coordinate
+vectors, read from its indices.  The cap of 1e5 target entries applies
+only to the dense operator ``gaussian_operator`` draws.
 """
 
 from __future__ import annotations
@@ -28,24 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import (
-    GroundTruth, MeasurementDesign, MeasurementSet, _freeze, _generator,
+    GroundTruth, MeasurementDesign, MeasurementSet, _check_rank, _freeze, _generator,
     _is_finite_nonnegative, _is_int,
 )
 from .recovery import (
     CORE_EIG_RTOL,
     RecoveryResult,
-    _check_svls,
     _exponent,
-    _factor_objective,
     _factored_norms,
     _norms,
     block_residuals,
-    estimate_col_space,
-    estimate_row_space,
     relative_error,
-    solve_core,
     solve_psd_sylvester,
+    svls_recover,
 )
+# uncalled here: the benchmark's tracer patches these names (ROADMAP item 11)
+from .recovery import estimate_col_space, estimate_row_space, solve_core  # noqa: F401
 
 MAX_TARGET_ENTRIES = 100_000
 # SVP divides a rejected trial step by BACKOFF, at most
@@ -171,8 +171,7 @@ def svp_recover(
         k = op.shape[0]
     if b.shape[0] != k:
         raise ValueError(f"expected {k} measurements, got {b.shape[0]}")
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
+    _check_rank(r, min(m, n))
     if not np.isfinite(b).all():
         raise ValueError("measurements must be finite")
     if not (isinstance(op, MeasurementDesign) or np.isfinite(op).all()):
@@ -230,7 +229,7 @@ def svp_recover(
     return RecoveryResult(
         left=left,
         right=right,
-        rank_used=r,
+        rank_used=int(r),
         algorithm="svp",
         runtime_seconds=runtime,
         row_residual=row_res,
@@ -274,6 +273,25 @@ def _refit(
     return y_t.T @ (wt / w[:, None])
 
 
+def _refit_operators(design: MeasurementDesign) -> tuple[tuple, tuple]:
+    """The thin SVDs ``(v, s, zt)`` of ``a_row.T`` and ``a_col`` that
+    :func:`_refit` takes: LAPACK's for a Gaussian design; for a sampling
+    design, its selected coordinate vectors, with unit singular values
+    and the identity, built from its indices in O(m*k1 + n*k2)."""
+    if design.a_row is not None:
+        return tuple(
+            np.linalg.svd(a, full_matrices=False) for a in (design.a_row.T, design.a_col)
+        )
+
+    def selection(indices: np.ndarray, size: int) -> tuple:
+        k = len(indices)
+        v = np.zeros((size, k))
+        v[indices, np.arange(k)] = 1.0
+        return v, np.ones(k), np.eye(k)
+
+    return selection(design.row_indices, design.m), selection(design.col_indices, design.n)
+
+
 def als_recover(
     meas: MeasurementSet,
     design: MeasurementDesign,
@@ -282,7 +300,8 @@ def als_recover(
     truth: np.ndarray | GroundTruth | None = None,
 ) -> RecoveryResult:
     """Alternating least squares on the factors of ``X = L @ R.T``, from
-    the SVD+LS estimate of :func:`svls_recover`, whose checks it makes.
+    the estimate of :func:`svls_recover`, whose pass and checks it takes
+    as its start.
 
     Each half-step solves an exact linear least-squares problem for one
     factor against both measurement blocks (its minimum-norm solution,
@@ -290,40 +309,38 @@ def als_recover(
     half-steps and ends no higher than at the estimate it starts from.
     The error carries no such guarantee: where sigma_r nears the noise, ALS
     fits the noise, and its error can end above its start's.
+    ``objective_history[0]`` is the start's squared residuals, and the
+    residuals are those of the last half-step.
     """
     cfg = cfg or IterativeSolverConfig()
-    _check_svls(design, meas, r)
     t0 = time.perf_counter()
-    u = estimate_col_space(meas.b_col, r)
-    v = estimate_row_space(meas.b_row, r)
-    left = u.basis @ solve_core(u, v, design, meas)
-    right = v.basis
-    # thin SVDs of a_row.T and a_col, the operators of both refits
-    a_row, a_col = design.operators()
-    row_op = np.linalg.svd(a_row.T, full_matrices=False)
-    col_op = np.linalg.svd(a_col, full_matrices=False)
+    start = svls_recover(meas, design, r)
+    left, right = start.left, start.right
+    row_op, col_op = _refit_operators(design)
     b_row, b_col = meas.b_row, meas.b_col
-    history = [_factor_objective(left, right, design, meas)]
+    # the start's residuals, then each half-step's
+    residuals = [(start.row_residual, start.col_residual)]
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
         iterations += 1
         prev_left, prev_right = left, right
         right = _refit(left, b_row, b_col, row_op, col_op)
-        history.append(_factor_objective(left, right, design, meas))
+        residuals.append(block_residuals(left, right, design, meas))
         left = _refit(right, b_col.T, b_row.T, col_op, row_op)
-        history.append(_factor_objective(left, right, design, meas))
+        residuals.append(block_residuals(left, right, design, meas))
         step, size = map(float, _factored_norms(left, right, prev_left, prev_right))
         if step <= cfg.tol * max(size, 1e-300):
             converged = True
             break
     runtime = time.perf_counter() - t0
     left, right = _freeze(left), _freeze(right)
-    row_res, col_res = block_residuals(left, right, design, meas)
+    history = tuple(row_res * row_res + col_res * col_res for row_res, col_res in residuals)
+    row_res, col_res = residuals[-1]
     return RecoveryResult(
         left=left,
         right=right,
-        rank_used=r,
+        rank_used=start.rank_used,
         algorithm="als",
         runtime_seconds=runtime,
         row_residual=row_res,
@@ -331,7 +348,6 @@ def als_recover(
         relative_error=None if truth is None else relative_error(left, right, truth),
         iterations=iterations,
         final_objective=history[-1],
-        objective_history=tuple(history),
+        objective_history=history,
         converged=converged,
     )
-

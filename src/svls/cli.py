@@ -117,12 +117,13 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     meas, design = matio.read_measurement_set(args.meas)
     truth = matio.read_matrix(args.truth) if args.truth else None
-    if args.rank == "auto":
+    rank = None  # cur takes its rank from the overlap block
+    if args.rank != "auto":
+        rank = int(args.rank)
+    elif args.algo != "cur":
         rank = estimate_rank(meas.b_row, meas.b_col, meas.sigma)
         if rank < 1:
             raise ValueError("estimated rank is 0; supply --rank explicitly")
-    else:
-        rank = int(args.rank)
     if args.algo == "svls":
         result = svls_recover(meas, design, rank, truth=truth)
     elif args.algo == "cur":

@@ -12,11 +12,11 @@ X: that design is its two index vectors, applied by the gathers
 ``X[rows]`` and ``X[:, cols]``, which for finite input give the same
 bits as products with 0/1 selection matrices.  ``MeasurementDesign.rows``
 and ``cols``, and their ``adjoint``, are the only places a design is
-applied, and ``operators`` builds the dense matrices for the solvers
-that need them.  A ground truth is held as its factors.  Given a tuple
-of seeds, ``gen_low_rank``, ``gen_design`` and ``measure`` draw a stack
-of trials, on a leading trial axis, for the stacked solvers of
-``recovery``; one seed is the one-trial case of the same code.
+applied, and no dense selection matrix is built.  A ground truth is
+held as its factors.  Given a tuple of seeds, ``gen_low_rank``,
+``gen_design`` and ``measure`` draw a stack of trials, on a leading
+trial axis, for the stacked solvers of ``recovery``; one seed is the
+one-trial case of the same code.
 
 All randomness flows through numpy's PCG64 generator (as
 ``numpy.random.default_rng`` builds it) with a fixed stream order, so
@@ -75,6 +75,14 @@ class DesignKind(str, enum.Enum):
 def _is_int(value) -> bool:
     """An integer, Python's or numpy's, that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_rank(r, top: int) -> None:
+    """ValueError unless the rank ``r`` is an integer (not a bool) in ``[1, top]``."""
+    if not _is_int(r):
+        raise ValueError(f"rank must be an integer, got {r!r}")
+    if not 1 <= r <= top:
+        raise ValueError(f"rank {r} outside valid range [1, {top}]")
 
 
 def _is_finite_nonnegative(value) -> bool:
@@ -386,18 +394,6 @@ class MeasurementDesign:
         out[:, self.col_indices] += b_col
         return out
 
-    def operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense ``(a_row, a_col)`` of an unstacked design, for the
-        solvers that need them; a sampling design builds its 0/1
-        selections in O(k1*m + n*k2)."""
-        if self.a_row is not None:
-            return self.a_row, self.a_col
-        a_row = np.zeros((self.k1, self.m))
-        a_row[np.arange(self.k1), self.row_indices] = 1.0
-        a_col = np.zeros((self.n, self.k2))
-        a_col[self.col_indices, np.arange(self.k2)] = 1.0
-        return a_row, a_col
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
@@ -426,8 +422,7 @@ def gen_low_rank(m: int, n: int, r: int, seed: int | tuple[int, ...]) -> GroundT
     """
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m}x{n}")
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank {r} outside valid range [1, {min(m, n)}]")
+    _check_rank(r, min(m, n))
     left, right = map(_freeze, _normal(seed, (m, r), (n, r)))
     return GroundTruth(left_factor=left, right_factor=right, seed=seed)
 

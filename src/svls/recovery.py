@@ -45,6 +45,7 @@ from .measurements import (
     MeasurementDesign,
     MeasurementSet,
     _all_finite,
+    _check_rank,
     _freeze,
 )
 
@@ -81,9 +82,10 @@ class RecoveryResult:
     solver stopped at ``max_iters`` or on a non-finite objective.
     ``runtime_seconds`` times the solve alone: the two subspace SVDs and
     the core solve for ``svls``, W's SVD and pseudo-inverse for ``cur``,
-    the iterations for ``svp``, and the start, the operators' SVDs and
-    the sweeps for ``als``; it excludes the residuals and
-    ``relative_error``.  A trial solved in a stack (see
+    the iterations for ``svp``, and for ``als`` its ``svls`` start, the
+    refit operators' thin SVDs and the sweeps, whose residuals are its
+    objective; it excludes ``relative_error`` and the other solvers'
+    residuals.  A trial solved in a stack (see
     :func:`svls_stack`) is given the stack's solve time divided by the
     number of trials in it.
     """
@@ -192,18 +194,6 @@ def block_residuals(
     return row_res, col_res
 
 
-def _factor_objective(
-    left: np.ndarray,
-    right: np.ndarray,
-    design: MeasurementDesign,
-    meas: MeasurementSet,
-) -> float:
-    """Squared data misfit of ``left @ right.T``, from :func:`block_residuals`;
-    inf above float max."""
-    row_res, col_res = block_residuals(left, right, design, meas)
-    return row_res * row_res + col_res * col_res
-
-
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
     # SVD is sign-ambiguous per column; make the largest-magnitude entry
     # of each column positive so outputs are deterministic.
@@ -220,8 +210,7 @@ def estimate_col_space(b_col: np.ndarray, r: int) -> SubspaceBasis:
     b_col = np.asarray(b_col, dtype=np.float64)
     if b_col.ndim not in (2, 3):
         raise ValueError("b_col must be a 2-d matrix or a stack of them")
-    if not 1 <= r <= min(b_col.shape[-2:]):
-        raise ValueError(f"rank {r} outside valid range [1, {min(b_col.shape[-2:])}]")
+    _check_rank(r, min(b_col.shape[-2:]))
     u, s, _ = np.linalg.svd(b_col, full_matrices=False)
     return SubspaceBasis(
         basis=_freeze(_fix_signs(u[..., :r])),
@@ -398,9 +387,7 @@ def _dense_norms(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> tuple[fl
 def _check_svls(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:
     """What :func:`svls_stack` checks before it solves; it depends on the
     point (shapes and rank), not on a trial's draw."""
-    top = min(design.m, design.n, design.k1, design.k2)
-    if not 1 <= r <= top:
-        raise ValueError(f"rank {r} outside valid range [1, {top}]")
+    _check_rank(r, min(design.m, design.n, design.k1, design.k2))
     _check_blocks(design, meas)
 
 
@@ -427,21 +414,16 @@ def cur_stack(
     meas: MeasurementSet, design: MeasurementDesign, r: int | None = None
 ) -> StackSolution:
     """:func:`cur_recover`'s estimate of every trial of a stack, in one
-    pass (``r`` is unused).  The kept singular values of W are a prefix of
-    its spectrum, so the trials are grouped by their kept rank q and each
-    group's pseudo-inverses are taken together from the first q."""
+    pass (``r`` is unused).  Every trial's pseudo-inverse of W is taken
+    in one masked pass: W's singular values at or below the cutoff get a
+    zero inverse."""
     _check_cur(design, meas, r)
     t0 = time.perf_counter()
     w = 0.5 * (design.cols(meas.b_row) + design.rows(meas.b_col))
     uw, sw, vwt = np.linalg.svd(w, full_matrices=False)
-    cutoff = np.maximum(1e-10 * sw[:, 0], 3.0 * meas.sigma)
-    rank_used = np.count_nonzero(sw > cutoff[:, None], axis=1)
-    w_pinv = np.empty(w.mT.shape)
-    for q in set(rank_used.tolist()):
-        group = np.flatnonzero(rank_used == q)
-        inv_s = np.zeros((len(group), q, q))
-        inv_s[:, range(q), range(q)] = 1.0 / sw[group, :q]
-        w_pinv[group] = vwt[group, :q].mT @ inv_s @ uw[group, :, :q].mT
+    keep = sw > np.maximum(1e-10 * sw[:, 0], 3.0 * meas.sigma)[:, None]
+    inv = np.divide(1.0, sw, out=np.zeros_like(sw), where=keep)
+    w_pinv = (vwt.mT * inv[:, None, :]) @ uw.mT
     left = _freeze(meas.b_col @ w_pinv)
     # A copy (b_row may be the caller's writable array) laid out so that
     # right.T is laid out like b_row, and ``left @ right.T`` is the same
@@ -449,7 +431,7 @@ def cur_stack(
     right = meas.b_row.mT.copy(order="K")
     right.flags.writeable = False
     seconds = (time.perf_counter() - t0) / len(left)
-    return StackSolution(left, right, None, rank_used, seconds)
+    return StackSolution(left, right, None, np.count_nonzero(keep, axis=1), seconds)
 
 
 def _one_trial(

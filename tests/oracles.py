@@ -19,7 +19,6 @@ from svls.recovery import (
     SubspaceBasis,
     _check_blocks,
     _core_inputs,
-    _factor_objective,
     block_residuals,
     estimate_col_space,
     estimate_row_space,
@@ -176,8 +175,10 @@ def core_objective(
     design: MeasurementDesign,
     meas: MeasurementSet,
 ) -> float:
-    """Value of the core least-squares objective at ``m_core``."""
-    return _factor_objective(u.basis @ m_core, v.basis, design, meas)
+    """Value of the core least-squares objective at ``m_core``: the
+    squared data misfit of ``U M V.T``, from :func:`block_residuals`."""
+    row_res, col_res = block_residuals(u.basis @ m_core, v.basis, design, meas)
+    return row_res * row_res + col_res * col_res
 
 
 def product_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -225,6 +226,15 @@ def draw_oracle(
     return out
 
 
+def dense_operators(design: MeasurementDesign) -> tuple[np.ndarray, np.ndarray]:
+    """``(a_row, a_col)`` of an unstacked design as dense matrices; for a
+    sampling design, the 0/1 selections its index vectors stand for.  The
+    package builds none: it applies a design by its indices."""
+    if design.kind is DesignKind.ROW_COL_SAMPLE:
+        return np.eye(design.m)[design.row_indices], np.eye(design.n)[:, design.col_indices]
+    return design.a_row, design.a_col
+
+
 def rowcol_operator_matrix(design: MeasurementDesign) -> np.ndarray:
     """Flatten a row/column design into a dense ``(k1*n + k2*m) x (m*n)``
     Kronecker operator acting on the row-major vec of the target: the
@@ -233,7 +243,7 @@ def rowcol_operator_matrix(design: MeasurementDesign) -> np.ndarray:
     Rows are ordered as ``b_row.ravel()`` followed by ``b_col.ravel()``,
     so ``op @ vec(X)`` equals the concatenated measurement blocks.
     """
-    a_row, a_col = design.operators()
+    a_row, a_col = dense_operators(design)
     top = np.kron(a_row, np.eye(design.n))
     bottom = np.kron(np.eye(design.m), a_col.T)
     return np.vstack([top, bottom])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import core_objective, product_norm, rowcol_operator_matrix
+from oracles import core_objective, dense_operators, product_norm, rowcol_operator_matrix
 
 from svls import baselines, recovery
 from svls.baselines import IterativeSolverConfig, als_recover, gaussian_operator, svp_recover
@@ -333,8 +333,9 @@ def kron_refit_left(right, design, meas):
 
 
 def refit_operators(design):
-    """The thin SVDs of ``a_row.T`` and ``a_col`` that ALS's refits take."""
-    a_row, a_col = design.operators()
+    """LAPACK's thin SVDs of ``a_row.T`` and ``a_col``, the operators of
+    ALS's refits, from the dense matrices the design stands for."""
+    a_row, a_col = dense_operators(design)
     return (np.linalg.svd(a, full_matrices=False) for a in (a_row.T, a_col))
 
 
@@ -384,6 +385,27 @@ class TestAlsHalfSteps:
 
 
 class TestAlsRecover:
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_starts_from_the_svls_pass(self, monkeypatch, kind, sigma):
+        design = gen_design(kind, 12, 10, 3, 4, seed=3)
+        meas = measure(gen_low_rank(12, 10, 2, seed=4), design, sigma, noise_seed=5)
+        starts = []
+
+        def spy(*args):
+            starts.append(svls_recover(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(baselines, "svls_recover", spy)
+        result = als_recover(meas, design, 2, cfg=IterativeSolverConfig(max_iters=1))
+        (start,) = starts
+        first = start.row_residual * start.row_residual + start.col_residual * start.col_residual
+        assert result.objective_history[0] == first
+        row_res, col_res = block_residuals(result.left, result.right, design, meas)
+        assert (result.row_residual, result.col_residual) == (row_res, col_res)
+        assert result.final_objective == row_res * row_res + col_res * col_res
+        assert len(result.objective_history) == 3
+
     def test_truth_initialization_converges_immediately(self):
         # noiseless at k1 = k2 = r, the svls start is the truth
         truth = gen_low_rank(12, 10, 2, seed=7)

@@ -202,6 +202,17 @@ class TestMeasureAndRecover:
         assert result["rank_used"] == 2
         assert result["relative_error"] <= 1e-8
 
+    def test_recover_cur_rank_auto_on_zero_blocks(self, tmp_path):
+        # cur takes its rank from the overlap block, so auto estimates none
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 6, 5, 2, 2, seed=3)
+        write_measurement_set(tmp_path / "meas", measure(np.zeros((6, 5)), design, 0.0, 0), design)
+        out = tmp_path / "rec"
+        assert run_cli("recover", "--meas", tmp_path / "meas", "--algo", "cur",
+                       "--rank", "auto", "--out", out) == 0
+        assert json.loads((out / "result.json").read_text())["rank_used"] == 0
+        assert json.loads((out / "manifest.json").read_text())["rank"] == "auto"
+        assert np.array_equal(read_matrix(out / "x_hat.csv"), np.zeros((6, 5)))
+
     def test_recover_missing_measurement_dir(self, tmp_path, capsys):
         code = run_cli("recover", "--meas", tmp_path / "nope", "--algo", "svls",
                        "--rank", 2, "--out", tmp_path / "rec")

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import core_objective, product_norm, rowcol_operator_matrix, solve_core_bruteforce
+from oracles import (
+    core_objective, dense_operators, product_norm, rowcol_operator_matrix, solve_core_bruteforce,
+)
 
-from svls import recovery
-from svls.baselines import als_recover, svp_recover
+from svls import baselines, recovery
+from svls.baselines import IterativeSolverConfig, als_recover, svp_recover
 from svls.measurements import (
     DesignKind,
     GroundTruth,
@@ -34,14 +36,6 @@ from svls.recovery import (
 def dense_relative_error(x_hat, x_true):
     """The dense reference for relative_error: one m x n difference."""
     return float(np.linalg.norm(x_hat - x_true) / np.linalg.norm(x_true))
-
-
-def dense_operators(design):
-    """``(a_row, a_col)`` as dense matrices; for a sampling design, the
-    0/1 selections its index vectors stand for."""
-    if design.kind is DesignKind.ROW_COL_SAMPLE:
-        return np.eye(design.m)[design.row_indices], np.eye(design.n)[:, design.col_indices]
-    return design.a_row, design.a_col
 
 
 def dense_residuals(x_hat, design, meas):
@@ -631,10 +625,26 @@ class TestGatherOracle:
             assert np.array_equal(design.cols(y), y @ a_col)
 
     @pytest.mark.parametrize("kind", list(DesignKind))
-    def test_operators_equal_dense_matrices(self, kind):
-        design = gen_design(kind, 9, 7, 4, 3, seed=5)
-        for got, want in zip(design.operators(), dense_operators(design)):
-            assert np.array_equal(got, want)
+    @pytest.mark.parametrize("shape", [(9, 7, 4, 3), (5, 6, 5, 6), (8, 8, 1, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_refit_operators_are_the_dense_matrices_svds(self, kind, shape, seed):
+        # LAPACK's own for a Gaussian design; for a sampling design, its
+        # selected coordinate vectors, which are LAPACK's up to a signed
+        # column permutation P, with unit singular values and zt = P.T.
+        design = gen_design(kind, *shape, seed=seed)
+        dense = dense_operators(design)
+        for (v, s, zt), a in zip(baselines._refit_operators(design), (dense[0].T, dense[1])):
+            want_v, want_s, want_zt = np.linalg.svd(a, full_matrices=False)
+            perm = np.eye(len(s))
+            if kind is DesignKind.ROW_COL_SAMPLE:
+                assert np.array_equal((v * s) @ zt, a)
+                perm = v.T @ want_v
+                assert np.isin(perm, (-1.0, 0.0, 1.0)).all()
+                for axis in (0, 1):
+                    assert (np.abs(perm).sum(axis=axis) == 1).all()
+            assert np.array_equal(v @ perm, want_v)
+            assert np.array_equal(s, want_s)
+            assert np.array_equal(perm.T @ zt, want_zt)
 
     @pytest.mark.parametrize("kind", list(DesignKind))
     def test_rowcol_operator_matrix_equals_kron_construction(self, kind):
@@ -995,17 +1005,59 @@ class TestResidualScale:
             assert abs(got - want * scale) <= 1e-13 * want * scale
 
     def test_objective_above_float_max_reads_inf(self):
-        truth = gen_low_rank(30, 30, 2, seed=1)
+        # rank 2 on a rank-3 truth, so the residuals are far from zero
+        truth = gen_low_rank(30, 30, 3, seed=1)
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 30, 30, 4, 4, seed=2)
-        meas = measure(truth, design, 0.0, 3)
-        left = truth.left_factor + 1e-3
+        cfg = IterativeSolverConfig(max_iters=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            unit = recovery._factor_objective(left, truth.right_factor, design, meas)
-            rows, cols = block_residuals(1e200 * left, truth.right_factor, design, meas)
-            huge = recovery._factor_objective(1e200 * left, truth.right_factor, design, meas)
-        assert 0 < unit < math.inf and math.isfinite(rows) and math.isfinite(cols)
-        assert huge == math.inf
+            unit, huge = (
+                als_recover(measure(scaled, design, 0.0, 3), design, 2, cfg)
+                for scaled in (truth, GroundTruth(1e200 * truth.left_factor,
+                                                  truth.right_factor, truth.seed))
+            )
+        assert all(0 < h < math.inf for h in unit.objective_history)
+        assert math.isfinite(huge.row_residual) and math.isfinite(huge.col_residual)
+        assert huge.objective_history == (math.inf,) * len(unit.objective_history)
+
+
+class TestRankArgument:
+    """A rank is an integer, Python's or numpy's, and not a bool, wherever
+    it enters: the svls checks (so ALS's start), the subspace estimate,
+    SVP and the truth generator."""
+
+    @staticmethod
+    def calls(r):
+        truth = gen_low_rank(8, 7, 2, seed=1)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 8, 7, 3, 3, seed=2)
+        meas = measure(truth, design, 0.0, 3)
+        b = np.concatenate([meas.b_row.ravel(), meas.b_col.ravel()])
+        cfg = IterativeSolverConfig(max_iters=2)
+        return {
+            "svls": lambda: svls_recover(meas, design, r),
+            "als": lambda: als_recover(meas, design, r, cfg),
+            "svp": lambda: svp_recover(b, design, 8, 7, r, cfg),
+            "estimate_col_space": lambda: estimate_col_space(meas.b_col, r),
+            "gen_low_rank": lambda: gen_low_rank(8, 7, r, seed=4),
+        }
+
+    @pytest.mark.parametrize("call", ["svls", "als", "svp", "estimate_col_space", "gen_low_rank"])
+    @pytest.mark.parametrize("r", [True, 2.0, 2.5], ids=repr)
+    def test_non_integer_rank_rejected(self, call, r):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            self.calls(r)[call]()
+
+    @pytest.mark.parametrize("call", ["svls", "als", "svp", "estimate_col_space", "gen_low_rank"])
+    def test_numpy_integer_rank_accepted(self, call):
+        got, want = self.calls(np.int64(2))[call](), self.calls(2)[call]()
+        if call in ("svls", "als", "svp"):
+            assert type(got.rank_used) is int and got.rank_used == 2
+            got, want = got.x_hat, want.x_hat
+        elif call == "estimate_col_space":
+            got, want = got.basis, want.basis
+        else:
+            got, want = got.x, want.x
+        assert np.array_equal(got, want)
 
 
 class TestProductNorm:
