@@ -141,9 +141,12 @@ def _require_fields(dirpath: Path, manifest: dict, fields: tuple[str, ...]) -> N
 
 
 def _seed(dirpath: Path, manifest: dict, key: str) -> int:
-    if not _is_int(manifest[key]):
+    seed = manifest[key]
+    if not _is_int(seed):
         raise ValueError(f"{dirpath}: {key} must be an integer")
-    return manifest[key]
+    if seed < 0:  # a seed the library would refuse to draw from
+        raise ValueError(f"{dirpath}: {key} must be a nonnegative integer")
+    return seed
 
 
 def _sigma(dirpath: Path, manifest: dict) -> float:
@@ -175,6 +178,9 @@ def _design_from_dir(dirpath: Path, manifest: dict) -> MeasurementDesign:
     """The design a manifest describes.  A sampling design is its index
     lists; a Gaussian one reads its two sensing matrices from CSV."""
     _require_fields(dirpath, manifest, DESIGN_FIELDS)
+    kinds = [k.value for k in DesignKind]
+    if manifest["kind"] not in kinds:
+        raise ValueError(f"{dirpath}: kind must be one of {kinds}, got {manifest['kind']!r}")
     kind = DesignKind(manifest["kind"])
     m, n, k1, k2 = (_positive(dirpath, manifest, k) for k in ("m", "n", "k1", "k2"))
     seed = _seed(dirpath, manifest, "design_seed")

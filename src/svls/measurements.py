@@ -236,7 +236,9 @@ def _all_finite(a: np.ndarray) -> bool:
     with no m x n temporary.  Under IEEE arithmetic a NaN or infinite entry
     makes its column sum NaN or infinite, so one BLAS pass ``ones @ a``
     certifies a finite ``a``; only a sum that is not finite (a bad entry,
-    or an overflow) falls back to a scan in row blocks."""
+    or an overflow) falls back to a scan in row blocks.  ``measure`` runs
+    it on a sampling design's target, and on a Gaussian design's only
+    when a block is not finite."""
     flat = a.reshape(-1, a.shape[-1])
     with np.errstate(all="ignore"):
         if np.isfinite(np.ones(len(flat)) @ flat).all():
@@ -477,9 +479,15 @@ def measure(
     noise is held beside the blocks.  With ``sigma = 0`` the
     blocks are those products exactly (no noise stream is consumed).
     ``sigma`` must be a finite nonnegative number, not a bool, and is
-    checked before ``x``'s finiteness: a truth's factors are checked, and
-    a dense ``x`` is certified by one BLAS pass of column sums
-    (:func:`_all_finite`).
+    checked before ``x``'s finiteness, and both before any noise is
+    drawn.  A Gaussian design's blocks touch every entry of ``x`` (or
+    factor entry), and IEEE arithmetic carries a NaN or inf into them
+    even through a zero design entry, so finite blocks certify ``x``.  A
+    sampling design's gathers skip most entries, so its ``x`` (or the
+    truth's factors) is certified by one BLAS pass of column sums
+    (:func:`_all_finite`), which is also what tells a bad entry from
+    products that overflow (``MeasurementSet`` refuses those) when a
+    Gaussian design's block is not finite.
     """
     seeds, stacked = _seeds(noise_seed)
     factored = isinstance(x, GroundTruth)
@@ -505,14 +513,17 @@ def measure(
         raise ValueError("x and design must be stacked alike, one target per trial")
     if not _is_finite_nonnegative(sigma):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    if not all(map(_all_finite, arrays)):
+    with np.errstate(all="ignore"):  # an overflow is MeasurementSet's to refuse
+        if factored:
+            b_row = design.rows(left) @ right.mT
+            b_col = left @ design.cols(right.mT)
+        else:
+            b_row = np.ascontiguousarray(design.rows(x))
+            b_col = np.ascontiguousarray(design.cols(x))
+    # a Gaussian design's finite blocks certify x; a sampling design's gathers cannot
+    certified = design.a_row is not None and np.isfinite(b_row).all() and np.isfinite(b_col).all()
+    if not (certified or all(map(_all_finite, arrays))):
         raise ValueError("x entries must be finite")
-    if factored:
-        b_row = design.rows(left) @ right.mT
-        b_col = left @ design.cols(right.mT)
-    else:
-        b_row = np.ascontiguousarray(design.rows(x))
-        b_col = np.ascontiguousarray(design.cols(x))
     if sigma > 0:  # each trial's noise, b_row's then b_col's, added as it is drawn
         stacks = (b_row, b_col) if stacked else (b_row[None], b_col[None])
         for rng, *blocks in zip(_generators(noise_seed)[0], *stacks):

@@ -279,6 +279,24 @@ class TestMeasureAndRecover:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "design_seed" in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("design_seed", -3, "design_seed must be a nonnegative integer"),
+         ("kind", "foo", "kind must be one of ['gaussian', 'rowcol'], got 'foo'"),
+         ("kind", 3, "kind must be one of ['gaussian', 'rowcol'], got 3")],
+        ids=["design_seed_negative", "kind_foo", "kind_3"],
+    )
+    def test_measure_bad_design_manifest(self, pipeline, tmp_path, capsys, key, value, message):
+        x, design, _ = pipeline
+        manifest = json.loads((design / "manifest.json").read_text())
+        manifest[key] = value
+        (design / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli("measure", "--x", x, "--design", design, "--sigma", 0,
+                       "--out", tmp_path / "meas2")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {design}: {message}\n"
+        assert not (tmp_path / "meas2").exists()
+
     @pytest.fixture
     def rowcol_meas(self, tmp_path):
         truth = gen_low_rank(30, 20, 2, seed=1)
@@ -289,8 +307,10 @@ class TestMeasureAndRecover:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("sigma", None), ("noise_seed", [1]), ("design_seed", None)],
-        ids=["sigma_null", "noise_seed_list", "design_seed_null"],
+        [("sigma", None), ("noise_seed", [1]), ("design_seed", None), ("noise_seed", -3),
+         ("design_seed", -3), ("kind", "foo"), ("kind", 3)],
+        ids=["sigma_null", "noise_seed_list", "design_seed_null", "noise_seed_negative",
+             "design_seed_negative", "kind_foo", "kind_3"],
     )
     def test_recover_bad_manifest_scalar(self, rowcol_meas, tmp_path, capsys, key, value):
         manifest = json.loads((rowcol_meas / "manifest.json").read_text())
@@ -300,7 +320,7 @@ class TestMeasureAndRecover:
                        "--out", tmp_path / "rec")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert err.startswith(f"error: {rowcol_meas}: ") and err.count("\n") == 1 and key in err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -424,6 +424,41 @@ class TestDesignManifestFields:
         with pytest.raises(ValueError, match="design_seed must be an integer"):
             read_design(tmp_path / "d")
 
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("key", ["design_seed", "noise_seed"])
+    @pytest.mark.parametrize("value", [-1, -3, -(2**70)])
+    def test_negative_seed_rejected(self, tmp_path, kind, key, value):
+        # the library refuses to draw from a negative seed, so no reader
+        # hands one on
+        design = gen_design(kind, 6, 5, 3, 2, seed=1)
+        meas = measure(gen_low_rank(6, 5, 2, seed=1).x, design, 0.01, 2)
+        write_measurement_set(tmp_path / "d", meas, design)
+        _tamper_manifest(tmp_path / "d", lambda mf: mf.update({key: value}))
+        message = re.escape(f"{tmp_path / 'd'}: {key} must be a nonnegative integer")
+        with pytest.raises(ValueError, match=message):
+            read_measurement_set(tmp_path / "d")
+        if key == "design_seed":
+            with pytest.raises(ValueError, match=message):
+                read_design(tmp_path / "d")
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**70, 2**200])
+    def test_any_nonnegative_seed_reads(self, tmp_path, kind, seed):
+        design = gen_design(kind, 6, 5, 3, 2, seed=1)
+        meas = measure(gen_low_rank(6, 5, 2, seed=1).x, design, 0.01, 2)
+        write_measurement_set(tmp_path / "d", meas, design)
+        _tamper_manifest(tmp_path / "d", lambda mf: mf.update(design_seed=seed, noise_seed=seed))
+        got_meas, got_design = read_measurement_set(tmp_path / "d")
+        assert got_design.seed == got_meas.noise_seed == read_design(tmp_path / "d").seed == seed
+
+    @pytest.mark.parametrize("value", ["foo", 3, "Gaussian", None, [1]])
+    def test_unknown_kind_names_its_directory(self, tmp_path, value):
+        write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
+        _tamper_manifest(tmp_path / "d", lambda mf: mf.update(kind=value))
+        message = f"{tmp_path / 'd'}: kind must be one of ['gaussian', 'rowcol'], got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_design(tmp_path / "d")
+
     def test_gaussian_manifest_with_indices_rejected(self, tmp_path):
         write_design(tmp_path / "d", gen_design(DesignKind.GAUSSIAN_AFFINE, 4, 4, 2, 2, 0))
         _tamper_manifest(tmp_path / "d", lambda mf: mf.update(row_indices=[0, 1]))
@@ -506,7 +541,9 @@ class TestManifestFuzz:
                     continue
                 design = got if read is read_design else got[1]
                 assert isinstance(design, MeasurementDesign)
+                assert design.seed >= 0
                 if read is read_measurement_set:
+                    assert got[0].noise_seed >= 0
                     assert got[0].b_row.shape == (design.k1, design.n)
                     assert got[0].b_col.shape == (design.m, design.k2)
         finally:

@@ -410,9 +410,11 @@ class TestMeasureChecks:
 
 
 class TestFinitenessCertificate:
-    """measure decides finiteness from one BLAS pass of column sums and
-    scans the target only when a sum is not finite; ``np.isfinite`` of the
-    whole array is the oracle."""
+    """On a sampling design, measure certifies the target by one BLAS pass
+    of column sums and scans it only when a sum is not finite.  On a
+    Gaussian design the blocks certify it, since they touch every entry
+    and factor entry, and the target is scanned only when a block is not
+    finite.  ``np.isfinite`` of the whole array is the oracle."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -434,7 +436,8 @@ class TestFinitenessCertificate:
     @pytest.mark.parametrize("kind", list(DesignKind))
     def test_overflowing_column_sums_still_measure(self, kind, stacked):
         # every entry finite, but the column of 1e308 sums past float max:
-        # the certificate fails and the scan accepts the target
+        # a sampling design's certificate fails and the scan accepts the
+        # target; a Gaussian design's finite blocks accept it
         seeds = (1, 2, 3) if stacked else 1
         x = np.ones((3, 6, 4) if stacked else (6, 4))
         x[..., 1] = 1e308
@@ -449,6 +452,85 @@ class TestFinitenessCertificate:
             meas = measure(x, design, 0.0, (4, 5, 6) if stacked else 4)
         assert np.array_equal(meas.b_row, design.rows(x))
         assert np.array_equal(meas.b_col, design.cols(x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("target", ["dense", "left", "right"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_bad_entry_reaches_blocks_through_zero_design_entries(
+        self, monkeypatch, stacked, k, target, bad
+    ):
+        # column i of a_row and row j of a_col are zero, so every product
+        # with x[i, j] (or with row i of L, or row j of R) is 0 * bad, which
+        # is NaN: the blocks still certify the target, before any noise
+        seeds = (1, 2, 3) if stacked else 1
+        i, j = 4, 2
+        truth = gen_low_rank(7, 5, 2, seeds)
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 7, 5, k, k, seeds)
+        a_row, a_col = np.array(design.a_row), np.array(design.a_col)
+        a_row[..., :, i] = 0.0
+        a_col[..., j, :] = 0.0
+        design = dataclasses.replace(design, a_row=a_row, a_col=a_col)
+        left, right = np.array(truth.left_factor), np.array(truth.right_factor)
+        if target == "dense":
+            x = np.array(truth.x)
+            x[..., i, j] = bad
+        elif target == "left":
+            left[..., i, 0] = bad
+            x = GroundTruth(left, right, seeds)
+        else:
+            right[..., j, 0] = bad
+            x = GroundTruth(left, right, seeds)
+
+        def no_noise(seed):
+            raise AssertionError("noise drawn for a bad target")
+
+        monkeypatch.setattr(svls.measurements, "_generators", no_noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x entries must be finite"):
+                measure(x, design, 0.1, (4, 5, 6) if stacked else 4)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize(
+        "kind, factored",
+        [(DesignKind.GAUSSIAN_AFFINE, False), (DesignKind.GAUSSIAN_AFFINE, True),
+         (DesignKind.ROW_COL_SAMPLE, True)],  # a sampling design's gathers do not overflow
+        ids=["gaussian-dense", "gaussian-factored", "rowcol-factored"],
+    )
+    def test_overflowing_blocks_are_the_measurement_sets_error(self, kind, factored, stacked):
+        # every entry finite, but a product passes float max: not the
+        # target's error, and no RuntimeWarning escapes
+        seeds = (1, 2, 3) if stacked else 1
+        truth = gen_low_rank(6, 4, 2, seeds)
+        left = np.array(truth.left_factor) * 1e200
+        right = np.array(truth.right_factor) * 1e200
+        x = GroundTruth(left, right, seeds) if factored else np.full(truth.x.shape, 1e308)
+        design = gen_design(kind, 6, 4, 3, 2, seeds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="b_row and b_col entries must be finite"):
+                measure(x, design, 0.0, (4, 5, 6) if stacked else 4)
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_which_designs_scan_a_finite_target(self, monkeypatch, kind, factored):
+        # a Gaussian design's finite blocks make the certificate's pass
+        # redundant; a sampling design's gathers do not, so it keeps it
+        scanned = []
+
+        def all_finite(a):
+            scanned.append(a.shape)
+            return _all_finite(a)
+
+        monkeypatch.setattr(svls.measurements, "_all_finite", all_finite)
+        truth = gen_low_rank(8, 6, 2, seed=1)
+        design = gen_design(kind, 8, 6, 3, 2, seed=2)
+        measure(truth if factored else truth.x, design, 0.1, 3)
+        if kind is DesignKind.GAUSSIAN_AFFINE:
+            assert scanned == []
+        else:
+            assert scanned == ([(8, 2), (6, 2)] if factored else [(8, 6)])
 
     def test_matches_isfinite(self):
         rng = np.random.default_rng(3)
@@ -483,6 +565,30 @@ class TestColumnProductOrder:
             assert np.array_equal(got[t], one)
             # an unstacked design applies itself to every slice of a stack
             assert np.array_equal(alone.cols(y)[t], one)
+
+
+class TestBlocksBitForBit:
+    """With ``sigma = 0`` measure's blocks are the design's products, bit
+    for bit, row-major, stacked or not, whichever check certified the
+    target."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("m, n, k", [(7, 5, 1), (12, 10, 3), (50, 50, 3), (50, 50, 4),
+                                         (300, 251, 6)])
+    def test_blocks_are_the_products(self, m, n, k, kind, stacked):
+        seeds = (1, 2, 3) if stacked else 1
+        truth = gen_low_rank(m, n, 2, seeds)
+        design = gen_design(kind, m, n, k, k, seeds)
+        left, right = truth.left_factor, truth.right_factor
+        for x, b_row, b_col in [
+            (truth.x, design.rows(truth.x), design.cols(truth.x)),
+            (truth, design.rows(left) @ right.mT, left @ design.cols(right.mT)),
+        ]:
+            meas = measure(x, design, 0.0, (4, 5, 6) if stacked else 4)
+            for got, want in [(meas.b_row, b_row), (meas.b_col, b_col)]:
+                assert got.flags.c_contiguous and not got.flags.writeable
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestMeasurementSet:
