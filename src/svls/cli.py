@@ -88,9 +88,12 @@ def _seed_or_default(value: int | None) -> int:
 
 
 def _cmd_gen_matrix(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.with_suffix(".json") == out:
+        raise ValueError(f"--out {out}: the matrix's metadata would overwrite it; "
+                         "use a suffix other than .json")
     seed = _seed_or_default(args.seed)
     truth = gen_low_rank(args.m, args.n, args.rank, seed)
-    out = Path(args.out)
     matio.write_matrix(out, truth.x)
     matio.write_json(
         out.with_suffix(".json"),

@@ -476,25 +476,28 @@ def write_records_csv(
 
 def read_records_csv(path: str | Path) -> list[TrialRecord]:
     """Read a records CSV by column name; ``runtime_seconds`` is optional."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = set(RECORD_COLUMNS) - set(header)
-        if missing:
-            raise ValueError(f"{path}: records CSV missing columns {sorted(missing)}")
-        cells = [
-            (header.index(name), _READ[name])
-            for name in _TIMED_RECORD_COLUMNS
-            if name in header
-        ]
-        records = []
-        for row in reader:
-            if row and len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields"
-                )
-            if row:  # blank lines are skipped
-                records.append(TrialRecord(*[fn(row[i]) for i, fn in cells]))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = set(RECORD_COLUMNS) - set(header)
+            if missing:
+                raise ValueError(f"{path}: records CSV missing columns {sorted(missing)}")
+            cells = [
+                (header.index(name), _READ[name])
+                for name in _TIMED_RECORD_COLUMNS
+                if name in header
+            ]
+            records = []
+            for row in reader:
+                if row and len(row) != len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: expected {len(header)} fields"
+                    )
+                if row:  # blank lines are skipped
+                    records.append(TrialRecord(*[fn(row[i]) for i, fn in cells]))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return records
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -247,3 +248,49 @@ def rowcol_operator_matrix(design: MeasurementDesign) -> np.ndarray:
     top = np.kron(a_row, np.eye(design.n))
     bottom = np.kron(np.eye(design.m), a_col.T)
     return np.vstack([top, bottom])
+
+
+def _parses_oracle(text: str) -> bool:
+    if not text.strip():
+        return False
+    try:
+        np.loadtxt([text], delimiter=",", comments=None, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
+
+
+def whole_text_read_matrix(path) -> np.ndarray:
+    """Independent reference for the streaming ``matio.read_matrix``: the
+    reader as it was before it streamed.  It holds the file's whole text
+    and its list of lines, checks every line for blanks and ragged rows,
+    and then parses the list in one ``np.loadtxt`` call."""
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty matrix file")
+
+    def first_malformed(lines):
+        for lineno, line in enumerate(lines, start=1):
+            if not _parses_oracle(line):
+                field = next((f for f in line.split(",") if not _parses_oracle(f)), line)
+                return ValueError(
+                    f"{path}:{lineno}: malformed matrix row: "
+                    f"could not convert string to float: {field!r}"
+                )
+        return None
+
+    commas = lines[0].count(",")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.count(",") != commas:
+            # an earlier malformed line is reported first, as a line-by-line read would
+            raise first_malformed(lines[:lineno]) or ValueError(
+                f"{path}:{lineno}: ragged row ({line.count(',') + 1} != {commas + 1})"
+            )
+    try:
+        a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        raise first_malformed(lines) or exc from None
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return _freeze(a)

@@ -20,6 +20,7 @@ from svls.measurements import (
     measure,
 )
 from svls.recovery import block_residuals
+from svls.simulate import RECORD_COLUMNS
 
 
 def run_cli(*argv):
@@ -86,6 +87,16 @@ class TestGenMatrix:
         assert run_cli("gen-matrix", "--m", 4, "--n", 4, "--rank", 1,
                        "--seed", 2, "--out", out) == 0
         assert np.array_equal(read_matrix(out), gen_low_rank(4, 4, 1, 2).x)
+
+    @pytest.mark.parametrize("name", ["t.json", "x.csv.json"])
+    def test_out_that_its_metadata_would_overwrite_refused(self, tmp_path, capsys, name):
+        # the metadata goes to out.with_suffix(".json"), the matrix's own path
+        out = tmp_path / name
+        code = run_cli("gen-matrix", "--m", 3, "--n", 3, "--rank", 1, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(out) in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMeasureAndRecover:
@@ -350,6 +361,24 @@ class TestMeasureAndRecover:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{x}:3: malformed" in err
+
+    def test_undecodable_files_name_their_path(self, pipeline, tmp_path, capsys):
+        # the bad byte sits past the first lines numpy parses
+        x, design, meas = pipeline
+        x.write_bytes(x.read_bytes() * 500 + b"1,\xff\n")
+        (meas / "manifest.json").write_bytes(b'{"m": \xff}')
+        records = tmp_path / "records.csv"
+        records.write_bytes(",".join(RECORD_COLUMNS).encode() + b"\n\xff\n")
+        for argv, path in [
+            (("measure", "--x", x, "--design", design, "--sigma", 0, "--out", tmp_path / "m"), x),
+            (("recover", "--meas", meas, "--algo", "cur", "--rank", 2, "--out", tmp_path / "r"),
+             meas / "manifest.json"),
+            (("summarize", "--in", records, "--out", tmp_path / "s.csv"), records),
+        ]:
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+            assert err.count("\n") == 1
 
     def test_matrix_round_trip_through_cli(self, pipeline):
         x, _, _ = pipeline

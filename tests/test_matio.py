@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import whole_text_read_matrix
 from svls.matio import (
     DESIGN_FIELDS,
     NOISE_FIELDS,
@@ -119,6 +121,10 @@ def _oracle_matrices():
         "1x1": np.array([[np.pi]]),
         "1xn": rng.standard_normal((1, 13)),
         "mx1": rng.standard_normal((13, 1)),
+        # the writer formats rows in chunks of WRITE_CHUNK_ENTRIES: many
+        # chunks with a short last one, and rows wider than a chunk
+        "many_chunks": rng.standard_normal((2100, 3)),
+        "wider_than_a_chunk": rng.standard_normal((3, 1500)),
     }
 
 
@@ -139,6 +145,23 @@ REJECTION_CORPUS = {
     "nan": ("1,2\nnan,4\n", "finite", None),
     "inf": ("inf\n", "finite", None),
     "overflow": ("1e400,1\n", "finite", None),
+    # lines end where str.splitlines ends them, not only at "\n"
+    "crlf_ragged": ("1,2\r\n3\r\n", "ragged", 2),
+    "no_final_newline": ("1,2\n3,x", "malformed", 2),
+    "form_feed_in_row": ("1,\x0c2\n", "malformed", 1),
+    "file_separator_in_row": ("1,2\x1c3\n", "ragged", 2),
+    "next_line_at_row_end": ("1,2\x85\n3,4\n", "malformed", 2),
+    "line_separator_in_row": ("1,2\u20283,4,5\n", "ragged", 2),
+}
+
+# text that reads, and the matrix it reads as
+ACCEPTED_CORPUS = {
+    "crlf": ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    "no_final_newline": ("1,2\n3,4", [[1, 2], [3, 4]]),
+    "form_feed_in_row": ("1,2\x0c3,4\n", [[1, 2], [3, 4]]),
+    "file_separator_in_row": ("1,2\x1c3,4\n", [[1, 2], [3, 4]]),
+    "next_line_in_row": ("1\x852\n", [[1], [2]]),
+    "line_separator_in_row": ("1,2\u20283,4", [[1, 2], [3, 4]]),
 }
 
 
@@ -179,6 +202,45 @@ class TestMatrixOracles:
         path.write_text(text, newline="")
         assert _error_kind_and_line(oracle_read_matrix, path) == (kind, line)
         assert _error_kind_and_line(read_matrix, path) == (kind, line)
+        assert _error_kind_and_line(whole_text_read_matrix, path) == (kind, line)
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED_CORPUS))
+    def test_line_breaks_match_oracle(self, tmp_path, case):
+        text, want = ACCEPTED_CORPUS[case]
+        path = tmp_path / "a.csv"
+        path.write_text(text, newline="")
+        for reader in (oracle_read_matrix, whole_text_read_matrix, read_matrix):
+            assert reader(path).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, want",
+        [({2: "1,x", 60_002: "3"}, ("malformed", 2)),
+         ({60_002: "3"}, ("ragged", 60_002)),
+         ({2: "3", 60_002: "1,x"}, ("ragged", 2)),
+         ({60_002: "1,x"}, ("malformed", 60_002))],
+    )
+    def test_error_priority_across_a_long_file(self, tmp_path, bad, want):
+        # the first bad line is named, however far in, and a malformed
+        # line before a ragged one is named first
+        lines = ["1,2"] * 60_010
+        for lineno, line in bad.items():
+            lines[lineno - 1] = line
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (oracle_read_matrix, whole_text_read_matrix, read_matrix):
+            assert _error_kind_and_line(reader, path) == want
+
+    @pytest.mark.parametrize("head", [b"", b"1,x\n"])
+    def test_undecodable_byte_names_the_path(self, tmp_path, head):
+        # past the lines numpy has parsed, and behind a malformed one: the
+        # decode error comes first, as when the whole text was decoded
+        path = tmp_path / "bad.csv"
+        path.write_bytes(head + b"1,2\n" * 60_000 + b"1,\xff\n")
+        message = f"{path}: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_matrix(path)
+        with pytest.raises(UnicodeDecodeError):
+            whole_text_read_matrix(path)
 
     @pytest.mark.parametrize("text", ["1_0\n", "1,\u0661\n", "\uff11\n"])
     def test_spellings_only_python_float_accepted_are_rejected(self, tmp_path, text):
@@ -216,6 +278,58 @@ class TestMatrixFuzz:
         except ValueError:
             return
         assert a.ndim == 2 and a.size > 0 and np.isfinite(a).all()
+
+    @FUZZ
+    @given(a=finite_matrices)
+    def test_writer_bytes_match_oracle(self, tmp_path_factory, a):
+        new, old = (tmp_path_factory.getbasetemp() / f"fuzz_{n}.csv" for n in ("new", "old"))
+        write_matrix(new, a)
+        oracle_write_matrix(old, a)
+        assert new.read_bytes() == old.read_bytes()
+
+    @FUZZ
+    @given(text=st.one_of(matrix_like_text, st.text()))
+    def test_streaming_reader_matches_whole_text_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_stream.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for reader in (whole_text_read_matrix, read_matrix):
+            try:
+                outcomes.append(reader(path).tobytes())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestMatrixMemory:
+    """``write_matrix`` and ``read_matrix`` stream: their peak holds a few
+    rows of text besides the array.  The whole-text versions peaked at
+    5.46 MB to write and 3.65 MB to read a 300 x 300 matrix (720 KB, 6 KB
+    of text a row)."""
+
+    A = np.random.default_rng(3).standard_normal((300, 300))
+
+    @staticmethod
+    def _peak(fn, *args):
+        fn(*args)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peak_is_a_few_rows_of_text(self, tmp_path):
+        path = tmp_path / "a.csv"
+        peak = self._peak(write_matrix, path, self.A)  # measured 58 KB
+        row_text = path.stat().st_size / len(self.A)
+        assert peak < 16 * row_text
+
+    def test_read_peak_is_the_array_and_a_few_rows(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_matrix(path, self.A)
+        # numpy grows its output by a fraction as rows arrive; measured 827 KB
+        assert self._peak(read_matrix, path) < 1.3 * self.A.nbytes
 
 
 def assert_same_design(got, want):
