@@ -15,6 +15,11 @@ overlap, so extra threads slow them down.  ``recover --algo svp`` runs
 SVP on the stored design itself, through its ``rows``, ``cols`` and
 ``adjoint``, so no target size is refused; its iterate is dense m x n.
 
+``gen-matrix`` writes a sidecar ``x.json`` beside ``x.csv`` with the
+matrix's recipe and digests; ``measure --x`` and ``recover --truth``
+rebuild the matrix from it while the digests still certify the CSV, and
+parse the CSV otherwise (:func:`svls.matio.read_truth`).
+
 Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors (which
 print a single ``error: ...`` line to standard error).  When a ``--seed``
 or ``--noise-seed`` flag is absent, its default comes from the
@@ -88,17 +93,8 @@ def _seed_or_default(value: int | None) -> int:
 
 
 def _cmd_gen_matrix(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    if out.with_suffix(".json") == out:
-        raise ValueError(f"--out {out}: the matrix's metadata would overwrite it; "
-                         "use a suffix other than .json")
-    seed = _seed_or_default(args.seed)
-    truth = gen_low_rank(args.m, args.n, args.rank, seed)
-    matio.write_matrix(out, truth.x)
-    matio.write_json(
-        out.with_suffix(".json"),
-        {"m": args.m, "n": args.n, "rank": args.rank, "seed": seed},
-    )
+    truth = gen_low_rank(args.m, args.n, args.rank, _seed_or_default(args.seed))
+    matio.write_truth(args.out, truth)
     return 0
 
 
@@ -110,7 +106,7 @@ def _cmd_gen_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    x = matio.read_matrix(args.x)
+    x = matio.read_truth(args.x)
     design = matio.read_design(args.design)
     meas = measure(x, design, args.sigma, _seed_or_default(args.noise_seed))
     matio.write_measurement_set(args.out, meas, design)
@@ -119,7 +115,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     meas, design = matio.read_measurement_set(args.meas)
-    truth = matio.read_matrix(args.truth) if args.truth else None
+    truth = matio.read_truth(args.truth) if args.truth else None
     rank = None  # cur takes its rank from the overlap block
     if args.rank != "auto":
         rank = int(args.rank)

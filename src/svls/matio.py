@@ -19,10 +19,15 @@ also holds ``b_row.csv`` and ``b_col.csv``, with ``sigma`` and
 the artifact from seeds.  Sampling directories written with the 0/1
 selection matrices as ``design_a_*.csv`` still read: those files are
 ignored.
+
+A ``gen-matrix`` truth is a matrix CSV with a sidecar holding its recipe
+and digests (:func:`write_truth`); :func:`read_truth` rebuilds it from
+its seed while the digests certify the CSV, and parses the CSV otherwise.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -30,11 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from .measurements import (
-    DesignKind, MeasurementDesign, MeasurementSet,
-    _all_finite, _freeze, _is_finite_nonnegative, _is_int,
+    DesignKind, GroundTruth, MeasurementDesign, MeasurementSet,
+    _all_finite, _freeze, _is_finite_nonnegative, _is_int, gen_low_rank,
 )
 
 DESIGN_FIELDS = ("kind", "m", "n", "k1", "k2", "design_seed")
+TRUTH_FIELDS = ("m", "n", "rank", "seed", "csv_sha256", "x_sha256")
 NOISE_FIELDS = ("sigma", "noise_seed")
 
 # 17 significant digits round-trip every float64 exactly.
@@ -81,6 +87,25 @@ def _checked(lines):
         raise ValueError("empty")
 
 
+def undecodable(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
+    """``exc``, raised decoding ``path`` a chunk at a time, with the path and
+    the file offsets of its bytes.  No byte of a multibyte UTF-8 character
+    is ``\\n``, so each line decodes as it did within the whole text."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                line.decode(exc.encoding)
+            except UnicodeDecodeError as err:
+                at, last = err.start + offset, err.end - 1 + offset
+                where = (f"byte 0x{line[err.start]:02x} in position {at}" if at == last
+                         else f"bytes in position {at}-{last}")
+                return ValueError(f"{path}: '{err.encoding}' codec can't decode {where}: "
+                                  f"{err.reason}")
+            offset += len(line)
+    return ValueError(f"{path}: {exc}")  # the file changed since
+
+
 def _parses(text: str) -> bool:
     if not text.strip():
         return False
@@ -107,7 +132,7 @@ def _diagnosis(path: Path) -> ValueError | None:
                 elif found is None and line.count(",") != commas:
                     found = f"{lineno}: ragged row ({line.count(',') + 1} != {commas + 1})"
     except UnicodeDecodeError as exc:
-        return ValueError(f"{path}: {exc}")
+        return undecodable(path, exc)
     if not lineno:
         return ValueError(f"{path}: empty matrix file")
     return found and ValueError(f"{path}:{found}")
@@ -125,6 +150,49 @@ def read_matrix(path: str | Path) -> np.ndarray:
     if not _all_finite(a):
         raise ValueError(f"{path}: matrix entries must be finite")
     return _freeze(a)
+
+
+def _file_sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def write_truth(path: str | Path, truth: GroundTruth) -> None:
+    """Write ``truth.x`` with :func:`write_matrix` and, at ``path`` with
+    suffix ``.json``, its sidecar: the recipe ``{m, n, rank, seed}`` and the
+    SHA-256 digests ``csv_sha256`` of the CSV and ``x_sha256`` of ``truth.x``."""
+    path = Path(path)
+    if path.with_suffix(".json") == path:
+        raise ValueError(f"{path}: the matrix's metadata would overwrite it; "
+                         "use a suffix other than .json")
+    write_matrix(path, truth.x)
+    recipe = (*truth.x.shape, truth.rank, truth.seed, _file_sha256(path),
+              hashlib.sha256(truth.x).hexdigest())
+    write_json(path.with_suffix(".json"), dict(zip(TRUTH_FIELDS, recipe)))
+
+
+def read_truth(path: str | Path) -> np.ndarray:
+    """The matrix CSV at ``path`` as :func:`read_matrix` parses it, or rebuilt
+    from its :func:`write_truth` sidecar's recipe when the CSV's digest
+    matches, m·n is at most half its bytes (each entry takes two or more, so
+    a forged sidecar allocates no more than the file holds) and the rebuilt
+    matrix's digest matches.  The format is lossless: the arrays are equal."""
+    path, sidecar = Path(path), Path(path).with_suffix(".json")
+    try:
+        recipe = json.loads(sidecar.read_text()) if sidecar != path else None
+    except (OSError, ValueError, RecursionError):  # absent, undecodable or not JSON
+        recipe = None
+    if isinstance(recipe, dict) and set(TRUTH_FIELDS) <= recipe.keys():
+        m, n, rank, seed, csv_sha256, x_sha256 = (recipe[k] for k in TRUTH_FIELDS)
+        try:
+            if (_is_int(m) and _is_int(n) and 2 * m * n <= path.stat().st_size
+                    and _file_sha256(path) == csv_sha256):
+                x = gen_low_rank(m, n, rank, seed).x
+                if hashlib.sha256(x).hexdigest() == x_sha256:
+                    return x
+        except (OSError, ValueError):  # unreadable, or a recipe gen_low_rank refuses
+            pass
+    return read_matrix(path)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .baselines import als_recover, gaussian_operator, svp_recover
-from .matio import format_float
+from .matio import format_float, undecodable
 from .measurements import (
     DesignKind, _generator, _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
 )
@@ -497,7 +497,7 @@ def read_records_csv(path: str | Path) -> list[TrialRecord]:
                 if row:  # blank lines are skipped
                     records.append(TrialRecord(*[fn(row[i]) for i, fn in cells]))
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise undecodable(path, exc) from None
     return records
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -51,7 +52,11 @@ class TestGenMatrix:
         assert x.shape == (5, 4)
         assert np.array_equal(x, gen_low_rank(5, 4, 2, 3).x)
         sidecar = json.loads((tmp_path / "x.json").read_text())
-        assert sidecar == {"m": 5, "n": 4, "rank": 2, "seed": 3}
+        assert sidecar == {
+            "m": 5, "n": 4, "rank": 2, "seed": 3,
+            "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "x_sha256": hashlib.sha256(x.tobytes()).hexdigest(),
+        }
 
     def test_zero_dimension_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -383,6 +388,52 @@ class TestMeasureAndRecover:
     def test_matrix_round_trip_through_cli(self, pipeline):
         x, _, _ = pipeline
         assert np.array_equal(read_matrix(x), gen_low_rank(12, 10, 2, 7).x)
+
+
+class TestCertifiedPipeline:
+    """``measure --x`` and ``recover --truth`` rebuild a gen-matrix truth
+    from its sidecar; without the sidecar they parse ``x.csv``.  Every
+    output byte is the same either way."""
+
+    @staticmethod
+    def outputs(dirpath):
+        files = {}
+        for path in sorted(p for p in dirpath.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.name == "result.json":
+                result = json.loads(data)
+                del result["runtime_seconds"]
+                data = json.dumps(result, sort_keys=True).encode()
+            files[path.relative_to(dirpath)] = data
+        return files
+
+    @pytest.mark.parametrize(
+        "kind, algo", [("gaussian", "svls"), ("rowcol", "svls"), ("rowcol", "cur")]
+    )
+    def test_outputs_identical_with_and_without_sidecar(self, tmp_path, monkeypatch, kind, algo):
+        x = tmp_path / "x.csv"
+        assert run_cli("gen-matrix", "--m", 30, "--n", 20, "--rank", 3,
+                       "--seed", 4, "--out", x) == 0
+        assert run_cli("gen-design", "--kind", kind, "--m", 30, "--n", 20,
+                       "--k1", 5, "--k2", 5, "--seed", 6, "--out", tmp_path / "design") == 0
+        parsed = []
+        read_matrix = cli.matio.read_matrix
+        monkeypatch.setattr(cli.matio, "read_matrix",
+                            lambda p: parsed.append(p.name) or read_matrix(p))
+        runs = {}
+        for sidecar in (True, False):
+            if not sidecar:
+                (tmp_path / "x.json").unlink()
+            parsed.clear()
+            out = tmp_path / f"run-{sidecar}"
+            assert run_cli("measure", "--x", x, "--design", tmp_path / "design",
+                           "--sigma", 1e-3, "--noise-seed", 8, "--out", out / "meas") == 0
+            assert run_cli("recover", "--meas", out / "meas", "--algo", algo, "--rank", 3,
+                           "--truth", x, "--out", out / "rec") == 0
+            assert parsed.count("x.csv") == (0 if sidecar else 2)
+            runs[sidecar] = self.outputs(out)
+        assert len(runs[True]) >= 4
+        assert runs[True] == runs[False]
 
 
 class TestSweepAndSummarize:

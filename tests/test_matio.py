@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import whole_text_read_matrix
+from svls import matio
 from svls.matio import (
     DESIGN_FIELDS,
     NOISE_FIELDS,
@@ -17,9 +18,11 @@ from svls.matio import (
     read_design,
     read_matrix,
     read_measurement_set,
+    read_truth,
     write_design,
     write_matrix,
     write_measurement_set,
+    write_truth,
 )
 from svls.measurements import (
     DesignKind,
@@ -233,14 +236,34 @@ class TestMatrixOracles:
     @pytest.mark.parametrize("head", [b"", b"1,x\n"])
     def test_undecodable_byte_names_the_path(self, tmp_path, head):
         # past the lines numpy has parsed, and behind a malformed one: the
-        # decode error comes first, as when the whole text was decoded
+        # decode error comes first, as when the whole text was decoded, and
+        # names the byte's offset in the file, not in the decoder's chunk
         path = tmp_path / "bad.csv"
         path.write_bytes(head + b"1,2\n" * 60_000 + b"1,\xff\n")
-        message = f"{path}: 'utf-8' codec can't decode byte 0xff"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        offset = len(head) + 240_002
+        message = f"{path}: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+        with pytest.raises(ValueError, match=re.escape(message) + "invalid start byte$"):
             read_matrix(path)
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(UnicodeDecodeError) as exc:
             whole_text_read_matrix(path)
+        assert exc.value.start == offset
+
+    @pytest.mark.parametrize(
+        "tail, where",
+        [(b"1,\xe2\x82\n", "bytes in position 240002-240003: invalid continuation byte"),
+         (b"1,\xe2\x82", "bytes in position 240002-240003: unexpected end of data"),
+         (b"1,\xc3\x28\n", "byte 0xc3 in position 240002: invalid continuation byte")],
+    )
+    def test_undecodable_sequence_names_its_file_offsets(self, tmp_path, tail, where):
+        # a multibyte sequence cut short, by a line's end or the file's
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n" * 60_000 + tail)
+        with pytest.raises(ValueError) as exc:
+            read_matrix(path)
+        assert str(exc.value) == f"{path}: 'utf-8' codec can't decode {where}"
+        with pytest.raises(UnicodeDecodeError) as oracle:
+            whole_text_read_matrix(path)
+        assert str(oracle.value) == f"'utf-8' codec can't decode {where}"
 
     @pytest.mark.parametrize("text", ["1_0\n", "1,\u0661\n", "\uff11\n"])
     def test_spellings_only_python_float_accepted_are_rejected(self, tmp_path, text):
@@ -330,6 +353,121 @@ class TestMatrixMemory:
         write_matrix(path, self.A)
         # numpy grows its output by a fraction as rows arrive; measured 827 KB
         assert self._peak(read_matrix, path) < 1.3 * self.A.nbytes
+
+
+def _edit_sidecar(**changes):
+    def edit(csv, sidecar):
+        recipe = json.loads(sidecar.read_text())
+        recipe.update(changes)
+        sidecar.write_text(json.dumps(recipe))
+    return edit
+
+
+def _write_sidecar(data):
+    return lambda csv, sidecar: sidecar.write_bytes(data)
+
+
+def _remove_key(key):
+    return lambda csv, sidecar: sidecar.write_text(json.dumps(
+        {k: v for k, v in json.loads(sidecar.read_text()).items() if k != key}))
+
+
+class TestCertifiedTruth:
+    """``read_truth`` rebuilds a ``write_truth`` CSV from its sidecar's
+    recipe only while both digests certify it; otherwise it returns what
+    ``read_matrix``, the oracle, parses."""
+
+    TRUTH = gen_low_rank(9, 7, 2, 5)
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_truth(path, self.TRUTH)
+        return path, tmp_path / "x.json"
+
+    @staticmethod
+    def assert_bit_equal(got, want):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    def test_csv_is_what_write_matrix_writes(self, written, tmp_path):
+        path, _ = written
+        write_matrix(tmp_path / "plain.csv", self.TRUTH.x)
+        assert path.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_certified_read_rebuilds_without_parsing(self, written, monkeypatch):
+        path, _ = written
+        want = read_matrix(path)
+
+        def refuse(p):
+            raise AssertionError(f"parsed {p}")
+
+        monkeypatch.setattr(matio, "read_matrix", refuse)
+        self.assert_bit_equal(read_truth(path), want)
+        self.assert_bit_equal(read_truth(str(path)), want)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda csv, sidecar: sidecar.unlink(),
+            _write_sidecar(b'{"m": 9, "n": 7, "rank": 2, "seed": 5}'),  # from before the digests
+            _write_sidecar(b'{"m": 9,'),
+            _write_sidecar(b'{"m": \xff}'),
+            _write_sidecar(b"[]"),
+            _write_sidecar(b"null"),
+            _write_sidecar(b'"x.csv"'),
+            _write_sidecar(b"[" * 100_000 + b"]" * 100_000),
+            lambda csv, sidecar: csv.write_bytes(csv.read_bytes().replace(b"1", b"2", 1)),
+            _edit_sidecar(seed=6),
+            _edit_sidecar(rank=1),
+            _edit_sidecar(rank=8),
+            _edit_sidecar(seed=-1),
+            _edit_sidecar(seed="5"),
+            _edit_sidecar(m=9.0),
+            _edit_sidecar(m=7, n=9),
+            _edit_sidecar(x_sha256="0" * 64),  # as from another numpy or BLAS build
+            _edit_sidecar(csv_sha256=None),
+            _remove_key("x_sha256"),
+        ],
+        ids=["no-sidecar", "old-sidecar", "malformed", "undecodable", "list", "null",
+             "string", "deep", "csv-byte", "seed", "rank", "bad-rank", "negative-seed",
+             "string-seed", "float-m", "transposed", "x-digest", "csv-digest", "no-x-digest"],
+    )
+    def test_uncertified_read_parses(self, written, monkeypatch, edit):
+        path, sidecar = written
+        edit(path, sidecar)
+        want = read_matrix(path)
+        parsed = []
+        monkeypatch.setattr(matio, "read_matrix", lambda p: parsed.append(p) or want)
+        assert read_truth(path) is want
+        assert parsed == [path]
+
+    def test_sidecar_too_large_for_the_file_allocates_nothing(self, written):
+        # a forged m·n beyond half the CSV's bytes, with the CSV's own
+        # digest: were it rebuilt, the 2000 x 2000 matrix alone is 32 MB
+        path, sidecar = written
+        _edit_sidecar(m=2000, n=2000)(path, sidecar)
+        want = read_matrix(path)
+        read_truth(path)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            got = read_truth(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assert_bit_equal(got, want)
+        assert peak < 256 * 1024
+
+    def test_matrix_at_a_json_path_parses(self, written, monkeypatch):
+        # its sidecar would be itself
+        path, _ = written
+        other = path.with_name("t.json")
+        other.write_bytes(path.read_bytes())
+        parsed = []
+        monkeypatch.setattr(matio, "read_matrix", lambda p: parsed.append(p) or read_matrix(p))
+        self.assert_bit_equal(read_truth(other), read_matrix(path))
+        assert parsed == [other]
 
 
 def assert_same_design(got, want):

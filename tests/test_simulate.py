@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -366,6 +367,19 @@ class TestRecordsCsv:
         write_records_csv(path, sweep(small_config(trials=1)))
         path.write_text(path.read_text() + "1,2,3\n")
         with pytest.raises(ValueError, match="fields"):
+            read_records_csv(path)
+
+    def test_undecodable_byte_names_its_file_offset(self, tmp_path):
+        # past the decoder's first 8 KB chunk: the position counts from the
+        # file's start, as the whole-text reader gave it
+        path = tmp_path / "records.csv"
+        write_records_csv(path, sweep(small_config(trials=1)))
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        head = header + b"".join(rows) * 100
+        path.write_bytes(head + b"\xff\n")
+        assert len(head) > 8192
+        message = f"{path}: 'utf-8' codec can't decode byte 0xff in position {len(head)}: "
+        with pytest.raises(ValueError, match=re.escape(message) + "invalid start byte$"):
             read_records_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):
