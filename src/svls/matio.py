@@ -153,8 +153,11 @@ def read_matrix(path: str | Path) -> np.ndarray:
 
 
 def _file_sha256(path: Path) -> str:
+    h = hashlib.sha256()  # hashlib.file_digest needs Python 3.11
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def write_truth(path: str | Path, truth: GroundTruth) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -395,6 +396,16 @@ class TestCertifiedTruth:
         path, _ = written
         write_matrix(tmp_path / "plain.csv", self.TRUTH.x)
         assert path.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_digests_need_no_file_digest(self, tmp_path, monkeypatch):
+        # hashlib.file_digest is new in Python 3.11; the project supports 3.10
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        path = tmp_path / "x.csv"
+        write_truth(path, self.TRUTH)
+        sidecar = json.loads((tmp_path / "x.json").read_text())
+        assert sidecar["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sidecar["x_sha256"] == hashlib.sha256(self.TRUTH.x.tobytes()).hexdigest()
+        self.assert_bit_equal(read_truth(path), self.TRUTH.x)
 
     def test_certified_read_rebuilds_without_parsing(self, written, monkeypatch):
         path, _ = written
