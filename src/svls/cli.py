@@ -20,8 +20,9 @@ matrix's recipe and digests; ``measure --x`` and ``recover --truth``
 rebuild the matrix from it while the digests still certify the CSV, and
 parse the CSV otherwise (:func:`svls.matio.read_truth`).
 
-Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors (which
-print a single ``error: ...`` line to standard error).  When a ``--seed``
+Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors, an
+allocation too large for memory among them (which print a single
+``error: ...`` line to standard error).  When a ``--seed``
 or ``--noise-seed`` flag is absent, its default comes from the
 ``RC_RECOVER_SEED`` environment variable (0 if unset).
 """
@@ -230,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -9,6 +9,16 @@ numpy one line at a time.  Writing then reading a 2000 x 2000 matrix
 (32 MB) peaked at 101 MB max RSS in a fresh process, against 350 MB when
 both held the file's whole text.
 
+``%.17g`` formatting is most of a write and the GIL serializes it, so a
+matrix of ``PARALLEL_ENTRIES`` or more is split by rows among the usable
+CPUs: the process formats the first part and a ``python -I -S`` helper
+(:mod:`svls._rowtext`, standard library only) each other part, reading
+raw float64 from an anonymous temporary file in the target's directory
+and writing text to another that is then appended, both in row chunks.
+Rows whose helper does not start, fails or writes the wrong line count
+are formatted in process; the bytes are the same, and no helper outlives
+the call.
+
 A design on disk is a directory with a ``manifest.json`` holding the
 fields ``{kind, m, n, k1, k2, design_seed}``.  A sampling design is its
 manifest, which also lists ``row_indices`` and ``col_indices``; a
@@ -29,11 +39,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
+from ._rowtext import row_template, rows_text
 from .measurements import (
     DesignKind, GroundTruth, MeasurementDesign, MeasurementSet,
     _all_finite, _freeze, _is_finite_nonnegative, _is_int, gen_low_rank,
@@ -47,10 +62,57 @@ NOISE_FIELDS = ("sigma", "noise_seed")
 FLOAT_FORMAT = "%.17g"
 # write_matrix formats and writes its rows in chunks of about this many entries
 WRITE_CHUNK_ENTRIES = 2**10
+# write_matrix shares a matrix of at least this many entries among the usable
+# CPUs, giving each helper interpreter at least half as many
+PARALLEL_ENTRIES = 2**17
 
 
 def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_rows(fh, a: np.ndarray, template: str, rows: int) -> None:
+    for i in range(0, len(a), rows):
+        fh.write(rows_text(template, a[i : i + rows].tolist()).encode())
+
+
+def _start_helper(stack: ExitStack, dirpath: Path, a: np.ndarray, rows: int):
+    """A helper interpreter writing the text of ``a`` to an anonymous file in
+    ``dirpath``, and that file, or two Nones if none starts.  The helper is
+    killed if it still runs when ``stack`` closes."""
+    import subprocess  # only large writes pay for its import
+
+    try:
+        out = stack.enter_context(tempfile.TemporaryFile(dir=dirpath))
+        with tempfile.TemporaryFile(dir=dirpath) as src:
+            a.tofile(src)
+            src.seek(0)
+            proc = subprocess.Popen(  # sys.executable is '' or None with no interpreter
+                [sys.executable or "", "-I", "-S", Path(__file__).with_name("_rowtext.py"),
+                 FLOAT_FORMAT, str(a.shape[1]), str(rows)],
+                stdin=src, stdout=out, stderr=subprocess.DEVNULL)
+    except OSError:  # no room or permission for the temporary files, or no interpreter
+        return None, None
+    stack.callback(lambda: (proc.kill(), proc.wait()))
+    return proc, out
+
+
+def _append(fh, proc, out, lines: int) -> bool:
+    """Append ``out`` to ``fh`` if ``proc`` succeeded and wrote ``lines`` lines."""
+    if proc is None or proc.wait() != 0:
+        return False
+    out.seek(0)
+    count = sum(chunk.count(b"\n") for chunk in iter(lambda: out.read(2**14), b""))
+    out.seek(0)
+    if count == lines:
+        shutil.copyfileobj(out, fh, 2**14)
+    return count == lines
 
 
 def write_matrix(path: str | Path, a: np.ndarray) -> None:
@@ -59,11 +121,17 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
         raise ValueError("only nonempty 2-d matrices can be written")
     if not _all_finite(a):
         raise ValueError("matrix entries must be finite")
-    row = ",".join([FLOAT_FORMAT] * a.shape[1]) + "\n"
+    path, template = Path(path), row_template(FLOAT_FORMAT, a.shape[1])
     rows = max(1, WRITE_CHUNK_ENTRIES // a.shape[1])
-    with open(path, "w", newline="\n") as fh:
-        for i in range(0, len(a), rows):
-            fh.write("".join([row % tuple(values) for values in a[i : i + rows].tolist()]))
+    parts = max(1, min(_usable_cpus(), len(a), 2 * a.size // PARALLEL_ENTRIES))
+    cuts = [len(a) * k // parts for k in range(parts + 1)]
+    with open(path, "wb") as fh, ExitStack() as stack:
+        helpers = [(*_start_helper(stack, path.parent, a[lo:hi], rows), lo, hi)
+                   for lo, hi in zip(cuts[1:], cuts[2:])]
+        _write_rows(fh, a[: cuts[1]], template, rows)
+        for proc, out, lo, hi in helpers:
+            if not _append(fh, proc, out, hi - lo):  # format them here instead
+                _write_rows(fh, a[lo:hi], template, rows)
 
 
 def _lines(fh):
@@ -182,8 +250,8 @@ def read_truth(path: str | Path) -> np.ndarray:
     matrix's digest matches.  The format is lossless: the arrays are equal."""
     path, sidecar = Path(path), Path(path).with_suffix(".json")
     try:
-        recipe = json.loads(sidecar.read_text()) if sidecar != path else None
-    except (OSError, ValueError, RecursionError):  # absent, undecodable or not JSON
+        recipe = read_json(sidecar) if sidecar != path else None
+    except (OSError, ValueError):  # absent, undecodable or not JSON
         recipe = None
     if isinstance(recipe, dict) and set(TRUTH_FIELDS) <= recipe.keys():
         m, n, rank, seed, csv_sha256, x_sha256 = (recipe[k] for k in TRUTH_FIELDS)
@@ -208,7 +276,7 @@ def read_json(path: str | Path) -> dict:
     path = Path(path)
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ValueError(f"{path}: malformed JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -229,13 +297,15 @@ def _design_manifest(design: MeasurementDesign) -> dict:
     return manifest
 
 
-def write_design(dirpath: str | Path, design: MeasurementDesign) -> None:
+def write_design(dirpath: str | Path, design: MeasurementDesign, **extra) -> None:
+    """Write ``design`` to ``dirpath``; ``extra`` joins its manifest, which
+    is written once and last."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     if design.a_row is not None:
         write_matrix(dirpath / "design_a_row.csv", design.a_row)
         write_matrix(dirpath / "design_a_col.csv", design.a_col)
-    write_json(dirpath / "manifest.json", _design_manifest(design))
+    write_json(dirpath / "manifest.json", {**_design_manifest(design), **extra})
 
 
 def _require_fields(dirpath: Path, manifest: dict, fields: tuple[str, ...]) -> None:
@@ -319,13 +389,10 @@ def write_measurement_set(
     dirpath: str | Path, meas: MeasurementSet, design: MeasurementDesign
 ) -> None:
     dirpath = Path(dirpath)
-    write_design(dirpath, design)
+    dirpath.mkdir(parents=True, exist_ok=True)
     write_matrix(dirpath / "b_row.csv", meas.b_row)
     write_matrix(dirpath / "b_col.csv", meas.b_col)
-    manifest = _design_manifest(design)
-    manifest["sigma"] = meas.sigma
-    manifest["noise_seed"] = meas.noise_seed
-    write_json(dirpath / "manifest.json", manifest)
+    write_design(dirpath, design, sigma=meas.sigma, noise_seed=meas.noise_seed)
 
 
 def read_measurement_set(

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svls import cli
 from svls.cli import build_parser, main
@@ -494,3 +498,102 @@ class TestSweepAndSummarize:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
+
+
+SWEEP_CONFIG = {
+    "m": 6, "n": 5, "ranks": [2], "design_kinds": ["rowcol"], "k_values": [[2, 2]],
+    "sigmas": [0.0], "algorithms": ["svls"], "trials": 2, "base_seed": 3,
+}
+# a sweep config's edits stay small, as a valid one runs
+small_json = (st.none() | st.booleans() | st.integers(-2, 12) | st.floats()
+              | st.text(max_size=3))
+any_json = st.recursive(
+    small_json | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def main_outcome(argv):
+    """The exit code of ``main(argv)`` and what it wrote to standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestNoExceptionEscapesMain:
+    """A malformed artifact gives exit code 1 and one ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def targets(self, tmp_path_factory):
+        """Each JSON file the CLI reads, and a command that reads it."""
+        d = tmp_path_factory.mktemp("artifacts")
+        x, design, meas, config = d / "x.csv", d / "design", d / "meas", d / "config.json"
+        assert run_cli("gen-matrix", "--m", 6, "--n", 5, "--rank", 2, "--seed", 1,
+                       "--out", x) == 0
+        assert run_cli("gen-design", "--kind", "rowcol", "--m", 6, "--n", 5, "--k1", 2,
+                       "--k2", 2, "--seed", 1, "--out", design) == 0
+        assert run_cli("measure", "--x", x, "--design", design, "--sigma", 0.01,
+                       "--noise-seed", 2, "--out", meas) == 0
+        config.write_text(json.dumps(SWEEP_CONFIG))
+        return {
+            "measure": (design / "manifest.json", ["measure", "--x", x, "--design", design,
+                        "--sigma", 0, "--out", d / "out_meas"]),
+            "recover": (meas / "manifest.json", ["recover", "--meas", meas, "--algo", "svls",
+                        "--rank", 2, "--out", d / "out_rec"]),
+            "sweep": (config, ["sweep", "--config", config, "--out", d / "records.csv"]),
+        }
+
+    @pytest.mark.parametrize("target", ["measure", "recover", "sweep"])
+    def test_deeply_nested_json(self, targets, target):
+        path, argv = targets[target]
+        original = path.read_text()
+        path.write_text("[" * 100_000)
+        try:
+            code, err = main_outcome(argv)
+        finally:
+            path.write_text(original)
+        assert code == 1
+        assert err.startswith(f"error: {path}: malformed JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 72.8 TiB"), "error: Unable to allocate 72.8 TiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_memory_error(self, tmp_path, monkeypatch, exc, line):
+        def command(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_gen_matrix", command)
+        argv = ["gen-matrix", "--m", 2, "--n", 2, "--rank", 1, "--out", tmp_path / "x.csv"]
+        assert main_outcome(argv) == (1, line)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(target=st.sampled_from(["measure", "recover", "sweep"]), data=st.data())
+    def test_malformed_json_exits_0_1_or_2(self, targets, target, data):
+        path, argv = targets[target]
+        original = path.read_text()
+        base = json.loads(original)
+        form = data.draw(st.sampled_from(["nested", "cut", "whole", "edited"]))
+        if form == "nested":
+            text = "[" * data.draw(st.integers(1, 100_000))
+        elif form == "cut":
+            text = original[: data.draw(st.integers(0, len(original) - 1))]
+        elif form == "whole":
+            text = json.dumps(data.draw(any_json))
+        else:
+            values = small_json if target == "sweep" else any_json
+            edits = st.dictionaries(st.sampled_from(sorted(base)), values, min_size=1, max_size=3)
+            text = json.dumps({**base, **data.draw(edits)})
+        path.write_text(text)
+        try:
+            code, err = main_outcome(argv)
+        finally:
+            path.write_text(original)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1

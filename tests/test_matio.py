@@ -1,6 +1,9 @@
 import hashlib
 import json
 import re
+import signal
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -356,6 +359,121 @@ class TestMatrixMemory:
         assert self._peak(read_matrix, path) < 1.3 * self.A.nbytes
 
 
+@pytest.fixture
+def helpers(monkeypatch):
+    """The helper processes started while a test runs, which must end
+    within 60 s.  Setting ``helpers.command`` runs it in a helper's place."""
+    started, popen = HelperLog(), subprocess.Popen
+
+    def record(command, **kwargs):
+        started.append(popen(started.command or command, **kwargs))
+        return started[-1]
+
+    def expire(signum, frame):
+        raise TimeoutError("a test of the helper path ran past 60 s")
+
+    monkeypatch.setattr(subprocess, "Popen", record)
+    monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class HelperLog(list):
+    command = None
+
+    def write(self, path, a):
+        """``write_matrix(path, a)``, checking that no helper outlives it and
+        that it leaves no file beside ``path``."""
+        files = {*path.parent.iterdir(), path}
+        write_matrix(path, a)
+        assert all(proc.returncode is not None for proc in self)
+        assert set(path.parent.iterdir()) == files
+
+    def write_as_oracle(self, dirpath, a):
+        """:meth:`write` to ``dirpath``, checking the bytes against the oracle's."""
+        self.write(dirpath / "new.csv", a)
+        oracle_write_matrix(dirpath / "old.csv", a)
+        assert (dirpath / "new.csv").read_bytes() == (dirpath / "old.csv").read_bytes()
+
+
+def _tiled(name, entries=matio.PARALLEL_ENTRIES):
+    a = ORACLE_MATRICES[name]
+    return np.tile(a, (-(-entries // a.size), 1))
+
+
+class TestParallelWrite:
+    """A matrix of ``PARALLEL_ENTRIES`` or more is formatted partly by a
+    helper interpreter, with the same bytes."""
+
+    @pytest.mark.parametrize("a", [
+        _tiled("special"), _tiled("logspace_scaled"),
+        np.random.default_rng(5).standard_normal((100, 1500)),  # a row wider than a chunk
+    ], ids=["special", "logspace_scaled", "wider_than_a_chunk"])
+    def test_bytes_match_oracle(self, tmp_path, helpers, a):
+        assert a.size >= matio.PARALLEL_ENTRIES
+        helpers.write_as_oracle(tmp_path, a)
+        assert len(helpers) == 1
+
+    def test_write_peak_is_a_few_rows_of_text(self, tmp_path, helpers):
+        a = np.random.default_rng(3).standard_normal((400, 400))
+        path = tmp_path / "a.csv"
+        peak = TestMatrixMemory._peak(helpers.write, path, a)  # measured 73 KB
+        assert len(helpers) == 2
+        assert peak < 16 * path.stat().st_size / len(a)
+
+    @pytest.mark.parametrize("command", [
+        [sys.executable, "-c", "import sys; sys.exit(3)"],
+        [sys.executable, "-c", "print('1')"],  # too few lines
+        [sys.executable, "-c", "print('1\\n' * 10**5)"],  # too many lines
+        ["/nonexistent/python"],  # Popen raises OSError
+    ], ids=["exit_3", "too_few_lines", "too_many_lines", "no_interpreter"])
+    def test_failed_helper_rows_are_formatted_here(self, tmp_path, helpers, command):
+        a = _tiled("logspace_scaled")
+        helpers.command = command
+        helpers.write_as_oracle(tmp_path, a)
+
+    def test_no_room_for_temporary_files(self, tmp_path, helpers, monkeypatch):
+        def no_room(**kwargs):
+            raise OSError(28, "No space left on device")
+        a = _tiled("special")
+        monkeypatch.setattr(matio.tempfile, "TemporaryFile", no_room)
+        helpers.write_as_oracle(tmp_path, a)
+        assert not helpers
+
+    def test_running_helper_is_killed_when_the_write_fails(self, tmp_path, helpers, monkeypatch):
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+        helpers.command = [sys.executable, "-c", "import time; time.sleep(60)"]
+        monkeypatch.setattr(matio, "_write_rows", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            write_matrix(tmp_path / "a.csv", _tiled("special"))
+        assert [proc.returncode for proc in helpers] == [-signal.SIGKILL]
+
+    @pytest.mark.parametrize("executable", ["", None])
+    def test_no_interpreter_to_run(self, tmp_path, helpers, monkeypatch, executable):
+        a = _tiled("special")
+        monkeypatch.setattr(sys, "executable", executable)
+        helpers.write_as_oracle(tmp_path, a)
+        assert not helpers
+
+    @pytest.mark.parametrize("cpus, shape, started", [
+        (1, (2**10, 2**8), 0), (2, (2**10 - 1, 2**7), 0), (2, (2**10, 2**7), 1),
+        (2, (1, 2**17), 0), (3, (2**10, 2**7), 1), (3, (3 * 2**9, 2**7), 2),
+    ])
+    def test_helpers_start_only_for_large_matrices_and_spare_cpus(
+            self, tmp_path, helpers, monkeypatch, cpus, shape, started):
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: cpus)
+        a = np.random.default_rng(8).standard_normal(shape)
+        helpers.write(tmp_path / "a.csv", a)
+        assert len(helpers) == started
+        assert np.array_equal(read_matrix(tmp_path / "a.csv"), a)
+
+
 def _edit_sidecar(**changes):
     def edit(csv, sidecar):
         recipe = json.loads(sidecar.read_text())
@@ -516,7 +634,31 @@ class TestDesignDirectory:
             read_design(tmp_path / "d")
 
 
+def oracle_write_measurement_set(dirpath, meas, design):
+    """The writer that wrote manifest.json twice: the design with its
+    manifest, the blocks, then the manifest again with the noise fields."""
+    write_design(dirpath, design)
+    write_matrix(dirpath / "b_row.csv", meas.b_row)
+    write_matrix(dirpath / "b_col.csv", meas.b_col)
+    manifest = json.loads((dirpath / "manifest.json").read_text())
+    manifest.update(sigma=meas.sigma, noise_seed=meas.noise_seed)
+    matio.write_json(dirpath / "manifest.json", manifest)
+
+
 class TestMeasurementSetDirectory:
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_manifest_written_once_and_bytes_unchanged(self, tmp_path, monkeypatch, kind):
+        design = gen_design(kind, 6, 5, 3, 2, seed=1)
+        meas = measure(gen_low_rank(6, 5, 2, seed=1).x, design, 0.01, 2)
+        oracle_write_measurement_set(tmp_path / "old", meas, design)
+        written, write_json = [], matio.write_json
+        monkeypatch.setattr(matio, "write_json", lambda path, payload: (
+            written.append(path), write_json(path, payload)))
+        write_measurement_set(tmp_path / "new", meas, design)
+        assert written == [tmp_path / "new" / "manifest.json"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "new").iterdir()} == {
+            p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+
     def test_round_trip(self, tmp_path):
         truth = gen_low_rank(6, 8, 2, seed=2)
         design = gen_design(DesignKind.ROW_COL_SAMPLE, 6, 8, 3, 2, seed=3)
