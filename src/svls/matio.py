@@ -9,15 +9,19 @@ numpy one line at a time.  Writing then reading a 2000 x 2000 matrix
 (32 MB) peaked at 101 MB max RSS in a fresh process, against 350 MB when
 both held the file's whole text.
 
-``%.17g`` formatting is most of a write and the GIL serializes it, so a
-matrix of ``PARALLEL_ENTRIES`` or more is split by rows among the usable
-CPUs: the process formats the first part and a ``python -I -S`` helper
-(:mod:`svls._rowtext`, standard library only) each other part, reading
-raw float64 from an anonymous temporary file in the target's directory
-and writing text to another that is then appended, both in row chunks.
-Rows whose helper does not start, fails or writes the wrong line count
-are formatted in process; the bytes are the same, and no helper outlives
-the call.
+``%.17g`` formatting is most of a write and the GIL serializes it, so
+when the process may run on more than one CPU (``os.sched_getaffinity``,
+which does not see a cgroup CPU quota) a matrix of ``PARALLEL_ENTRIES``
+or more is cut in two by rows: the process formats the first half and a
+``python -I -S`` helper (:mod:`svls._rowtext`, standard library only) the
+second, reading raw float64 from an anonymous temporary file in the
+target's directory and writing text to another that is then appended,
+both in row chunks.  The helper is a second interpreter of about 10 MB;
+the process keeps O(row) memory.  Rows whose helper does not start,
+fails or writes the wrong line count are formatted in process; the
+bytes are the same.  No helper outlives ``write_matrix`` when it returns
+or raises; if the process itself is killed, a running helper finishes
+its rows into its anonymous file.
 
 A design on disk is a directory with a ``manifest.json`` holding the
 fields ``{kind, m, n, k1, k2, design_seed}``.  A sampling design is its
@@ -62,8 +66,8 @@ NOISE_FIELDS = ("sigma", "noise_seed")
 FLOAT_FORMAT = "%.17g"
 # write_matrix formats and writes its rows in chunks of about this many entries
 WRITE_CHUNK_ENTRIES = 2**10
-# write_matrix shares a matrix of at least this many entries among the usable
-# CPUs, giving each helper interpreter at least half as many
+# write_matrix gives half the rows of a matrix of at least this many entries to
+# a helper interpreter when the process may run on more than one CPU
 PARALLEL_ENTRIES = 2**17
 
 
@@ -123,15 +127,13 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
         raise ValueError("matrix entries must be finite")
     path, template = Path(path), row_template(FLOAT_FORMAT, a.shape[1])
     rows = max(1, WRITE_CHUNK_ENTRIES // a.shape[1])
-    parts = max(1, min(_usable_cpus(), len(a), 2 * a.size // PARALLEL_ENTRIES))
-    cuts = [len(a) * k // parts for k in range(parts + 1)]
+    # the helper's rows, the last; one helper is the setup that was timed
+    half = len(a) // 2 if a.size >= PARALLEL_ENTRIES and _usable_cpus() > 1 else 0
     with open(path, "wb") as fh, ExitStack() as stack:
-        helpers = [(*_start_helper(stack, path.parent, a[lo:hi], rows), lo, hi)
-                   for lo, hi in zip(cuts[1:], cuts[2:])]
-        _write_rows(fh, a[: cuts[1]], template, rows)
-        for proc, out, lo, hi in helpers:
-            if not _append(fh, proc, out, hi - lo):  # format them here instead
-                _write_rows(fh, a[lo:hi], template, rows)
+        proc, out = _start_helper(stack, path.parent, a[-half:], rows) if half else (None, None)
+        _write_rows(fh, a[: len(a) - half], template, rows)
+        if half and not _append(fh, proc, out, half):  # format them here instead
+            _write_rows(fh, a[-half:], template, rows)
 
 
 def _lines(fh):

@@ -463,9 +463,9 @@ class TestParallelWrite:
 
     @pytest.mark.parametrize("cpus, shape, started", [
         (1, (2**10, 2**8), 0), (2, (2**10 - 1, 2**7), 0), (2, (2**10, 2**7), 1),
-        (2, (1, 2**17), 0), (3, (2**10, 2**7), 1), (3, (3 * 2**9, 2**7), 2),
+        (2, (1, 2**17), 0), (3, (3 * 2**9, 2**7), 1), (32, (2**12, 2**8), 1),
     ])
-    def test_helpers_start_only_for_large_matrices_and_spare_cpus(
+    def test_one_helper_starts_only_for_large_matrices_and_spare_cpus(
             self, tmp_path, helpers, monkeypatch, cpus, shape, started):
         monkeypatch.setattr(matio, "_usable_cpus", lambda: cpus)
         a = np.random.default_rng(8).standard_normal(shape)
