@@ -6,22 +6,16 @@ a single comma, numbers rendered with 17 significant decimal digits
 directions stream, with O(row) transient memory: ``write_matrix`` writes
 its rows in chunks of ``WRITE_CHUNK_ENTRIES`` and ``read_matrix`` feeds
 numpy one line at a time.  Writing then reading a 2000 x 2000 matrix
-(32 MB) peaked at 101 MB max RSS in a fresh process, against 350 MB when
+(32 MB) peaked at 102 MB max RSS in a fresh process, against 350 MB when
 both held the file's whole text.
 
-``%.17g`` formatting is most of a write and the GIL serializes it, so
-when the process may run on more than one CPU (``os.sched_getaffinity``,
-which does not see a cgroup CPU quota) a matrix of ``PARALLEL_ENTRIES``
-or more is cut in two by rows: the process formats the first half and a
-``python -I -S`` helper (:mod:`svls._rowtext`, standard library only) the
-second, reading raw float64 from an anonymous temporary file in the
-target's directory and writing text to another that is then appended,
-both in row chunks.  The helper is a second interpreter of about 10 MB;
-the process keeps O(row) memory.  Rows whose helper does not start,
-fails or writes the wrong line count are formatted in process; the
-bytes are the same.  No helper outlives ``write_matrix`` when it returns
-or raises; if the process itself is killed, a running helper finishes
-its rows into its anonymous file.
+``write_matrix`` writes ``%.17g`` text with a numpy kernel.  For a value v
+that is not an integer, with 1e-4 <= |v| < 2^52, 10^(16-X), X = floor(log10
+|v|), is an exact double, and Dekker's exact product p + e (IEEE binary64,
+round to nearest), p >= 2^53 even, gives the 17 digits D = round-half-even(
+|v| 10^(16-X)) as p + rint(e); X is corrected once where D has not 17 digits.
+Zeros have templates of their own; other values are formatted by ``%``, a
+whole chunk of them when they are most of it.
 
 A design on disk is a directory with a ``manifest.json`` holding the
 fields ``{kind, m, n, k1, k2, design_seed}``.  A sampling design is its
@@ -43,16 +37,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
 import sys
-import tempfile
-from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
-from ._rowtext import row_template, rows_text
 from .measurements import (
     DesignKind, GroundTruth, MeasurementDesign, MeasurementSet,
     _all_finite, _freeze, _is_finite_nonnegative, _is_int, gen_low_rank,
@@ -64,59 +53,97 @@ NOISE_FIELDS = ("sigma", "noise_seed")
 
 # 17 significant digits round-trip every float64 exactly.
 FLOAT_FORMAT = "%.17g"
-# write_matrix formats and writes its rows in chunks of about this many entries
-WRITE_CHUNK_ENTRIES = 2**10
-# write_matrix gives half the rows of a matrix of at least this many entries to
-# a helper interpreter when the process may run on more than one CPU
-PARALLEL_ENTRIES = 2**17
+# write_matrix writes a matrix's entries, in row-major order, in chunks of
+# this many; TestMatrixMemory's write bound sets it
+WRITE_CHUNK_ENTRIES = 640
+_SPLIT = 2.0**27 + 1  # Veltkamp's factor: splits a double into 26-bit halves
 
 
 def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _write_tables():
+    """10^(16 - X) in halves (0 unless -5 <= X <= 16), and text templates by sign
+    and separator for X in [-4, 15], -6 (zero) and -5 (``%``); negatives index from the end."""
+    x = np.r_[0:18, -6:0]
+    power = np.r_[1.0, np.cumprod(np.full(21, 10.0))]  # 10^0 .. 10^21, exact
+    s = np.where((x >= -5) & (x <= 16), power[np.clip(16 - x, 0, 21)], 0.0)
+    s_hi = s * _SPLIT - (s * _SPLIT - s)
+    # words of 4-digit groups, of the same without trailing zeros, of a first digit
+    digits = 48 + np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
+    words = np.zeros((20010, 8), np.uint8)
+    words[:20000, ::2] = np.concatenate([digits, np.where(trailing, 0, digits)])
+    words[20001:, 6] = 48 + np.arange(1, 10)
+    templates = np.zeros((22, 2, 2, 40), np.uint8)
+    templates[..., 39] = [ord(","), ord("\n")]
+    for x in range(-6, 16):
+        for sign in (0, 1):
+            lead = FLOAT_FORMAT if x == -5 else "-" * sign + (
+                "0" if x == -6 else "0." + "0" * (-x - 1) if x < 0 else "")
+            templates[x, sign, :, 6 - len(lead) : 6] = list(lead.encode())
+        if x >= 0:
+            templates[x, ..., 7 + 2 * x] = ord(".")
+    return (np.stack([s, s_hi, s - s_hi], axis=1), words.view("<u8").ravel(),
+            templates.reshape(-1, 40).view("<u8"))
 
 
-def _write_rows(fh, a: np.ndarray, template: str, rows: int) -> None:
-    for i in range(0, len(a), rows):
-        fh.write(rows_text(template, a[i : i + rows].tolist()).encode())
+_SCALES, _WORDS, _TEMPLATES = _write_tables()
 
 
-def _start_helper(stack: ExitStack, dirpath: Path, a: np.ndarray, rows: int):
-    """A helper interpreter writing the text of ``a`` to an anonymous file in
-    ``dirpath``, and that file, or two Nones if none starts.  The helper is
-    killed if it still runs when ``stack`` closes."""
-    import subprocess  # only large writes pay for its import
-
-    try:
-        out = stack.enter_context(tempfile.TemporaryFile(dir=dirpath))
-        with tempfile.TemporaryFile(dir=dirpath) as src:
-            a.tofile(src)
-            src.seek(0)
-            proc = subprocess.Popen(  # sys.executable is '' or None with no interpreter
-                [sys.executable or "", "-I", "-S", Path(__file__).with_name("_rowtext.py"),
-                 FLOAT_FORMAT, str(a.shape[1]), str(rows)],
-                stdin=src, stdout=out, stderr=subprocess.DEVNULL)
-    except OSError:  # no room or permission for the temporary files, or no interpreter
-        return None, None
-    stack.callback(lambda: (proc.kill(), proc.wait()))
-    return proc, out
+def _digits(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    s = np.take(_SCALES, xi, axis=0)
+    p, hi = x * s[:, 0], x * _SPLIT
+    hi -= hi - x
+    lo = x - hi
+    e = hi * s[:, 1] - p + hi * s[:, 2] + lo * s[:, 1] + lo * s[:, 2]
+    del s, hi, lo
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
-def _append(fh, proc, out, lines: int) -> bool:
-    """Append ``out`` to ``fh`` if ``proc`` succeeded and wrote ``lines`` lines."""
-    if proc is None or proc.wait() != 0:
-        return False
-    out.seek(0)
-    count = sum(chunk.count(b"\n") for chunk in iter(lambda: out.read(2**14), b""))
-    out.seek(0)
-    if count == lines:
-        shutil.copyfileobj(out, fh, 2**14)
-    return count == lines
+def _chunk_text(v: np.ndarray, first: int, n: int) -> bytes:
+    """The text of the entries ``v`` of a matrix ``n`` wide; ``v[first]`` ends
+    its row.  A value's text is five ``'<u8'`` words, NULs deleted: a template
+    with the sign and any ``0.000`` up to byte 5, the dot after digit X at
+    7 + 2X and the separator at 39, and words with digit i of D at 6 + 2i."""
+    x = np.abs(v)
+    ok = (x >= 1e-4) & (x != np.rint(x))  # the kernel writes no integer: 0 or below 2^52
+    if 2 * np.count_nonzero(ok) < len(v):
+        spec = bytearray(FLOAT_FORMAT.encode() + b",") * len(v)
+        spec[6 * first + 5 :: 6 * n] = b"\n" * len(range(first, len(v), n))
+        return bytes(spec) % tuple(v.tolist())
+    lg = np.log10(x)
+    xi = np.clip(np.floor(lg, out=lg), -6, 17, out=lg).astype(np.intp)
+    d, text = _digits(x, xi), ()
+    if not ok.all() or d.min() < 10**16 or d.max() >= 10**17:
+        xi += d >= 10**17
+        xi -= d < 10**16
+        d = _digits(x, np.clip(xi, -6, 17, out=xi))
+        text = np.flatnonzero((~ok | (d < 10**16) | (d >= 10**17)) & (x != 0))
+        xi[text], d[text] = -5, 0
+    g = np.empty((len(v), 5), np.intp)  # a row's words: its first digit, then 4 digits each
+    hi8, lo8 = np.divmod(np.divmod(d, 10**16, out=(g[:, 0], d))[1], 10**8)
+    np.divmod(hi8, 10**4, out=(g[:, 1], g[:, 2]))
+    np.divmod(lo8, 10**4, out=(g[:, 3], g[:, 4]))
+    del x, ok, lg, d, hi8, lo8
+    # a word leaves out its trailing zeros where the words after it are zero;
+    # they are fractional digits, as no value written here is an integer
+    g[:, 0] += 20000
+    g[:, 4] += 10000
+    run, k = np.flatnonzero(g[:, 4] == 10000), 3
+    while run.size and k:
+        g[run, k] += 10000
+        run, k = run[g[run, k] == 10000], k - 1
+    xi = (xi * 2 + np.signbit(v)) * 2
+    xi[first::n] += 1
+    rows = np.take(_WORDS, g)
+    del g
+    rows |= np.take(_TEMPLATES, xi, axis=0)
+    raw = rows.tobytes()
+    del rows
+    raw = raw.translate(None, b"\0")
+    return raw % tuple(v[text].tolist()) if len(text) else raw
 
 
 def write_matrix(path: str | Path, a: np.ndarray) -> None:
@@ -125,15 +152,11 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
         raise ValueError("only nonempty 2-d matrices can be written")
     if not _all_finite(a):
         raise ValueError("matrix entries must be finite")
-    path, template = Path(path), row_template(FLOAT_FORMAT, a.shape[1])
-    rows = max(1, WRITE_CHUNK_ENTRIES // a.shape[1])
-    # the helper's rows, the last; one helper is the setup that was timed
-    half = len(a) // 2 if a.size >= PARALLEL_ENTRIES and _usable_cpus() > 1 else 0
-    with open(path, "wb") as fh, ExitStack() as stack:
-        proc, out = _start_helper(stack, path.parent, a[-half:], rows) if half else (None, None)
-        _write_rows(fh, a[: len(a) - half], template, rows)
-        if half and not _append(fh, proc, out, half):  # format them here instead
-            _write_rows(fh, a[-half:], template, rows)
+    n = a.shape[1]
+    flat = a.reshape(-1) if a.flags.c_contiguous else a.flat  # a view is not copied
+    with open(path, "wb") as fh, np.errstate(all="ignore"):
+        for i in range(0, a.size, WRITE_CHUNK_ENTRIES):
+            fh.write(_chunk_text(flat[i : i + WRITE_CHUNK_ENTRIES], (n - 1 - i) % n, n))
 
 
 def _lines(fh):

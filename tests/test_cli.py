@@ -597,3 +597,60 @@ class TestNoExceptionEscapesMain:
         assert code in (0, 1, 2)
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.fixture(scope="class")
+    def matrices(self, tmp_path_factory):
+        """Each matrix CSV the CLI reads, and a command that reads it."""
+        d = tmp_path_factory.mktemp("matrices")
+        x, design, meas = d / "x.csv", d / "design", d / "meas"
+        assert run_cli("gen-matrix", "--m", 6, "--n", 5, "--rank", 2, "--seed", 1,
+                       "--out", x) == 0
+        assert run_cli("gen-design", "--kind", "gaussian", "--m", 6, "--n", 5, "--k1", 2,
+                       "--k2", 2, "--seed", 1, "--out", design) == 0
+        assert run_cli("measure", "--x", x, "--design", design, "--sigma", 0.01,
+                       "--noise-seed", 2, "--out", meas) == 0
+        measure = ["measure", "--x", x, "--design", design, "--sigma", 0, "--out", d / "m2"]
+        recover = ["recover", "--meas", meas, "--algo", "svls", "--rank", 2, "--truth", x,
+                   "--out", d / "rec"]
+        return [(x, measure), (x, recover), (design / "design_a_row.csv", measure),
+                (design / "design_a_col.csv", measure), (meas / "b_row.csv", recover),
+                (meas / "b_col.csv", recover), (meas / "design_a_row.csv", recover),
+                (meas / "design_a_col.csv", recover)]
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(data=st.data())
+    def test_malformed_matrix_csv_exits_0_1_or_2(self, matrices, data):
+        path, argv = data.draw(st.sampled_from(matrices))
+        original = path.read_bytes()
+        lines = original.splitlines(keepends=True)
+        line = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[line].rstrip(b"\n").split(b",")
+        field = data.draw(st.integers(0, len(fields) - 1))
+        form = data.draw(st.sampled_from(
+            ["empty", "cut", "ragged", "undecodable", "nonfinite", "exponent", "bytes"]))
+        if form == "empty":
+            text = b""
+        elif form == "cut":
+            text = original[: data.draw(st.integers(0, len(original) - 1))]
+        elif form == "ragged":
+            fields = fields[:-1] if len(fields) > 1 else fields * 2
+        elif form == "undecodable":
+            fields[field] += data.draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xe2\x82"]))
+        elif form == "nonfinite":
+            fields[field] = data.draw(st.sampled_from([b"nan", b"inf", b"-inf", b"NaN"]))
+        elif form == "exponent":
+            fields[field] = data.draw(st.sampled_from([b"1e400", b"-1e999", b"1e-400",
+                                                       b"1e99999999999999999999"]))
+        else:
+            text = data.draw(st.binary(max_size=64))
+        if form in ("ragged", "undecodable", "nonfinite", "exponent"):
+            lines[line] = b",".join(fields) + b"\n"
+            text = b"".join(lines)
+        path.write_bytes(text)
+        try:
+            code, err = main_outcome(argv)
+        finally:
+            path.write_bytes(original)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1

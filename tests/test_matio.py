@@ -1,10 +1,8 @@
 import hashlib
 import json
 import re
-import signal
-import subprocess
-import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +326,120 @@ class TestMatrixFuzz:
         assert outcomes[0] == outcomes[1]
 
 
+def _tiled(name, entries=2**17):
+    """``ORACLE_MATRICES[name]`` repeated by rows to at least ``entries`` entries."""
+    a = ORACLE_MATRICES[name]
+    return np.tile(a, (-(-entries // a.size), 1))
+
+
+def _decade_edges(low=-6, high=18):
+    """Every power of ten from 10^low to 10^high and the 8 doubles on each
+    side of it, in both signs: one row of 17 per power and sign."""
+    powers = np.array([float(f"1e{k}") for k in range(low, high + 1)])
+    below, above = [powers], [powers]
+    for _ in range(8):
+        below.append(np.nextafter(below[-1], 0))
+        above.append(np.nextafter(above[-1], np.inf))
+    edges = np.stack(below[:0:-1] + above, axis=1)
+    return np.concatenate([edges, -edges])
+
+
+def _ties(count=2000):
+    """Doubles halfway between two 17-digit decimals: 53-bit odd integers
+    times 2^-2 (16 integer digits and .25 or .75) and 2^-3."""
+    odd = np.random.default_rng(11).integers(2**52, 2**53, count) | 1
+    return np.stack([np.ldexp(odd, -2), -np.ldexp(odd, -3)]).reshape(-1, 10)
+
+
+def _bit_patterns(count=10**5):
+    """``count`` finite doubles with uniformly random bits."""
+    bits = np.random.default_rng(12).integers(0, 2**64, 2 * count, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)][:count].reshape(-1, 100)
+
+
+def _extremes():
+    """Signed zeros, subnormals, the normal extremes and +-max, with values
+    in the kernel's range around them."""
+    info = np.finfo(np.float64)
+    subnormals = np.ldexp(np.random.default_rng(13).integers(1, 2**52, 12), -1074)
+    odd = [0.0, -0.0, 5e-324, -5e-324, info.smallest_normal, -info.smallest_normal,
+           np.nextafter(info.smallest_normal, 0), info.max, -info.max, *subnormals, *-subnormals]
+    return np.array([odd, [1.5] * len(odd), odd[::-1]])
+
+
+def _short_and_mixed():
+    """Values whose 17 digits end in zeros (k / 2^j), integers, zeros and
+    values outside the kernel's range, among ordinary ones."""
+    rng = np.random.default_rng(17)
+    short = rng.integers(-10**6, 10**6, (40, 25)) / 2.0 ** rng.integers(0, 12, (40, 25))
+    odd = rng.choice([0.0, -0.0, 3.0, -2.0**52, 1e-5, -3e-300, 2e16, 1e300], (40, 25))
+    return np.where(rng.random((40, 25)) < 0.2, odd, short)
+
+
+EXACTNESS_MATRICES = {
+    "decade_edges": _decade_edges(),
+    "ties": _ties(),
+    "bit_patterns": _bit_patterns(),
+    "extremes": _extremes(),
+    "short_and_mixed": _short_and_mixed(),
+    # many chunks, rows wider than a chunk, and other layouts
+    "special_tiled": _tiled("special"),
+    "logspace_scaled_tiled": _tiled("logspace_scaled"),
+    "rows_wider_than_a_chunk": np.random.default_rng(5).standard_normal((100, 1500)),
+    "transposed_view": ORACLE_MATRICES["logspace_scaled"].T,
+    "big_endian": ORACLE_MATRICES["many_chunks"].astype(">f8"),
+}
+
+
+class TestWriterExactness:
+    """``write_matrix`` writes 17 digits with a numpy kernel, exact for the
+    values that are not integers with 1e-4 <= |v| < 1e16, and any other
+    value by ``%``: either way its bytes are the oracle's per-value ``%.17g``."""
+
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_MATRICES))
+    def test_bytes_match_oracle(self, tmp_path, name):
+        a = EXACTNESS_MATRICES[name]
+        write_matrix(tmp_path / "new.csv", a)
+        oracle_write_matrix(tmp_path / "old.csv", a)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_ties_are_ties(self):
+        # 18 significant digits ending in 5: %.17g rounds them half to even
+        for value in EXACTNESS_MATRICES["ties"][:200:20, 0]:
+            digits = Decimal(value).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+
+    @pytest.mark.parametrize("a", [
+        _decade_edges(-4, 16), _ties(), _short_and_mixed(),
+        np.where(np.arange(600).reshape(30, 20) % 7 == 0, -0.0,
+                 np.random.default_rng(14).standard_normal((30, 20))),
+        np.random.default_rng(15).choice([-1.0, 1.0], (300, 7))
+        * 10 ** np.random.default_rng(16).uniform(-4, 15.999, (300, 7)),
+    ], ids=["decade_edges", "ties", "short_and_mixed", "signed_zeros", "log_uniform"])
+    def test_kernel_writes_its_range(self, a):
+        # the kernel writes every value that is not an integer with
+        # 1e-4 <= |v| < 1e16, decade edges included, and zeros: in chunks
+        # not mostly of others, only nonzero integers and values outside
+        # that range reach %
+        printed = []
+
+        class Recorded(np.ndarray):
+            def tolist(self):
+                printed.extend(np.asarray(self).tolist())
+                return super().tolist()
+
+        n, step, flat = a.shape[1], matio.WRITE_CHUNK_ENTRIES, a.reshape(-1).view(Recorded)
+        with np.errstate(all="ignore"):
+            text = b"".join(matio._chunk_text(flat[i : i + step], (n - 1 - i) % n, n)
+                            for i in range(0, a.size, step))
+        assert text.decode() == "".join(
+            f"{v:.17g}" + ("\n" if i % n == n - 1 else ",") for i, v in enumerate(a.flat))
+        printed = np.array(printed)
+        inside = (np.abs(printed) >= 1e-4) & (np.abs(printed) < 1e16)
+        assert np.all((printed != 0) & (~inside | (printed == np.rint(printed))))
+
+
 class TestMatrixMemory:
     """``write_matrix`` and ``read_matrix`` stream: their peak holds a few
     rows of text besides the array.  The whole-text versions peaked at
@@ -348,130 +460,24 @@ class TestMatrixMemory:
 
     def test_write_peak_is_a_few_rows_of_text(self, tmp_path):
         path = tmp_path / "a.csv"
-        peak = self._peak(write_matrix, path, self.A)  # measured 58 KB
+        peak = self._peak(write_matrix, path, self.A)  # measured 74 KB
         row_text = path.stat().st_size / len(self.A)
         assert peak < 16 * row_text
+
+    @pytest.mark.parametrize("a", [A.T, np.random.default_rng(3).standard_normal((400, 400))],
+                             ids=["transposed_view", "400x400"])
+    def test_write_peak_of_other_layouts_and_sizes(self, tmp_path, a):
+        # a transposed view is written a chunk at a time too, with no
+        # C-ordered copy of the whole matrix
+        path = tmp_path / "a.csv"
+        peak = self._peak(write_matrix, path, a)  # measured 82 and 74 KB
+        assert peak < 16 * path.stat().st_size / len(a)
 
     def test_read_peak_is_the_array_and_a_few_rows(self, tmp_path):
         path = tmp_path / "a.csv"
         write_matrix(path, self.A)
         # numpy grows its output by a fraction as rows arrive; measured 827 KB
         assert self._peak(read_matrix, path) < 1.3 * self.A.nbytes
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """The helper processes started while a test runs, which must end
-    within 60 s.  Setting ``helpers.command`` runs it in a helper's place."""
-    started, popen = HelperLog(), subprocess.Popen
-
-    def record(command, **kwargs):
-        started.append(popen(started.command or command, **kwargs))
-        return started[-1]
-
-    def expire(signum, frame):
-        raise TimeoutError("a test of the helper path ran past 60 s")
-
-    monkeypatch.setattr(subprocess, "Popen", record)
-    monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    try:
-        yield started
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-class HelperLog(list):
-    command = None
-
-    def write(self, path, a):
-        """``write_matrix(path, a)``, checking that no helper outlives it and
-        that it leaves no file beside ``path``."""
-        files = {*path.parent.iterdir(), path}
-        write_matrix(path, a)
-        assert all(proc.returncode is not None for proc in self)
-        assert set(path.parent.iterdir()) == files
-
-    def write_as_oracle(self, dirpath, a):
-        """:meth:`write` to ``dirpath``, checking the bytes against the oracle's."""
-        self.write(dirpath / "new.csv", a)
-        oracle_write_matrix(dirpath / "old.csv", a)
-        assert (dirpath / "new.csv").read_bytes() == (dirpath / "old.csv").read_bytes()
-
-
-def _tiled(name, entries=matio.PARALLEL_ENTRIES):
-    a = ORACLE_MATRICES[name]
-    return np.tile(a, (-(-entries // a.size), 1))
-
-
-class TestParallelWrite:
-    """A matrix of ``PARALLEL_ENTRIES`` or more is formatted partly by a
-    helper interpreter, with the same bytes."""
-
-    @pytest.mark.parametrize("a", [
-        _tiled("special"), _tiled("logspace_scaled"),
-        np.random.default_rng(5).standard_normal((100, 1500)),  # a row wider than a chunk
-    ], ids=["special", "logspace_scaled", "wider_than_a_chunk"])
-    def test_bytes_match_oracle(self, tmp_path, helpers, a):
-        assert a.size >= matio.PARALLEL_ENTRIES
-        helpers.write_as_oracle(tmp_path, a)
-        assert len(helpers) == 1
-
-    def test_write_peak_is_a_few_rows_of_text(self, tmp_path, helpers):
-        a = np.random.default_rng(3).standard_normal((400, 400))
-        path = tmp_path / "a.csv"
-        peak = TestMatrixMemory._peak(helpers.write, path, a)  # measured 73 KB
-        assert len(helpers) == 2
-        assert peak < 16 * path.stat().st_size / len(a)
-
-    @pytest.mark.parametrize("command", [
-        [sys.executable, "-c", "import sys; sys.exit(3)"],
-        [sys.executable, "-c", "print('1')"],  # too few lines
-        [sys.executable, "-c", "print('1\\n' * 10**5)"],  # too many lines
-        ["/nonexistent/python"],  # Popen raises OSError
-    ], ids=["exit_3", "too_few_lines", "too_many_lines", "no_interpreter"])
-    def test_failed_helper_rows_are_formatted_here(self, tmp_path, helpers, command):
-        a = _tiled("logspace_scaled")
-        helpers.command = command
-        helpers.write_as_oracle(tmp_path, a)
-
-    def test_no_room_for_temporary_files(self, tmp_path, helpers, monkeypatch):
-        def no_room(**kwargs):
-            raise OSError(28, "No space left on device")
-        a = _tiled("special")
-        monkeypatch.setattr(matio.tempfile, "TemporaryFile", no_room)
-        helpers.write_as_oracle(tmp_path, a)
-        assert not helpers
-
-    def test_running_helper_is_killed_when_the_write_fails(self, tmp_path, helpers, monkeypatch):
-        def disk_full(*args):
-            raise OSError(28, "No space left on device")
-        helpers.command = [sys.executable, "-c", "import time; time.sleep(60)"]
-        monkeypatch.setattr(matio, "_write_rows", disk_full)
-        with pytest.raises(OSError, match="No space left"):
-            write_matrix(tmp_path / "a.csv", _tiled("special"))
-        assert [proc.returncode for proc in helpers] == [-signal.SIGKILL]
-
-    @pytest.mark.parametrize("executable", ["", None])
-    def test_no_interpreter_to_run(self, tmp_path, helpers, monkeypatch, executable):
-        a = _tiled("special")
-        monkeypatch.setattr(sys, "executable", executable)
-        helpers.write_as_oracle(tmp_path, a)
-        assert not helpers
-
-    @pytest.mark.parametrize("cpus, shape, started", [
-        (1, (2**10, 2**8), 0), (2, (2**10 - 1, 2**7), 0), (2, (2**10, 2**7), 1),
-        (2, (1, 2**17), 0), (3, (3 * 2**9, 2**7), 1), (32, (2**12, 2**8), 1),
-    ])
-    def test_one_helper_starts_only_for_large_matrices_and_spare_cpus(
-            self, tmp_path, helpers, monkeypatch, cpus, shape, started):
-        monkeypatch.setattr(matio, "_usable_cpus", lambda: cpus)
-        a = np.random.default_rng(8).standard_normal(shape)
-        helpers.write(tmp_path / "a.csv", a)
-        assert len(helpers) == started
-        assert np.array_equal(read_matrix(tmp_path / "a.csv"), a)
 
 
 def _edit_sidecar(**changes):
