@@ -3,11 +3,12 @@
 Matrix files are bit-exact: one matrix row per line, fields separated by
 a single comma, numbers rendered with 17 significant decimal digits
 (lossless for 64-bit floats), ``\\n`` terminated, no header.  Both
-directions stream, with O(row) transient memory: ``write_matrix`` writes
-its rows in chunks of ``WRITE_CHUNK_ENTRIES`` and ``read_matrix`` feeds
-numpy one line at a time.  Writing then reading a 2000 x 2000 matrix
-(32 MB) peaked at 102 MB max RSS in a fresh process, against 350 MB when
-both held the file's whole text.
+directions stream, with O(row) transient memory: ``write_matrix`` converts
+and writes its entries in chunks of ``WRITE_CHUNK_ENTRIES``; ``read_matrix``
+feeds numpy one line at a time, and names a bad line from that one pass,
+parsing only it again.  Writing then reading a 2000 x 2000 matrix (32 MB)
+peaked at 102 MB max RSS in a fresh process, against 350 MB when both
+held the file's whole text.
 
 ``write_matrix`` writes ``%.17g`` text with a numpy kernel.  For a value v
 that is not an integer, with 1e-4 <= |v| < 2^52, 10^(16-X), X = floor(log10
@@ -54,7 +55,7 @@ NOISE_FIELDS = ("sigma", "noise_seed")
 # 17 significant digits round-trip every float64 exactly.
 FLOAT_FORMAT = "%.17g"
 # write_matrix writes a matrix's entries, in row-major order, in chunks of
-# this many; TestMatrixMemory's write bound sets it
+# at most this many; TestMatrixMemory's write bound sets it
 WRITE_CHUNK_ENTRIES = 640
 _SPLIT = 2.0**27 + 1  # Veltkamp's factor: splits a double into 26-bit halves
 
@@ -147,36 +148,34 @@ def _chunk_text(v: np.ndarray, first: int, n: int) -> bytes:
 
 
 def write_matrix(path: str | Path, a: np.ndarray) -> None:
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("only nonempty 2-d matrices can be written")
-    if not _all_finite(a):
+    # row-major float64 chunks: another dtype or layout is converted a chunk at a time
+    chunks = np.nditer(a, ["external_loop", "buffered", "refs_ok"], op_dtypes=np.float64,
+                       casting="unsafe", buffersize=WRITE_CHUNK_ENTRIES, order="C")
+    if not all(np.isfinite(v).all() for v in chunks):  # before the file is opened
         raise ValueError("matrix entries must be finite")
+    chunks.reset()
     n = a.shape[1]
-    flat = a.reshape(-1) if a.flags.c_contiguous else a.flat  # a view is not copied
     with open(path, "wb") as fh, np.errstate(all="ignore"):
-        for i in range(0, a.size, WRITE_CHUNK_ENTRIES):
-            fh.write(_chunk_text(flat[i : i + WRITE_CHUNK_ENTRIES], (n - 1 - i) % n, n))
+        for v in chunks:
+            fh.write(_chunk_text(v, (n - 1 - chunks.iterindex) % n, n))
 
 
-def _lines(fh):
+def _numbered(fh, at: list):
     """The lines of the open text file ``fh``, split as ``str.splitlines``
-    splits its whole text."""
+    splits its whole text.  ``at`` holds the number and text of the last
+    handed on, and line 1's comma count.  A ValueError stops them at a blank
+    or ragged line, which numpy would skip or name without the path, or at
+    the end of an empty file, which numpy would warn of."""
     for text in fh:
-        yield from text.splitlines()
-
-
-def _checked(lines):
-    """``lines``, stopped by a ValueError at the first blank or ragged one,
-    which numpy would skip or name without the path, or at the end when
-    there is none, which numpy would warn of."""
-    commas = None
-    for line in lines:
-        commas = line.count(",") if commas is None else commas
-        if not line.strip() or line.count(",") != commas:
-            raise ValueError(line)
-        yield line
-    if commas is None:
+        for line in text.splitlines():
+            at[0], at[1], at[2] = at[0] + 1, line, at[2] if at[0] else line.count(",")
+            if not line.strip() or line.count(",") != at[2]:
+                raise ValueError(line)
+            yield line
+    if not at[0]:
         raise ValueError("empty")
 
 
@@ -203,43 +202,39 @@ def _parses(text: str) -> bool:
     if not text.strip():
         return False
     try:
-        np.loadtxt([text], delimiter=",", comments=None, dtype=np.float64)
+        np.loadtxt([text], delimiter=",", comments=None)
     except ValueError:
         return False
     return True
 
 
-def _diagnosis(path: Path) -> ValueError | None:
-    """Why ``path`` does not read, from a second streaming pass: a decode
-    error anywhere; else the first line that is malformed (naming its first
-    bad field) or ragged; else an empty file.  None if none of these."""
-    found, lineno = None, 0
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(_lines(fh), start=1):
-                commas = line.count(",") if lineno == 1 else commas
-                if found is None and not _parses(line):  # once found, read on for decoding
-                    bad = next((f for f in line.split(",") if not _parses(f)), line)
-                    found = (f"{lineno}: malformed matrix row: "
-                             f"could not convert string to float: {bad!r}")
-                elif found is None and line.count(",") != commas:
-                    found = f"{lineno}: ragged row ({line.count(',') + 1} != {commas + 1})"
-    except UnicodeDecodeError as exc:
-        return undecodable(path, exc)
+def _stopped(path: Path, at: list) -> ValueError:
+    """Why the read stopped at the line ``at`` names, the first bad one as numpy
+    converts each line before it takes the next: malformed, or else ragged."""
+    lineno, line, commas = at
     if not lineno:
         return ValueError(f"{path}: empty matrix file")
-    return found and ValueError(f"{path}:{found}")
+    if _parses(line):  # then _numbered stopped at it, as ragged
+        return ValueError(f"{path}:{lineno}: ragged row ({line.count(',') + 1} != {commas + 1})")
+    bad = next((f for f in line.split(",") if not _parses(f)), line)
+    return ValueError(f"{path}:{lineno}: malformed matrix row: "
+                      f"could not convert string to float: {bad!r}")
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    path = Path(path)
+    path, at = Path(path), [0, "", 0]
     try:
         with open(path) as fh:
-            a = np.loadtxt(
-                _checked(_lines(fh)), delimiter=",", comments=None, ndmin=2, dtype=np.float64
-            )
-    except ValueError as exc:  # a decode error is one too
-        raise _diagnosis(path) or exc from None
+            try:
+                a = np.loadtxt(_numbered(fh, at), delimiter=",", comments=None, ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                for _ in fh:  # a decode error further on is reported first
+                    pass
+                raise _stopped(path, at) from None
+    except UnicodeDecodeError as exc:
+        raise undecodable(path, exc) from None
     if not _all_finite(a):
         raise ValueError(f"{path}: matrix entries must be finite")
     return _freeze(a)
@@ -308,14 +303,8 @@ def read_json(path: str | Path) -> dict:
 
 
 def _design_manifest(design: MeasurementDesign) -> dict:
-    manifest = {
-        "kind": design.kind.value,
-        "m": design.m,
-        "n": design.n,
-        "k1": design.k1,
-        "k2": design.k2,
-        "design_seed": design.seed,
-    }
+    manifest = dict(zip(DESIGN_FIELDS, (design.kind.value, design.m, design.n, design.k1,
+                                        design.k2, design.seed)))
     if design.row_indices is not None:
         manifest["row_indices"] = [int(i) for i in design.row_indices]
         manifest["col_indices"] = [int(i) for i in design.col_indices]

@@ -235,6 +235,17 @@ class TestMatrixOracles:
         for reader in (oracle_read_matrix, whole_text_read_matrix, read_matrix):
             assert _error_kind_and_line(reader, path) == want
 
+    @pytest.mark.parametrize("last, kind", [("1,x", "malformed"), ("3", "ragged")])
+    def test_bad_last_line_is_named_from_one_pass(self, tmp_path, monkeypatch, last, kind):
+        # numpy converts each line before it takes the next, so the line the
+        # read stopped at is the first bad one: only it is parsed again
+        path = tmp_path / "long.csv"
+        path.write_text("1,2\n" * 60_009 + last + "\n")
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        assert _error_kind_and_line(read_matrix, path) == (kind, 60_010)
+        assert len(calls) <= 2 + len(last.split(","))
+
     @pytest.mark.parametrize("head", [b"", b"1,x\n"])
     def test_undecodable_byte_names_the_path(self, tmp_path, head):
         # past the lines numpy has parsed, and behind a malformed one: the
@@ -283,6 +294,14 @@ finite_matrices = hnp.arrays(
     elements=st.floats(allow_nan=False, allow_infinity=False),
 )
 matrix_like_text = st.text(alphabet="0123456789,.-+eE \t\n\r_#\"naifNAIF\x0b\x85\u0661")
+# any bytes, and invalid UTF-8 after a malformed or ragged line
+matrix_like_bytes = st.one_of(
+    st.one_of(matrix_like_text, st.text()).map(str.encode),
+    st.binary(),
+    st.tuples(matrix_like_text, st.sampled_from(["1,2\n3,x\n", "1,2\n3\n", "1\n\n"]),
+              matrix_like_text, st.binary(min_size=1))
+    .map(lambda parts: "".join(parts[:3]).encode() + parts[3]),
+)
 
 
 class TestMatrixFuzz:
@@ -313,17 +332,21 @@ class TestMatrixFuzz:
         assert new.read_bytes() == old.read_bytes()
 
     @FUZZ
-    @given(text=st.one_of(matrix_like_text, st.text()))
-    def test_streaming_reader_matches_whole_text_reader(self, tmp_path_factory, text):
+    @given(data=matrix_like_bytes)
+    def test_streaming_reader_matches_whole_text_reader(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz_stream.csv"
-        path.write_bytes(text.encode("utf-8"))
-        outcomes = []
-        for reader in (whole_text_read_matrix, read_matrix):
-            try:
-                outcomes.append(reader(path).tobytes())
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        path.write_bytes(data)
+        try:
+            want = whole_text_read_matrix(path).tobytes()
+        except UnicodeDecodeError as exc:  # the oracle decodes the whole text at once
+            want = f"{path}: {exc}"
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = read_matrix(path).tobytes()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
 
 
 def _tiled(name, entries=2**17):
@@ -389,6 +412,9 @@ EXACTNESS_MATRICES = {
     "rows_wider_than_a_chunk": np.random.default_rng(5).standard_normal((100, 1500)),
     "transposed_view": ORACLE_MATRICES["logspace_scaled"].T,
     "big_endian": ORACLE_MATRICES["many_chunks"].astype(">f8"),
+    # other dtypes, converted a chunk at a time
+    "float32": np.random.default_rng(6).standard_normal((50, 30)).astype(np.float32),
+    "int64": np.random.default_rng(7).integers(-2**62, 2**62, (20, 7)),
 }
 
 
@@ -464,13 +490,14 @@ class TestMatrixMemory:
         row_text = path.stat().st_size / len(self.A)
         assert peak < 16 * row_text
 
-    @pytest.mark.parametrize("a", [A.T, np.random.default_rng(3).standard_normal((400, 400))],
-                             ids=["transposed_view", "400x400"])
+    @pytest.mark.parametrize("a", [A.T, np.random.default_rng(3).standard_normal((400, 400)),
+                                   A.astype(np.float32), A.astype(">f8")],
+                             ids=["transposed_view", "400x400", "float32", "big_endian"])
     def test_write_peak_of_other_layouts_and_sizes(self, tmp_path, a):
-        # a transposed view is written a chunk at a time too, with no
-        # C-ordered copy of the whole matrix
+        # a transposed view, or another dtype, is written a chunk at a time
+        # too, with no C-ordered float64 copy of the whole matrix
         path = tmp_path / "a.csv"
-        peak = self._peak(write_matrix, path, a)  # measured 82 and 74 KB
+        peak = self._peak(write_matrix, path, a)  # measured 75, 75, 80 and 80 KB
         assert peak < 16 * path.stat().st_size / len(a)
 
     def test_read_peak_is_the_array_and_a_few_rows(self, tmp_path):
