@@ -20,17 +20,18 @@ matrix's recipe and digests; ``measure --x`` and ``recover --truth``
 rebuild the matrix from it while the digests still certify the CSV, and
 parse the CSV otherwise (:func:`svls.matio.read_truth`).
 
+An absent seed is a constant of its command: ``gen-matrix --seed`` 0,
+``gen-design --seed`` 1, ``measure --noise-seed`` 2.  Equal seeds draw equal
+numbers in all three, so the defaults differ; only the arguments set a seed.
+
 Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors, an
 allocation too large for memory among them (which print a single
-``error: ...`` line to standard error).  When a ``--seed``
-or ``--noise-seed`` flag is absent, its default comes from the
-``RC_RECOVER_SEED`` environment variable (0 if unset).
+``error: ...`` line to standard error).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -38,28 +39,25 @@ import numpy as np
 
 from . import matio, simulate
 from .baselines import als_recover, svp_recover
-from .measurements import DesignKind, gen_design, gen_low_rank, measure
+from .measurements import DesignKind, _is_finite_nonnegative, gen_design, gen_low_rank, measure
 from .recovery import cur_recover, estimate_rank, svls_recover
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _int_at_least(low: int, expected: str):
+    """The argparse type of an integer of at least ``low``, which ``expected`` describes."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    return parse
 
 
-def _seed_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative seed, got {text}")
-    return value
+_positive_int = _int_at_least(1, "a positive integer")
+_seed_int = _int_at_least(0, "a nonnegative seed")
 
 
 def _nonnegative_float(text: str) -> float:
@@ -67,41 +65,23 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0 <= value <= sys.float_info.max:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite nonnegative number, got {text}"
-        )
+    if not _is_finite_nonnegative(value):
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text}")
     return value
 
 
-def _rank_arg(text: str) -> str:
-    if text == "auto":
-        return text
-    _positive_int(text)
-    return text
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("RC_RECOVER_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RC_RECOVER_SEED is not an integer: {raw!r}") from None
-
-
-def _seed_or_default(value: int | None) -> int:
-    return _default_seed() if value is None else value
+def _rank_arg(text: str) -> int | str:
+    return text if text == "auto" else _positive_int(text)
 
 
 def _cmd_gen_matrix(args: argparse.Namespace) -> int:
-    truth = gen_low_rank(args.m, args.n, args.rank, _seed_or_default(args.seed))
+    truth = gen_low_rank(args.m, args.n, args.rank, args.seed)
     matio.write_truth(args.out, truth)
     return 0
 
 
 def _cmd_gen_design(args: argparse.Namespace) -> int:
-    seed = _seed_or_default(args.seed)
-    design = gen_design(DesignKind(args.kind), args.m, args.n, args.k1, args.k2, seed)
+    design = gen_design(DesignKind(args.kind), args.m, args.n, args.k1, args.k2, args.seed)
     matio.write_design(args.out, design)
     return 0
 
@@ -109,7 +89,7 @@ def _cmd_gen_design(args: argparse.Namespace) -> int:
 def _cmd_measure(args: argparse.Namespace) -> int:
     x = matio.read_truth(args.x)
     design = matio.read_design(args.design)
-    meas = measure(x, design, args.sigma, _seed_or_default(args.noise_seed))
+    meas = measure(x, design, args.sigma, args.noise_seed)
     matio.write_measurement_set(args.out, meas, design)
     return 0
 
@@ -119,7 +99,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     truth = matio.read_truth(args.truth) if args.truth else None
     rank = None  # cur takes its rank from the overlap block
     if args.rank != "auto":
-        rank = int(args.rank)
+        rank = args.rank
     elif args.algo != "cur":
         rank = estimate_rank(meas.b_row, meas.b_col, meas.sigma)
         if rank < 1:
@@ -135,11 +115,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         result = svp_recover(b, design, design.m, design.n, rank, truth=truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matio.write_matrix(out / "x_hat.csv", result.x_hat)
-    matio.write_json(out / "result.json", result.to_json_dict(x_hat_ref="x_hat.csv"))
+    x_hat = "x_hat.csv"
+    matio.write_matrix(out / x_hat, result.x_hat)
+    matio.write_json(out / "result.json", {**result.to_json_dict(), "x_hat": x_hat})
     manifest = matio.read_json(Path(args.meas) / "manifest.json")
     manifest["algorithm"] = args.algo
-    manifest["rank"] = "auto" if args.rank == "auto" else rank
+    manifest["rank"] = args.rank
     if args.truth:
         manifest["truth"] = str(args.truth)
     matio.write_json(out / "manifest.json", manifest)
@@ -170,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed_int, default=None)
+    p.add_argument("--seed", type=_seed_int, default=0)
     p.add_argument("--out", required=True, help="output matrix CSV path")
     p.set_defaults(func=_cmd_gen_matrix)
 
@@ -182,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k1", type=_positive_int, required=True)
     p.add_argument("--k2", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed_int, default=None)
+    p.add_argument("--seed", type=_seed_int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_gen_design)
 
@@ -190,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="target matrix CSV")
     p.add_argument("--design", required=True, help="design directory")
     p.add_argument("--sigma", type=_nonnegative_float, required=True)
-    p.add_argument("--noise-seed", type=_seed_int, default=None)
+    p.add_argument("--noise-seed", type=_seed_int, default=2)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_measure)
 

@@ -109,17 +109,14 @@ class RecoveryResult:
         """The dense m x n estimate ``left @ right.T`` (read-only)."""
         return _freeze(self.left @ self.right.T)
 
-    def to_json_dict(self, x_hat_ref: str | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         """JSON-serializable summary: every scalar field that is set."""
-        out = {
+        return {
             f.name: value
             for f in dataclasses.fields(self)
             if (value := getattr(self, f.name)) is not None
             and not isinstance(value, (np.ndarray, tuple))
         }
-        if x_hat_ref is not None:
-            out["x_hat"] = x_hat_ref
-        return out
 
 
 def relative_error(

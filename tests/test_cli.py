@@ -82,20 +82,38 @@ class TestGenMatrix:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RC_RECOVER_SEED", "99")
-        out = tmp_path / "x.csv"
-        assert run_cli("gen-matrix", "--m", 4, "--n", 4, "--rank", 1,
-                       "--out", out) == 0
-        assert np.array_equal(read_matrix(out), gen_low_rank(4, 4, 1, 99).x)
-        assert json.loads((tmp_path / "x.json").read_text())["seed"] == 99
+    def test_default_seeds_draw_distinct_streams(self, tmp_path):
+        # equal seeds draw equal numbers, so the truth's left factor, the design's
+        # a_row and b_row's noise would coincide under one default seed
+        m, n, r = 40, 30, 3
+        x, design = tmp_path / "x.csv", tmp_path / "design"
+        assert run_cli("gen-matrix", "--m", m, "--n", n, "--rank", r, "--out", x) == 0
+        assert run_cli("gen-design", "--kind", "gaussian", "--m", m, "--n", n,
+                       "--k1", 4, "--k2", 4, "--out", design) == 0
+        sets = []
+        for sigma in (0, 1):
+            out = tmp_path / f"meas{sigma}"
+            assert run_cli("measure", "--x", x, "--design", design, "--sigma", sigma,
+                           "--out", out) == 0
+            sets.append(read_measurement_set(out))
+        (quiet, gaussian), (noisy, _) = sets
+        left = gen_low_rank(m, n, r, 0).left_factor.ravel()
+        a_row = gaussian.a_row.ravel()
+        noise = (noisy.b_row - quiet.b_row).ravel()
+        for one, other in [(a_row, left), (noise, left), (noise, a_row)]:
+            k = min(one.size, other.size)
+            assert not np.allclose(one[:k], other[:k])
 
-    def test_flag_overrides_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RC_RECOVER_SEED", "99")
-        out = tmp_path / "x.csv"
+    @pytest.mark.parametrize("value", ["99", "junk"])
+    def test_environment_is_ignored(self, tmp_path, monkeypatch, value):
+        assert run_cli("gen-matrix", "--m", 4, "--n", 4, "--rank", 1, "--seed", 0,
+                       "--out", tmp_path / "flag.csv") == 0
+        monkeypatch.setenv("RC_RECOVER_SEED", value)
         assert run_cli("gen-matrix", "--m", 4, "--n", 4, "--rank", 1,
-                       "--seed", 2, "--out", out) == 0
-        assert np.array_equal(read_matrix(out), gen_low_rank(4, 4, 1, 2).x)
+                       "--out", tmp_path / "env.csv") == 0
+        for suffix in (".csv", ".json"):
+            env, flag = (tmp_path / f"{name}{suffix}" for name in ("env", "flag"))
+            assert env.read_bytes() == flag.read_bytes()
 
     @pytest.mark.parametrize("name", ["t.json", "x.csv.json"])
     def test_out_that_its_metadata_would_overwrite_refused(self, tmp_path, capsys, name):

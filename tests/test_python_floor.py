@@ -1,8 +1,7 @@
 """The package runs on Python 3.10, the floor ``pyproject.toml`` states.
 
 Only a newer interpreter may run the tests, so the source is searched for
-names that Python 3.11 added.  The matrix writer's helper runs under the
-same interpreter, so it is searched too.
+names that Python 3.11 added.
 """
 
 import ast
