@@ -3,12 +3,12 @@
 Matrix files are bit-exact: one matrix row per line, fields separated by
 a single comma, numbers rendered with 17 significant decimal digits
 (lossless for 64-bit floats), ``\\n`` terminated, no header.  Both
-directions stream, with O(row) transient memory: ``write_matrix`` converts
-and writes its entries in chunks of ``WRITE_CHUNK_ENTRIES``; ``read_matrix``
-feeds numpy one line at a time, and names a bad line from that one pass,
-parsing only it again.  Writing then reading a 2000 x 2000 matrix (32 MB)
-peaked at 102 MB max RSS in a fresh process, against 350 MB when both
-held the file's whole text.
+directions stream: ``write_matrix`` converts and writes a chunk of whole
+rows at a time (``_chunk_entries``), holding about 80 bytes a value of it;
+``read_matrix`` feeds numpy one line at a time, and names a bad line from
+that one pass, parsing only it again.  Writing then reading a 2000 x 2000
+matrix (32 MB) peaked at 102 MB max RSS in a fresh process, against 350 MB
+when both held the file's whole text.
 
 ``write_matrix`` writes ``%.17g`` text with a numpy kernel.  For a value v
 that is not an integer, with 1e-4 <= |v| < 2^52, 10^(16-X), X = floor(log10
@@ -16,7 +16,7 @@ that is not an integer, with 1e-4 <= |v| < 2^52, 10^(16-X), X = floor(log10
 round to nearest), p >= 2^53 even, gives the 17 digits D = round-half-even(
 |v| 10^(16-X)) as p + rint(e); X is corrected once where D has not 17 digits.
 Zeros have templates of their own; other values are formatted by ``%``, a
-whole chunk of them when they are most of it.
+whole chunk of them when they are most of it.  Complex matrices are refused.
 
 A design on disk is a directory with a ``manifest.json`` holding the
 fields ``{kind, m, n, k1, k2, design_seed}``.  A sampling design is its
@@ -54,9 +54,9 @@ NOISE_FIELDS = ("sigma", "noise_seed")
 
 # 17 significant digits round-trip every float64 exactly.
 FLOAT_FORMAT = "%.17g"
-# write_matrix writes a matrix's entries, in row-major order, in chunks of
-# at most this many; TestMatrixMemory's write bound sets it
-WRITE_CHUNK_ENTRIES = 640
+# write_matrix's chunks: CHUNK_ROWS whole rows, or as many as make CHUNK_FLOOR
+# entries, but at most CHUNK_CAP entries (the README says how each was chosen)
+CHUNK_ROWS, CHUNK_FLOOR, CHUNK_CAP = 3, 1024, 4096
 _SPLIT = 2.0**27 + 1  # Veltkamp's factor: splits a double into 26-bit halves
 
 
@@ -64,43 +64,51 @@ def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
+def _chunk_entries(n: int) -> int:
+    """The entries of each chunk ``write_matrix`` writes of rows ``n`` wide."""
+    return min(max(CHUNK_ROWS, CHUNK_FLOOR // n), CHUNK_CAP // n) * n or CHUNK_CAP
+
+
 def _write_tables():
-    """10^(16 - X) in halves (0 unless -5 <= X <= 16), and text templates by sign
-    and separator for X in [-4, 15], -6 (zero) and -5 (``%``); negatives index from the end."""
-    x = np.r_[0:18, -6:0]
+    """By X + 6: 10^(16 - X) and its halves (0 unless -5 <= X <= 16), and, plus 24
+    sign + 48 separator, text templates for X in [-4, 15], -6 (zero) and -5 (``%``).
+    Words of 4-digit groups, of them without trailing zeros, of a first digit."""
+    x = np.arange(-6, 18)
     power = np.r_[1.0, np.cumprod(np.full(21, 10.0))]  # 10^0 .. 10^21, exact
     s = np.where((x >= -5) & (x <= 16), power[np.clip(16 - x, 0, 21)], 0.0)
     s_hi = s * _SPLIT - (s * _SPLIT - s)
-    # words of 4-digit groups, of the same without trailing zeros, of a first digit
     digits = 48 + np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
     words = np.zeros((20010, 8), np.uint8)
     words[:20000, ::2] = np.concatenate([digits, np.where(trailing, 0, digits)])
     words[20001:, 6] = 48 + np.arange(1, 10)
-    templates = np.zeros((22, 2, 2, 40), np.uint8)
-    templates[..., 39] = [ord(","), ord("\n")]
+    templates = np.zeros((2, 2, 24, 40), np.uint8)
+    templates[0, ..., 39], templates[1, ..., 39] = ord(","), ord("\n")
     for x in range(-6, 16):
         for sign in (0, 1):
             lead = FLOAT_FORMAT if x == -5 else "-" * sign + (
                 "0" if x == -6 else "0." + "0" * (-x - 1) if x < 0 else "")
-            templates[x, sign, :, 6 - len(lead) : 6] = list(lead.encode())
+            templates[:, sign, x + 6, 6 - len(lead) : 6] = list(lead.encode())
         if x >= 0:
-            templates[x, ..., 7 + 2 * x] = ord(".")
-    return (np.stack([s, s_hi, s - s_hi], axis=1), words.view("<u8").ravel(),
-            templates.reshape(-1, 40).view("<u8"))
+            templates[..., x + 6, 7 + 2 * x] = ord(".")
+    return s, s_hi, s - s_hi, words.view("<u8").ravel(), templates.reshape(-1).view("V40")
 
 
-_SCALES, _WORDS, _TEMPLATES = _write_tables()
+_S, _S_HI, _S_LO, _WORDS, _TEMPLATES = _write_tables()
 
 
 def _digits(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    s = np.take(_SCALES, xi, axis=0)
-    p, hi = x * s[:, 0], x * _SPLIT
+    hi = x * _SPLIT
     hi -= hi - x
     lo = x - hi
-    e = hi * s[:, 1] - p + hi * s[:, 2] + lo * s[:, 1] + lo * s[:, 2]
-    del s, hi, lo
-    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+    p, s, s_lo = _S.take(xi), _S_HI.take(xi), _S_LO.take(xi)
+    p *= x
+    e = hi * s - p
+    for a, b in ((hi, s_lo), (s, lo), (lo, s_lo)):  # Dekker's order, in place
+        a *= b
+        e += a
+    del hi, lo, s, s_lo
+    return p.astype(np.int64) + np.rint(e, out=e).astype(np.int64)
 
 
 def _chunk_text(v: np.ndarray, first: int, n: int) -> bytes:
@@ -110,37 +118,37 @@ def _chunk_text(v: np.ndarray, first: int, n: int) -> bytes:
     7 + 2X and the separator at 39, and words with digit i of D at 6 + 2i."""
     x = np.abs(v)
     ok = (x >= 1e-4) & (x != np.rint(x))  # the kernel writes no integer: 0 or below 2^52
-    if 2 * np.count_nonzero(ok) < len(v):
+    if 2 * (count := np.count_nonzero(ok)) < len(v):
         spec = bytearray(FLOAT_FORMAT.encode() + b",") * len(v)
         spec[6 * first + 5 :: 6 * n] = b"\n" * len(range(first, len(v), n))
         return bytes(spec) % tuple(v.tolist())
-    lg = np.log10(x)
-    xi = np.clip(np.floor(lg, out=lg), -6, 17, out=lg).astype(np.intp)
+    xi = np.log10(x) + 6
+    xi = np.minimum(np.maximum(np.floor(xi, out=xi), 0, out=xi), 23, out=xi).astype(np.intp)
     d, text = _digits(x, xi), ()
-    if not ok.all() or d.min() < 10**16 or d.max() >= 10**17:
-        xi += d >= 10**17
-        xi -= d < 10**16
-        d = _digits(x, np.clip(xi, -6, 17, out=xi))
-        text = np.flatnonzero((~ok | (d < 10**16) | (d >= 10**17)) & (x != 0))
-        xi[text], d[text] = -5, 0
-    g = np.empty((len(v), 5), np.intp)  # a row's words: its first digit, then 4 digits each
-    hi8, lo8 = np.divmod(np.divmod(d, 10**16, out=(g[:, 0], d))[1], 10**8)
-    np.divmod(hi8, 10**4, out=(g[:, 1], g[:, 2]))
-    np.divmod(lo8, 10**4, out=(g[:, 3], g[:, 4]))
-    del x, ok, lg, d, hi8, lo8
-    # a word leaves out its trailing zeros where the words after it are zero;
-    # they are fractional digits, as no value written here is an integer
-    g[:, 0] += 20000
-    g[:, 4] += 10000
-    run, k = np.flatnonzero(g[:, 4] == 10000), 3
-    while run.size and k:
-        g[run, k] += 10000
-        run, k = run[g[run, k] == 10000], k - 1
-    xi = (xi * 2 + np.signbit(v)) * 2
-    xi[first::n] += 1
-    rows = np.take(_WORDS, g)
-    del g
-    rows |= np.take(_TEMPLATES, xi, axis=0)
+    if count < len(v) or d.min() < 10**16 or d.max() >= 10**17:  # an X out by one, or % values
+        fix = ((d < 10**16) | (d >= 10**17)).nonzero()[0]
+        xi[fix] = np.clip(xi[fix] + (d[fix] >= 10**17) - (d[fix] < 10**16), 0, 23)
+        d[fix] = _digits(x[fix], xi[fix])
+        text = ((~ok | (d < 10**16) | (d >= 10**17)) & (x != 0)).nonzero()[0]
+        xi[text], d[text] = 1, 0
+    del x, ok
+    xi += 24 * np.signbit(v)
+    xi[first::n] += 48
+    rows = _TEMPLATES.take(xi).view("<u8").reshape(-1, 5)
+    del xi
+    # 4-digit groups from the last, whose word leaves out its trailing zeros, as does
+    # each before a run of zero groups: fractional digits, as no value here is an integer
+    run = None
+    for k in (4, 3, 2, 1):  # numpy's floor_divide by a constant is fast, its divmod is not
+        q, words = d - (d := d // 10**4) * 10**4, _WORDS
+        if run is None:
+            run, words = (q == 0).nonzero()[0], _WORDS[10000:]
+        elif run.size:
+            q[run] += 10000
+            run = run[q[run] == 10000]
+        rows[:, k] |= words.take(q)
+    rows[:, 0] |= _WORDS[20000:].take(d)
+    del d, q
     raw = rows.tobytes()
     del rows
     raw = raw.translate(None, b"\0")
@@ -151,13 +159,15 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
     a = np.asarray(a)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("only nonempty 2-d matrices can be written")
+    if np.iscomplexobj(a):  # numpy's cast would drop the imaginary parts
+        raise ValueError("complex matrix entries cannot be written")
     # row-major float64 chunks: another dtype or layout is converted a chunk at a time
+    n = a.shape[1]
     chunks = np.nditer(a, ["external_loop", "buffered", "refs_ok"], op_dtypes=np.float64,
-                       casting="unsafe", buffersize=WRITE_CHUNK_ENTRIES, order="C")
+                       casting="unsafe", buffersize=_chunk_entries(n), order="C")
     if not all(np.isfinite(v).all() for v in chunks):  # before the file is opened
         raise ValueError("matrix entries must be finite")
     chunks.reset()
-    n = a.shape[1]
     with open(path, "wb") as fh, np.errstate(all="ignore"):
         for v in chunks:
             fh.write(_chunk_text(v, (n - 1 - chunks.iterindex) % n, n))

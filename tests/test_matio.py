@@ -84,6 +84,13 @@ class TestMatrixFormat:
         with pytest.raises(ValueError):
             read_matrix(path)
 
+    def test_complex_rejected_before_the_file_opens(self, tmp_path):
+        # numpy's cast to float64 would write only the real parts
+        path = tmp_path / "complex.csv"
+        with pytest.raises(ValueError, match="complex"):
+            write_matrix(path, np.array([[1 + 2j]]))
+        assert not path.exists()
+
 
 def oracle_write_matrix(path, a):
     """Slow per-entry writer, the reference for write_matrix's bytes."""
@@ -126,11 +133,24 @@ def _oracle_matrices():
         "1x1": np.array([[np.pi]]),
         "1xn": rng.standard_normal((1, 13)),
         "mx1": rng.standard_normal((13, 1)),
-        # the writer formats rows in chunks of WRITE_CHUNK_ENTRIES: many
+        # the writer formats rows in chunks (matio._chunk_entries): many
         # chunks with a short last one, and rows wider than a chunk
         "many_chunks": rng.standard_normal((2100, 3)),
         "wider_than_a_chunk": rng.standard_normal((3, 1500)),
+        **_chunk_edges(rng),
     }
+
+
+def _chunk_edges(rng):
+    """Widths just below, at and just above where the writer's chunk rule turns:
+    above CHUNK_FLOOR // (CHUNK_ROWS + 1) the floor no longer adds rows, above
+    CHUNK_CAP // CHUNK_ROWS the cap takes rows away, and above CHUNK_CAP a row
+    is written in parts.  Each has one row more than a chunk holds (two rows
+    where a row is written in parts), so its last chunk is a single row."""
+    turns = (matio.CHUNK_FLOOR // (matio.CHUNK_ROWS + 1), matio.CHUNK_CAP // matio.CHUNK_ROWS,
+             matio.CHUNK_CAP)
+    return {f"chunk_edge_{n}": rng.standard_normal((max(matio._chunk_entries(n) // n, 1) + 1, n))
+            for turn in turns for n in (turn - 1, turn, turn + 1)}
 
 
 ORACLE_MATRICES = _oracle_matrices()
@@ -455,7 +475,7 @@ class TestWriterExactness:
                 printed.extend(np.asarray(self).tolist())
                 return super().tolist()
 
-        n, step, flat = a.shape[1], matio.WRITE_CHUNK_ENTRIES, a.reshape(-1).view(Recorded)
+        n, step, flat = a.shape[1], matio._chunk_entries(a.shape[1]), a.reshape(-1).view(Recorded)
         with np.errstate(all="ignore"):
             text = b"".join(matio._chunk_text(flat[i : i + step], (n - 1 - i) % n, n)
                             for i in range(0, a.size, step))
@@ -486,7 +506,7 @@ class TestMatrixMemory:
 
     def test_write_peak_is_a_few_rows_of_text(self, tmp_path):
         path = tmp_path / "a.csv"
-        peak = self._peak(write_matrix, path, self.A)  # measured 74 KB
+        peak = self._peak(write_matrix, path, self.A)  # measured 80 KB
         row_text = path.stat().st_size / len(self.A)
         assert peak < 16 * row_text
 
@@ -497,8 +517,16 @@ class TestMatrixMemory:
         # a transposed view, or another dtype, is written a chunk at a time
         # too, with no C-ordered float64 copy of the whole matrix
         path = tmp_path / "a.csv"
-        peak = self._peak(write_matrix, path, a)  # measured 75, 75, 80 and 80 KB
+        peak = self._peak(write_matrix, path, a)  # measured 87, 104, 87 and 87 KB
         assert peak < 16 * path.stat().st_size / len(a)
+
+    @pytest.mark.parametrize("shape", [(20000, 3), (3, 20000)], ids=["narrow", "wide"])
+    def test_write_peak_is_its_chunk(self, tmp_path, shape):
+        # a chunk holds at least CHUNK_FLOOR - n + 1 and at most CHUNK_CAP
+        # entries, whatever the rows' text, at about 80 bytes a value
+        a = np.random.default_rng(3).standard_normal(shape)
+        peak = self._peak(write_matrix, tmp_path / "a.csv", a)  # measured 90 and 335 KB
+        assert peak < 100 * matio._chunk_entries(shape[1])
 
     def test_read_peak_is_the_array_and_a_few_rows(self, tmp_path):
         path = tmp_path / "a.csv"
