@@ -17,13 +17,13 @@ O((m + n) r^2), and against one dense truth one blocked pass over it.
 Every norm of the module is summed again from a power-of-two rescale
 when its sum of squares leaves float's normal range (:func:`_norms`).
 
-``svls_stack`` and ``cur_stack`` solve a stack of trials (designs and
-blocks drawn as stacks by ``gen_design`` and ``measure``) in one pass:
-numpy's ``svd``, ``eigh`` and ``matmul`` run over the leading trial
-axis, one LAPACK or BLAS call per trial, so every trial gets the bits it
-gets alone.  They only solve; ``_errors`` scores a stack against its
-truths in one call.  ``svls_recover`` and ``cur_recover`` are their
-one-trial case, scored by ``relative_error``, and the subspace and core
+``svls_stack`` and ``cur_stack`` solve one trial or a stack (designs
+and blocks drawn as stacks by ``gen_design`` and ``measure``) in one
+pass: numpy's ``svd``, ``eigh`` and ``matmul`` run over the leading
+trial axis, one LAPACK or BLAS call per trial, so every trial of a stack
+gets the bits it gets alone.  They only solve; ``_errors`` scores one
+trial or a stack in one call.  ``svls_recover`` and ``cur_recover`` add
+their one trial's residuals and error, and the subspace and core
 helpers take a leading trial axis or none.
 """
 
@@ -34,7 +34,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .measurements import (
     _all_finite,
     _check_rank,
     _freeze,
+    _is_finite_nonnegative,
 )
 
 # Relative eigenvalue cutoff for the rank-deficient core solve.
@@ -68,14 +68,18 @@ class SubspaceBasis:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Estimate plus diagnostics.
+    """Estimate plus diagnostics, of one trial or a stack.
 
     The estimate is held as factors, ``left`` (m x q) and ``right``
     (n x q), with ``x_hat = left @ right.T``; the dense ``x_hat`` is
     built on first access and cached.  ``row_residual`` and
     ``col_residual`` are Frobenius-norm data misfits of the estimate
     against the two measurement blocks; they are None only for solvers
-    that were not run against a row/column measurement set.
+    that were not run against a row/column measurement set, and, with
+    ``relative_error``, for the stacked solvers' unscored estimates,
+    which hold a stack's ``left``, ``right`` and ``core`` on a leading
+    trial axis, its ``rank_used`` as an integer array, and give each
+    trial the stack's solve time divided by its number of trials.
     ``iterations``, ``final_objective``, ``objective_history`` and
     ``converged`` are populated by the iterative baselines; ``converged``
     is True when the ``tol`` stopping rule fired and False when the
@@ -85,14 +89,12 @@ class RecoveryResult:
     the iterations for ``svp``, and for ``als`` its ``svls`` start, the
     refit operators' thin SVDs and the sweeps, whose residuals are its
     objective; it excludes ``relative_error`` and the other solvers'
-    residuals.  A trial solved in a stack (see
-    :func:`svls_stack`) is given the stack's solve time divided by the
-    number of trials in it.
+    residuals.
     """
 
     left: np.ndarray
     right: np.ndarray
-    rank_used: int
+    rank_used: int | np.ndarray
     algorithm: str
     runtime_seconds: float
     core: np.ndarray | None = None
@@ -106,8 +108,8 @@ class RecoveryResult:
 
     @functools.cached_property
     def x_hat(self) -> np.ndarray:
-        """The dense m x n estimate ``left @ right.T`` (read-only)."""
-        return _freeze(self.left @ self.right.T)
+        """The dense estimate ``left @ right.T``, per trial of a stack (read-only)."""
+        return _freeze(self.left @ self.right.mT)
 
     def to_json_dict(self) -> dict:
         """JSON-serializable summary: every scalar field that is set."""
@@ -125,17 +127,16 @@ def relative_error(
     """Relative Frobenius error ``||left @ right.T - x_true||_F / ||x_true||_F``
     of one estimate against one truth, dense or a ``GroundTruth``.
 
-    Against a ``GroundTruth`` this is :func:`_errors` on a stack of one,
-    in O((m + n) r^2); against a dense m x n truth it is one blocked pass
-    over it (:func:`_dense_norms`), with no m x n temporary.  A truth with
+    Against a ``GroundTruth`` this is :func:`_errors`, in O((m + n) r^2);
+    against a dense m x n truth it is one blocked pass over it
+    (:func:`_dense_norms`), with no m x n temporary.  A truth with
     a NaN or infinite entry (or factor entry) raises ``ValueError``; a
     finite dense truth costs no extra pass, as its squared norm comes out
     finite.  Against a zero truth the error is 0.0 for a zero estimate,
     else inf.
     """
     if isinstance(x_true, GroundTruth):
-        factors = (x_true.left_factor[None], x_true.right_factor[None])
-        return _errors(left[None], right[None], GroundTruth(*factors, (x_true.seed,)))[0]
+        return _errors(left, right, x_true)
     return _ratios(*_dense_norms(left, right, x_true)).tolist()
 
 
@@ -309,24 +310,10 @@ def solve_core(
     return solve_psd_sylvester(np.linalg.eigh(p), np.linalg.eigh(q), c)
 
 
-class StackSolution(NamedTuple):
-    """The estimates of a stack of trials: ``left`` (T x m x q) and
-    ``right`` (T x n x q) with ``x_hat = left @ right.T`` per trial, the
-    svls ``core`` (T x r x r, None for cur), each trial's ``rank_used``,
-    and each trial's share of the stack's solve time.  Scoring the stack
-    against its truths is :func:`_errors`'s."""
-
-    left: np.ndarray
-    right: np.ndarray
-    core: np.ndarray | None
-    rank_used: np.ndarray
-    runtime_seconds: float
-
-
-def _errors(left: np.ndarray, right: np.ndarray, truths: GroundTruth) -> list[float]:
-    """Each trial's :func:`relative_error` of the stack of estimates
-    ``left @ right.T`` against its trial of the stacked ``GroundTruth``
-    ``truths``, scored from the factors (:func:`_factored_norms`)."""
+def _errors(left: np.ndarray, right: np.ndarray, truths: GroundTruth) -> float | list[float]:
+    """The :func:`relative_error` of the estimate ``left @ right.T`` against
+    the ``GroundTruth`` ``truths``, or of each trial of a stack against its
+    trial of the stacked truth, from the factors (:func:`_factored_norms`)."""
     factors = truths.left_factor, truths.right_factor
     if tuple(f.shape[:-1] for f in factors) != (left.shape[:-1], right.shape[:-1]):
         raise ValueError(
@@ -395,62 +382,54 @@ def _check_cur(design: MeasurementDesign, meas: MeasurementSet, r: int) -> None:
     _check_blocks(design, meas)
 
 
-def svls_stack(meas: MeasurementSet, design: MeasurementDesign, r: int) -> StackSolution:
-    """:func:`svls_recover`'s estimate of every trial of a stack, in one pass."""
+def _unscored(algorithm: str, t0: float, left, right, core, rank_used) -> RecoveryResult:
+    """The estimate, each trial given its share of the solve time since ``t0``."""
+    seconds = (time.perf_counter() - t0) / max(1, math.prod(left.shape[:-2]))
+    rank_used = int(rank_used) if np.ndim(rank_used) == 0 else rank_used
+    return RecoveryResult(left, right, rank_used, algorithm, seconds, core)
+
+
+def svls_stack(meas: MeasurementSet, design: MeasurementDesign, r: int) -> RecoveryResult:
+    """:func:`svls_recover`'s unscored estimate of one trial or of every
+    trial of a stack, in one pass."""
     _check_svls(design, meas, r)
     t0 = time.perf_counter()
     u = estimate_col_space(meas.b_col, r)
     v = estimate_row_space(meas.b_row, r)
     core = _freeze(solve_core(u, v, design, meas))
     left = _freeze(u.basis @ core)
-    seconds = (time.perf_counter() - t0) / len(left)
-    return StackSolution(left, v.basis, core, np.full(len(left), r), seconds)
+    return _unscored("svls", t0, left, v.basis, core, np.full(left.shape[:-2], r))
 
 
 def cur_stack(
     meas: MeasurementSet, design: MeasurementDesign, r: int | None = None
-) -> StackSolution:
-    """:func:`cur_recover`'s estimate of every trial of a stack, in one
-    pass (``r`` is unused).  Every trial's pseudo-inverse of W is taken
-    in one masked pass: W's singular values at or below the cutoff get a
-    zero inverse."""
+) -> RecoveryResult:
+    """:func:`cur_recover`'s unscored estimate of one trial or of every
+    trial of a stack, in one pass (``r`` is unused).  Every trial's
+    pseudo-inverse of W is taken in one masked pass: W's singular values
+    at or below the cutoff get a zero inverse."""
     _check_cur(design, meas, r)
     t0 = time.perf_counter()
     w = 0.5 * (design.cols(meas.b_row) + design.rows(meas.b_col))
     uw, sw, vwt = np.linalg.svd(w, full_matrices=False)
-    keep = sw > np.maximum(1e-10 * sw[:, 0], 3.0 * meas.sigma)[:, None]
+    keep = sw > np.maximum(1e-10 * sw[..., :1], 3.0 * meas.sigma)
     inv = np.divide(1.0, sw, out=np.zeros_like(sw), where=keep)
-    w_pinv = (vwt.mT * inv[:, None, :]) @ uw.mT
+    w_pinv = (vwt.mT * inv[..., None, :]) @ uw.mT
     left = _freeze(meas.b_col @ w_pinv)
     # A copy (b_row may be the caller's writable array) laid out so that
     # right.T is laid out like b_row, and ``left @ right.T`` is the same
     # BLAS call, with the same bits, as ``left @ b_row``.
     right = meas.b_row.mT.copy(order="K")
     right.flags.writeable = False
-    seconds = (time.perf_counter() - t0) / len(left)
-    return StackSolution(left, right, None, np.count_nonzero(keep, axis=1), seconds)
+    return _unscored("cur", t0, left, right, None, np.count_nonzero(keep, axis=-1))
 
 
-def _one_trial(
-    solve, algorithm: str, meas: MeasurementSet, design: MeasurementDesign, r, truth
-) -> RecoveryResult:
-    """``solve`` on the one trial ``(meas, design)`` viewed as a stack of
-    one, to which the design applies itself, scored against ``truth``."""
-    stack = MeasurementSet(meas.b_row[None], meas.b_col[None], meas.sigma, (meas.noise_seed,))
-    sol = solve(stack, design, r)
-    left, right = sol.left[0], sol.right[0]
-    row_res, col_res = block_residuals(left, right, design, meas)
-    return RecoveryResult(
-        left=left,
-        right=right,
-        rank_used=int(sol.rank_used[0]),
-        algorithm=algorithm,
-        runtime_seconds=sol.runtime_seconds,
-        core=None if sol.core is None else sol.core[0],
-        row_residual=row_res,
-        col_residual=col_res,
-        relative_error=None if truth is None else relative_error(left, right, truth),
-    )
+def _one_trial(solve, meas, design, r, truth) -> RecoveryResult:
+    """``solve`` on the one trial ``(meas, design)``, scored against ``truth``."""
+    sol = solve(meas, design, r)
+    row_res, col_res = block_residuals(sol.left, sol.right, design, meas)
+    error = None if truth is None else relative_error(sol.left, sol.right, truth)
+    return dataclasses.replace(sol, row_residual=row_res, col_residual=col_res, relative_error=error)
 
 
 def svls_recover(
@@ -477,9 +456,9 @@ def svls_recover(
 
     In the noiseless case with ``k1 = k2 = r`` and generic inputs the
     estimate is exact up to floating-point error.  This is
-    :func:`svls_stack` on a stack of one trial.
+    :func:`svls_stack` on the one trial, scored.
     """
-    return _one_trial(svls_stack, "svls", meas, design, r, truth)
+    return _one_trial(svls_stack, meas, design, r, truth)
 
 
 def cur_recover(
@@ -499,10 +478,10 @@ def cur_recover(
     ``k1 = k2 = r``, recovery is exact from ``r*(m+n-r)`` distinct
     scalar observations, the dimension of the rank-r matrix manifold.
     A rank-deficient overlap block is not an error: the estimate simply
-    has the deficient rank.  This is :func:`cur_stack` on a stack of one
-    trial.
+    has the deficient rank.  This is :func:`cur_stack` on the one trial,
+    scored.
     """
-    return _one_trial(cur_stack, "cur", meas, design, None, truth)
+    return _one_trial(cur_stack, meas, design, None, truth)
 
 
 def estimate_rank(b_row: np.ndarray, b_col: np.ndarray, sigma: float) -> int:
@@ -511,16 +490,21 @@ def estimate_rank(b_row: np.ndarray, b_col: np.ndarray, sigma: float) -> int:
     Counts singular values above ``max(2 * sigma * sqrt(max block
     dimension), 1e-10 * s1)`` in each block and returns the smaller
     count.  Returns 0 for all-zero blocks; callers must treat 0 as
-    degenerate.
+    degenerate.  ``sigma`` must be a finite nonnegative number and the
+    blocks' entries finite (``ValueError``).
     """
+    if not _is_finite_nonnegative(sigma):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    blocks = [np.asarray(block, dtype=np.float64) for block in (b_row, b_col)]
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise ValueError("b_row and b_col entries must be finite")
 
     def count(block: np.ndarray) -> int:
-        block = np.asarray(block, dtype=np.float64)
         s = np.linalg.svd(block, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
         thresh = max(2.0 * sigma * math.sqrt(max(block.shape)), 1e-10 * s[0])
         return int(np.count_nonzero(s > thresh))
 
-    return min(count(b_row), count(b_col))
+    return min(map(count, blocks))
 

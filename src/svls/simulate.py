@@ -376,12 +376,13 @@ def _run_point(
         seeds = tuple(seed for _, seed in chunk)
         if algo in _SINGLE:
             sol = _SINGLE[algo](point, *seeds)
-            rels, iterations = [sol.relative_error], sol.iterations or 0
+            rels = [sol.relative_error]
         else:
             truth, design, meas = _draw(point, seeds)
             sol = solve(meas, design, point.rank)
             del design, meas  # and its design and blocks before it is scored
-            rels, iterations = _errors(sol.left, sol.right, truth), 0
+            rels = _errors(sol.left, sol.right, truth)
+        iterations = sol.iterations or 0
         return [
             _record(fields, seed, t, success_threshold, rel, iterations, sol.runtime_seconds)
             for (t, seed), rel in zip(chunk, rels)

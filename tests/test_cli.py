@@ -251,6 +251,18 @@ class TestMeasureAndRecover:
         assert json.loads((out / "manifest.json").read_text())["rank"] == "auto"
         assert np.array_equal(read_matrix(out / "x_hat.csv"), np.zeros((6, 5)))
 
+    def test_recover_svls_rank_auto_on_zero_blocks_is_runtime_error(self, tmp_path, capsys):
+        x = tmp_path / "x.csv"
+        write_matrix(x, np.zeros((6, 5)))
+        assert run_cli("gen-design", "--kind", "gaussian", "--m", 6, "--n", 5,
+                       "--k1", 2, "--k2", 2, "--out", tmp_path / "design") == 0
+        assert run_cli("measure", "--x", x, "--design", tmp_path / "design", "--sigma", 0,
+                       "--out", tmp_path / "meas") == 0
+        capsys.readouterr()
+        assert run_cli("recover", "--meas", tmp_path / "meas", "--algo", "svls",
+                       "--rank", "auto", "--out", tmp_path / "rec") == 1
+        assert capsys.readouterr().err == "error: estimated rank is 0; supply --rank explicitly\n"
+
     def test_recover_missing_measurement_dir(self, tmp_path, capsys):
         code = run_cli("recover", "--meas", tmp_path / "nope", "--algo", "svls",
                        "--rank", 2, "--out", tmp_path / "rec")

@@ -1,5 +1,6 @@
-"""The README's list of public names is the package's ``__all__``, and its
-documented CLI pipeline runs, rebuilding its truth rather than parsing it."""
+"""The README's list of public names is the package's ``__all__``, its
+library quick start runs as its comments say, and its documented CLI
+pipeline runs, rebuilding its truth rather than parsing it."""
 
 import re
 import shlex
@@ -24,6 +25,18 @@ def test_readme_lists_exactly_the_public_names():
     names = readme_public_names()
     assert len(names) == len(set(names)), "a name is listed twice"
     assert sorted(names) == sorted(svls.__all__)
+
+
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Library quick start")) + len("```python\n")
+    namespace = {}
+    exec(compile(text[start : text.index("```", start)], "README.md", "exec"), namespace)
+    error, shapes = capsys.readouterr().out.splitlines()
+    # what the block's comments promise
+    assert float(error) < 1e-10
+    assert shapes == "(50, 3) (50, 3)"
+    assert namespace["x_hat"].shape == (50, 50)
 
 
 PIPELINE = ("gen-matrix", "gen-design", "measure", "recover")

@@ -166,6 +166,12 @@ class TestSubspaceEstimation:
         with pytest.raises(ValueError):
             estimate_row_space(np.ones((2, 5)), 3)
 
+    @pytest.mark.parametrize("estimate, name", [(estimate_col_space, "b_col"),
+                                                (estimate_row_space, "b_row")])
+    def test_one_dimensional_block_rejected(self, estimate, name):
+        with pytest.raises(ValueError, match=f"{name} must be a 2-d matrix or a stack of them"):
+            estimate(np.ones(5), 1)
+
 
 class TestSolveCore:
     def test_identity_designs_average_blocks(self):
@@ -274,6 +280,17 @@ class TestSolveCore:
             solve_core(bad, v, design, meas)
         with pytest.raises(ValueError):
             solve_core_bruteforce(bad, v, design, meas)
+
+    def test_bases_of_unequal_rank_or_wrong_height_rejected(self):
+        rng = np.random.default_rng(4)
+        _, design, meas, u, v = random_instance(rng, 7, 5, 2, 3, 3, 0.0)
+        thin = estimate_row_space(meas.b_row, 1)
+        with pytest.raises(ValueError, match="u and v must have the same rank"):
+            solve_core(u, thin, design, meas)
+        # orthonormal bases of the other side's height: n rows for u, m for v
+        for wrong in [(v, v), (u, u)]:
+            with pytest.raises(ValueError, match="basis dimensions inconsistent with design"):
+                solve_core(*wrong, design, meas)
 
 
 def solve_core_eigen_reference(u, v, design, meas):
@@ -526,6 +543,22 @@ class TestEstimateRank:
     def test_zero_blocks_give_zero(self):
         assert estimate_rank(np.zeros((3, 4)), np.zeros((4, 3)), 0.0) == 0
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, True, -1.0, "0.1", None])
+    def test_bad_sigma_rejected(self, sigma):
+        rng = np.random.default_rng(5)
+        b_row, b_col = rng.standard_normal((5, 40)), rng.standard_normal((30, 5))
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            estimate_rank(b_row, b_col, sigma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("block", ["b_row", "b_col"])
+    def test_non_finite_block_rejected(self, block, bad):
+        rng = np.random.default_rng(6)
+        blocks = {"b_row": rng.standard_normal((5, 40)), "b_col": rng.standard_normal((30, 5))}
+        blocks[block][2, 3] = bad
+        with pytest.raises(ValueError, match="b_row and b_col entries must be finite"):
+            estimate_rank(blocks["b_row"], blocks["b_col"], 0.01)
+
     @pytest.mark.parametrize("k", [3, 5])
     def test_noiseless_rank_three(self, k):
         truth = gen_low_rank(20, 20, 3, seed=2)
@@ -539,6 +572,32 @@ class TestEstimateRank:
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 50, 50, 6, 6, seed=seed + 30)
         meas = measure(truth.x, design, 1e-6, noise_seed=seed + 60)
         assert estimate_rank(meas.b_row, meas.b_col, 1e-6) == 3
+
+
+class TestOneTrialThroughStackedSolvers:
+    """The stacked solvers take one trial as they take a stack: its
+    estimate has the bits of the same trial solved as a stack of one."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    @pytest.mark.parametrize("solve, kind", [
+        (recovery.svls_stack, DesignKind.GAUSSIAN_AFFINE),
+        (recovery.svls_stack, DesignKind.ROW_COL_SAMPLE),
+        (recovery.cur_stack, DesignKind.ROW_COL_SAMPLE),
+    ])
+    def test_one_trial_is_the_stack_of_one(self, solve, kind, sigma):
+        truth = gen_low_rank(30, 24, 3, seed=12)
+        design = gen_design(kind, 30, 24, 4, 5, seed=13)
+        meas = measure(truth, design, sigma, noise_seed=14)
+        stack = MeasurementSet(meas.b_row[None], meas.b_col[None], sigma, (14,))
+        one, of_stack = solve(meas, design, 3), solve(stack, design, 3)
+        svls = solve is recovery.svls_stack
+        for name in ["left", "right", "core"] if svls else ["left", "right"]:
+            got, want = getattr(one, name), getattr(of_stack, name)
+            assert got.shape == want.shape[1:] and got.tobytes() == want[0].tobytes(), name
+        assert svls or one.core is of_stack.core is None
+        assert one.x_hat.tobytes() == of_stack.x_hat[0].tobytes()  # a stack's x_hat per trial
+        assert type(one.rank_used) is int and one.rank_used == of_stack.rank_used[0] == 3
+        assert one.row_residual is one.col_residual is one.relative_error is None
 
 
 class TestFactoredResult:

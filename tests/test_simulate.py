@@ -129,6 +129,13 @@ class TestRunTrial:
         assert by_string.design == kind.value
         assert by_string.error == ""
 
+    def test_unknown_algorithm_contained(self):
+        rec = run_trial(point(algorithm="nope"), seed=7)
+        assert rec.algorithm == "nope"
+        assert rec.error == "ValueError: unknown algorithm 'nope'"
+        assert not rec.success
+        assert math.isnan(rec.relative_error)
+
     def test_unknown_design_contained(self):
         rec = run_trial(point(design="bogus"), seed=7)
         assert rec.design == "bogus"
