@@ -12,7 +12,10 @@ rise, so it needs no bound on ``sigma_max(op)``.
 against the row/column blocks, starting from ``svls_recover``'s one
 SVD+LS pass, so it measures what iterative refinement adds to that pass.
 Both report ``converged``: whether the ``tol`` stopping rule fired
-before ``max_iters``.
+before ``max_iters``.  Both take one trial: ``svp_recover`` refuses a
+stacked design, and ``als_recover`` a stacked design or measurement
+set, through ``recovery._one_trial``, which scores it as it scores
+``svls_recover`` and ``cur_recover``.
 
 ALS's half-steps are PSD Sylvester equations, solved by ``solve_core``'s
 solver through the thin SVDs of the design's operators: LAPACK's for a
@@ -39,6 +42,7 @@ from .recovery import (
     _exponent,
     _factored_norms,
     _norms,
+    _one_trial,
     block_residuals,
     relative_error,
     solve_psd_sylvester,
@@ -161,8 +165,7 @@ def svp_recover(
     cfg = cfg or IterativeSolverConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
     if isinstance(op, MeasurementDesign):
-        held = op.a_row if op.a_row is not None else op.row_indices[:, None]
-        if (op.m, op.n) != (m, n) or held.ndim != 2:  # nor a stacked design
+        if (op.m, op.n) != (m, n) or op.trial_shape:  # nor a stacked design
             raise ValueError("design inconsistent with target dimensions")
         k = op.total_measurements
     elif op.ndim != 2 or op.shape[1] != m * n:
@@ -310,44 +313,42 @@ def als_recover(
     The error carries no such guarantee: where sigma_r nears the noise, ALS
     fits the noise, and its error can end above its start's.
     ``objective_history[0]`` is the start's squared residuals, and the
-    residuals are those of the last half-step.
+    residuals are those of the last half-step, scored as
+    ``svls_recover``'s are.
     """
     cfg = cfg or IterativeSolverConfig()
-    t0 = time.perf_counter()
-    start = svls_recover(meas, design, r)
-    left, right = start.left, start.right
-    row_op, col_op = _refit_operators(design)
-    b_row, b_col = meas.b_row, meas.b_col
-    # the start's residuals, then each half-step's
-    residuals = [(start.row_residual, start.col_residual)]
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        prev_left, prev_right = left, right
-        right = _refit(left, b_row, b_col, row_op, col_op)
-        residuals.append(block_residuals(left, right, design, meas))
-        left = _refit(right, b_col.T, b_row.T, col_op, row_op)
-        residuals.append(block_residuals(left, right, design, meas))
-        step, size = map(float, _factored_norms(left, right, prev_left, prev_right))
-        if step <= cfg.tol * max(size, 1e-300):
-            converged = True
-            break
-    runtime = time.perf_counter() - t0
-    left, right = _freeze(left), _freeze(right)
-    history = tuple(row_res * row_res + col_res * col_res for row_res, col_res in residuals)
-    row_res, col_res = residuals[-1]
-    return RecoveryResult(
-        left=left,
-        right=right,
-        rank_used=start.rank_used,
-        algorithm="als",
-        runtime_seconds=runtime,
-        row_residual=row_res,
-        col_residual=col_res,
-        relative_error=None if truth is None else relative_error(left, right, truth),
-        iterations=iterations,
-        final_objective=history[-1],
-        objective_history=history,
-        converged=converged,
-    )
+
+    def sweeps(meas, design, r) -> RecoveryResult:  # the unscored estimate
+        t0 = time.perf_counter()
+        start = svls_recover(meas, design, r)
+        left, right = start.left, start.right
+        row_op, col_op = _refit_operators(design)
+        b_row, b_col = meas.b_row, meas.b_col
+        # the start's residuals, then each half-step's
+        residuals = [(start.row_residual, start.col_residual)]
+        converged = False
+        for _ in range(cfg.max_iters):
+            prev_left, prev_right = left, right
+            right = _refit(left, b_row, b_col, row_op, col_op)
+            residuals.append(block_residuals(left, right, design, meas))
+            left = _refit(right, b_col.T, b_row.T, col_op, row_op)
+            residuals.append(block_residuals(left, right, design, meas))
+            step, size = map(float, _factored_norms(left, right, prev_left, prev_right))
+            if step <= cfg.tol * max(size, 1e-300):
+                converged = True
+                break
+        runtime = time.perf_counter() - t0
+        history = tuple(row_res * row_res + col_res * col_res for row_res, col_res in residuals)
+        return RecoveryResult(
+            left=_freeze(left),
+            right=_freeze(right),
+            rank_used=start.rank_used,
+            algorithm="als",
+            runtime_seconds=runtime,
+            iterations=len(history) // 2,  # the start, then two half-steps an iteration
+            final_objective=history[-1],
+            objective_history=history,
+            converged=converged,
+        )
+
+    return _one_trial("als_recover", sweeps, meas, design, r, truth)

@@ -342,6 +342,11 @@ class MeasurementDesign:
             object.__setattr__(self, name, idx)
 
     @property
+    def trial_shape(self) -> tuple[int, ...]:
+        """The leading trial shape: ``()`` for one trial, ``(t,)`` for a stack of t."""
+        return self.row_indices.shape[:-1] if self.a_row is None else self.a_row.shape[:-2]
+
+    @property
     def k1(self) -> int:
         return self.row_indices.shape[-1] if self.a_row is None else self.a_row.shape[-2]
 
@@ -420,10 +425,11 @@ def gen_low_rank(m: int, n: int, r: int, seed: int | tuple[int, ...]) -> GroundT
     """Draw a random rank-``r`` matrix ``X = L @ R.T`` with standard
     normal factor entries, or a stack of them, one per seed of a tuple.
 
-    Deterministic for fixed ``(m, n, r, seed)``.
+    Deterministic for fixed ``(m, n, r, seed)``.  ``m``, ``n`` and ``r``
+    must be positive integers, Python's or numpy's, not bools (``ValueError``).
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m}x{n}")
+    if not all(_is_int(d) and d >= 1 for d in (m, n)):
+        raise ValueError(f"matrix dimensions must be positive integers, got {(m, n)}")
     _check_rank(r, min(m, n))
     left, right = map(_freeze, _normal(seed, (m, r), (n, r)))
     return GroundTruth(left_factor=left, right_factor=right, seed=seed)
@@ -438,11 +444,12 @@ def gen_design(
     Gaussian designs fill ``a_row`` (k1 x m) and ``a_col`` (n x k2) with
     i.i.d. standard normal entries.  Sampling designs draw k1 distinct
     row indices and k2 distinct column indices uniformly without
-    replacement.
+    replacement.  ``m``, ``n``, ``k1`` and ``k2`` must be positive
+    integers, Python's or numpy's, not bools (``ValueError``).
     """
     kind = DesignKind(kind)
-    if min(m, n, k1, k2) < 1:
-        raise ValueError("design dimensions must be positive")
+    if not all(_is_int(d) and d >= 1 for d in (m, n, k1, k2)):
+        raise ValueError(f"design dimensions must be positive integers, got {(m, n, k1, k2)}")
     if kind is DesignKind.GAUSSIAN_AFFINE:
         names, arrays = ("a_row", "a_col"), map(_freeze, _normal(seed, (k1, m), (n, k2)))
     else:
@@ -508,8 +515,7 @@ def measure(
         raise ValueError(
             f"design expects a {design.m}x{design.n} target, got {shape[-2]}x{shape[-1]}"
         )
-    held = design.row_indices[..., None] if design.a_row is None else design.a_row
-    if held.shape[:-2] != shape[:-2]:  # the design's trials
+    if design.trial_shape != shape[:-2]:
         raise ValueError("x and design must be stacked alike, one target per trial")
     if not _is_finite_nonnegative(sigma):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")

@@ -22,9 +22,14 @@ and blocks drawn as stacks by ``gen_design`` and ``measure``) in one
 pass: numpy's ``svd``, ``eigh`` and ``matmul`` run over the leading
 trial axis, one LAPACK or BLAS call per trial, so every trial of a stack
 gets the bits it gets alone.  They only solve; ``_errors`` scores one
-trial or a stack in one call.  ``svls_recover`` and ``cur_recover`` add
-their one trial's residuals and error, and the subspace and core
-helpers take a leading trial axis or none.
+trial or a stack in one call.  The subspace and core helpers take a
+leading trial axis or none.
+
+``svls_recover``, ``cur_recover`` and ``baselines.als_recover`` take one
+trial and are scored by one path, ``_one_trial``: it refuses a stacked
+design or measurement set before the solve, then adds the trial's
+residuals and error to the solver's estimate.  ``estimate_rank`` takes
+one trial too; the generators and ``measure`` take stacks.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .measurements import (
     _all_finite,
     _check_rank,
     _freeze,
-    _is_finite_nonnegative,
 )
 
 # Relative eigenvalue cutoff for the rank-deficient core solve.
@@ -424,8 +428,19 @@ def cur_stack(
     return _unscored("cur", t0, left, right, None, np.count_nonzero(keep, axis=-1))
 
 
-def _one_trial(solve, meas, design, r, truth) -> RecoveryResult:
-    """``solve`` on the one trial ``(meas, design)``, scored against ``truth``."""
+def _check_one_trial(name, meas, design=None) -> None:
+    """ValueError if ``meas`` or ``design``, if given, is a stack: ``name``
+    takes one trial."""
+    stacked = design is not None and design.trial_shape
+    if stacked or meas.b_row.ndim > 2 or meas.b_col.ndim > 2:
+        raise ValueError(f"{name} takes one trial, not a stack")
+
+
+def _one_trial(name, solve, meas, design, r, truth) -> RecoveryResult:
+    """``solve`` on the one trial ``(meas, design)``, scored against
+    ``truth``; a stack is refused, in the name of the public call ``name``,
+    before the solve."""
+    _check_one_trial(name, meas, design)
     sol = solve(meas, design, r)
     row_res, col_res = block_residuals(sol.left, sol.right, design, meas)
     error = None if truth is None else relative_error(sol.left, sol.right, truth)
@@ -458,7 +473,7 @@ def svls_recover(
     estimate is exact up to floating-point error.  This is
     :func:`svls_stack` on the one trial, scored.
     """
-    return _one_trial(svls_stack, meas, design, r, truth)
+    return _one_trial("svls_recover", svls_stack, meas, design, r, truth)
 
 
 def cur_recover(
@@ -481,7 +496,7 @@ def cur_recover(
     has the deficient rank.  This is :func:`cur_stack` on the one trial,
     scored.
     """
-    return _one_trial(cur_stack, meas, design, None, truth)
+    return _one_trial("cur_recover", cur_stack, meas, design, None, truth)
 
 
 def estimate_rank(b_row: np.ndarray, b_col: np.ndarray, sigma: float) -> int:
@@ -491,13 +506,12 @@ def estimate_rank(b_row: np.ndarray, b_col: np.ndarray, sigma: float) -> int:
     dimension), 1e-10 * s1)`` in each block and returns the smaller
     count.  Returns 0 for all-zero blocks; callers must treat 0 as
     degenerate.  ``sigma`` must be a finite nonnegative number and the
-    blocks' entries finite (``ValueError``).
+    blocks' entries finite, as a ``MeasurementSet`` checks them, and the
+    blocks one trial's, not stacks (``ValueError``).
     """
-    if not _is_finite_nonnegative(sigma):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    blocks = [np.asarray(block, dtype=np.float64) for block in (b_row, b_col)]
-    if not all(np.isfinite(block).all() for block in blocks):
-        raise ValueError("b_row and b_col entries must be finite")
+    blocks = (np.asarray(block, dtype=np.float64) for block in (b_row, b_col))
+    meas = MeasurementSet(*blocks, sigma, noise_seed=None)  # its checks of sigma and the blocks
+    _check_one_trial("estimate_rank", meas)
 
     def count(block: np.ndarray) -> int:
         s = np.linalg.svd(block, compute_uv=False)
@@ -506,5 +520,5 @@ def estimate_rank(b_row: np.ndarray, b_col: np.ndarray, sigma: float) -> int:
         thresh = max(2.0 * sigma * math.sqrt(max(block.shape)), 1e-10 * s[0])
         return int(np.count_nonzero(s > thresh))
 
-    return min(map(count, blocks))
+    return min(count(meas.b_row), count(meas.b_col))
 

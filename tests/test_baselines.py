@@ -387,9 +387,11 @@ class TestAlsHalfSteps:
 class TestAlsRecover:
     @pytest.mark.parametrize("kind", list(DesignKind))
     @pytest.mark.parametrize("sigma", [0.0, 1e-2])
-    def test_starts_from_the_svls_pass(self, monkeypatch, kind, sigma):
+    @pytest.mark.parametrize("max_iters", [1, 500])
+    def test_starts_from_the_svls_pass(self, monkeypatch, kind, sigma, max_iters):
+        truth = gen_low_rank(12, 10, 2, seed=4)
         design = gen_design(kind, 12, 10, 3, 4, seed=3)
-        meas = measure(gen_low_rank(12, 10, 2, seed=4), design, sigma, noise_seed=5)
+        meas = measure(truth, design, sigma, noise_seed=5)
         starts = []
 
         def spy(*args):
@@ -397,14 +399,22 @@ class TestAlsRecover:
             return starts[-1]
 
         monkeypatch.setattr(baselines, "svls_recover", spy)
-        result = als_recover(meas, design, 2, cfg=IterativeSolverConfig(max_iters=1))
+        cfg = IterativeSolverConfig(max_iters=max_iters)
+        result = als_recover(meas, design, 2, cfg=cfg, truth=truth)
         (start,) = starts
         first = start.row_residual * start.row_residual + start.col_residual * start.col_residual
         assert result.objective_history[0] == first
+        # scored as svls_recover is: the residuals and the error of the final factors
         row_res, col_res = block_residuals(result.left, result.right, design, meas)
         assert (result.row_residual, result.col_residual) == (row_res, col_res)
         assert result.final_objective == row_res * row_res + col_res * col_res
-        assert len(result.objective_history) == 3
+        assert result.final_objective == result.objective_history[-1]
+        assert result.relative_error == recovery.relative_error(result.left, result.right, truth)
+        assert len(result.objective_history) == 2 * result.iterations + 1
+        if max_iters == 1:
+            assert result.iterations == 1
+        else:
+            assert result.converged
 
     def test_truth_initialization_converges_immediately(self):
         # noiseless at k1 = k2 = r, the svls start is the truth

@@ -83,6 +83,38 @@ class TestGenLowRank:
         assert np.all(np.isfinite(t.x))
 
 
+# each generator call with a dimension's position among its arguments
+DIMENSIONS = [
+    pytest.param(gen_low_rank, (4, 3, 1, 0), i, id=f"gen_low_rank-{name}")
+    for i, name in enumerate(["m", "n"])
+] + [
+    pytest.param(gen_design, (kind, 4, 3, 1, 1, 0), i, id=f"gen_design-{kind.value}-{name}")
+    for kind in DesignKind
+    for i, name in enumerate(["m", "n", "k1", "k2"], start=1)
+]
+
+
+def with_argument(args, i, value):
+    return (*args[:i], value, *args[i + 1 :])
+
+
+class TestGeneratorDimensions:
+    """A dimension, like a rank, is an integer, Python's or numpy's, not a bool."""
+
+    @pytest.mark.parametrize("bad", [2.5, 4.0, np.float64(4.0), True, "4", None])
+    @pytest.mark.parametrize("draw, args, i", DIMENSIONS)
+    def test_non_integer_dimension_rejected(self, draw, args, i, bad):
+        with pytest.raises(ValueError, match="dimensions .*must be positive integers"):
+            draw(*with_argument(args, i, bad))
+
+    @pytest.mark.parametrize("draw, args, i", DIMENSIONS)
+    def test_numpy_integer_dimension_accepted(self, draw, args, i):
+        want = draw(*args)
+        got = draw(*with_argument(args, i, np.int64(args[i])))
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
 class TestGenDesign:
     def test_sampling_selection_structure(self):
         d = gen_design(DesignKind.ROW_COL_SAMPLE, 3, 3, 1, 1, seed=5)

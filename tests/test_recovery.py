@@ -574,6 +574,45 @@ class TestEstimateRank:
         assert estimate_rank(meas.b_row, meas.b_col, 1e-6) == 3
 
 
+@pytest.fixture
+def no_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+@pytest.mark.usefixtures("no_svd")
+class TestOneTrialCallsRefuseAStack:
+    """svls_recover, cur_recover, als_recover and estimate_rank take one
+    trial: a stacked design or measurement set is refused before any SVD."""
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("stacked", ["both", "design", "blocks"])
+    @pytest.mark.parametrize("name", ["svls_recover", "cur_recover", "als_recover"])
+    def test_solver_refuses_a_stack(self, kind, stacked, name):
+        one = gen_design(kind, 20, 16, 3, 3, seed=3)
+        stack = gen_design(kind, 20, 16, 3, 3, seed=(3, 4))
+        meas_one = measure(gen_low_rank(20, 16, 2, seed=1), one, 0.01, noise_seed=5)
+        meas_stack = measure(gen_low_rank(20, 16, 2, seed=(1, 2)), stack, 0.01, noise_seed=(5, 6))
+        meas = meas_one if stacked == "design" else meas_stack
+        design = one if stacked == "blocks" else stack
+        solve = {
+            "svls_recover": lambda: svls_recover(meas, design, 2),
+            "cur_recover": lambda: cur_recover(meas, design),
+            "als_recover": lambda: als_recover(meas, design, 2),
+        }[name]
+        with pytest.raises(ValueError, match=f"^{name} takes one trial, not a stack$"):
+            solve()
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_estimate_rank_refuses_a_stack(self, kind):
+        stack = gen_design(kind, 20, 16, 3, 3, seed=(3, 4))
+        meas = measure(gen_low_rank(20, 16, 2, seed=(1, 2)), stack, 0.01, noise_seed=(5, 6))
+        with pytest.raises(ValueError, match="^estimate_rank takes one trial, not a stack$"):
+            estimate_rank(meas.b_row, meas.b_col, meas.sigma)
+
+
 class TestOneTrialThroughStackedSolvers:
     """The stacked solvers take one trial as they take a stack: its
     estimate has the bits of the same trial solved as a stack of one."""
