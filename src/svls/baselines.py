@@ -77,9 +77,12 @@ class IterativeSolverConfig:
 def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
     """Draw a read-only k x (m*n) dense Gaussian sensing operator: row i is
     a flattened i.i.d. standard normal sensing matrix acting on the
-    row-major vec of X.  Targets above ``MAX_TARGET_ENTRIES`` are refused."""
-    if min(m, n, k) < 1:
-        raise ValueError("operator dimensions must be positive")
+    row-major vec of X.  ``m``, ``n`` and ``k`` must be positive integers,
+    Python's or numpy's, not bools, and targets above ``MAX_TARGET_ENTRIES``
+    are refused (``ValueError``)."""
+    if not all(_is_int(d) and d >= 1 for d in (m, n, k)):
+        raise ValueError(f"operator dimensions must be positive integers, got {(m, n, k)}")
+    m, n = int(m), int(n)  # numpy's m * n would wrap past the cap
     if m * n > MAX_TARGET_ENTRIES:
         raise ValueError(
             f"target has {m * n} entries, above the dense-operator cap of "

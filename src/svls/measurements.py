@@ -406,8 +406,9 @@ class MeasurementDesign:
 class MeasurementSet:
     """Observed blocks ``b_row`` (k1 x n) and ``b_col`` (m x k2), or stacks
     of them with a tuple of noise seeds; the design holds the measurement
-    counts.  The blocks are checked to be finite, and ``sigma`` to be a
-    finite nonnegative number."""
+    counts.  The blocks are checked to be 2-d, or stacks with one leading
+    trial axis, alike; then finite.  ``sigma`` is checked to be a finite
+    nonnegative number."""
 
     b_row: np.ndarray
     b_col: np.ndarray
@@ -417,8 +418,16 @@ class MeasurementSet:
     def __post_init__(self) -> None:
         if not _is_finite_nonnegative(self.sigma):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        row, col = self.b_row, self.b_col
+        if not (row.ndim == col.ndim in (2, 3) and row.shape[:-2] == col.shape[:-2]):
+            raise ValueError("b_row and b_col must be 2-d blocks, or stacks of them stacked alike")
         if not (np.isfinite(self.b_row).all() and np.isfinite(self.b_col).all()):
             raise ValueError("b_row and b_col entries must be finite")
+
+    @property
+    def trial_shape(self) -> tuple[int, ...]:
+        """The leading trial shape: ``()`` for one trial, ``(t,)`` for a stack of t."""
+        return self.b_col.shape[:-2]
 
 
 def gen_low_rank(m: int, n: int, r: int, seed: int | tuple[int, ...]) -> GroundTruth:

@@ -21,15 +21,16 @@ when its sum of squares leaves float's normal range (:func:`_norms`).
 and blocks drawn as stacks by ``gen_design`` and ``measure``) in one
 pass: numpy's ``svd``, ``eigh`` and ``matmul`` run over the leading
 trial axis, one LAPACK or BLAS call per trial, so every trial of a stack
-gets the bits it gets alone.  They only solve; ``_errors`` scores one
-trial or a stack in one call.  The subspace and core helpers take a
-leading trial axis or none.
+gets the bits it gets alone.  They only solve; ``relative_error``
+scores one trial or a stack in one call.  The subspace and core helpers
+take a leading trial axis or none.
 
 ``svls_recover``, ``cur_recover`` and ``baselines.als_recover`` take one
 trial and are scored by one path, ``_one_trial``: it refuses a stacked
 design or measurement set before the solve, then adds the trial's
-residuals and error to the solver's estimate.  ``estimate_rank`` takes
-one trial too; the generators and ``measure`` take stacks.
+residuals and error to the solver's estimate.  ``block_residuals`` and
+``estimate_rank`` take one trial too; the generators and ``measure``
+take stacks.
 """
 
 from __future__ import annotations
@@ -127,21 +128,31 @@ class RecoveryResult:
 
 def relative_error(
     left: np.ndarray, right: np.ndarray, x_true: np.ndarray | GroundTruth
-) -> float:
+) -> float | list[float]:
     """Relative Frobenius error ``||left @ right.T - x_true||_F / ||x_true||_F``
-    of one estimate against one truth, dense or a ``GroundTruth``.
+    of one estimate against one truth, dense or a ``GroundTruth``, or the
+    list of each trial's error against a stacked ``GroundTruth``.
 
-    Against a ``GroundTruth`` this is :func:`_errors`, in O((m + n) r^2);
-    against a dense m x n truth it is one blocked pass over it
-    (:func:`_dense_norms`), with no m x n temporary.  A truth with
-    a NaN or infinite entry (or factor entry) raises ``ValueError``; a
+    A ``GroundTruth`` is scored from its factors (:func:`_factored_norms`),
+    in O((m + n) r^2); a dense m x n truth scores one trial, in one blocked
+    pass over it (:func:`_dense_norms`), with no m x n temporary.  A truth
+    with a NaN or infinite entry (or factor entry) raises ``ValueError``; a
     finite dense truth costs no extra pass, as its squared norm comes out
-    finite.  Against a zero truth the error is 0.0 for a zero estimate,
-    else inf.
+    finite.  Against a zero truth it is 0.0 for a zero estimate, else inf.
     """
-    if isinstance(x_true, GroundTruth):
-        return _errors(left, right, x_true)
-    return _ratios(*_dense_norms(left, right, x_true)).tolist()
+    if not isinstance(x_true, GroundTruth):
+        if max(np.ndim(left), np.ndim(right)) > 2:
+            raise ValueError("a dense truth scores one trial, not a stacked estimate")
+        return _ratios(*_dense_norms(left, right, x_true)).tolist()
+    factors = x_true.left_factor, x_true.right_factor
+    if tuple(f.shape[:-1] for f in factors) != (left.shape[:-1], right.shape[:-1]):
+        raise ValueError(
+            f"truth factors {factors[0].shape} and {factors[1].shape} do not match "
+            f"estimate factors {left.shape} and {right.shape}"
+        )
+    if not all(np.isfinite(f).all() for f in factors):
+        raise ValueError("truth entries must be finite")
+    return _ratios(*_factored_norms(*factors, left, right)).tolist()
 
 
 def _exponent(a: np.ndarray) -> int:
@@ -190,7 +201,9 @@ def block_residuals(
     meas: MeasurementSet,
 ) -> tuple[float, float]:
     """Frobenius misfits of ``left @ right.T`` against ``b_row`` and
-    ``b_col``, computed through the thin factors (:func:`_norms`)."""
+    ``b_col``, computed through the thin factors (:func:`_norms`), of one
+    trial: a stacked design or measurement set raises ``ValueError``."""
+    _check_one_trial("block_residuals", meas, design)
     row_res = float(_norms(design.rows(left) @ right.T - meas.b_row))
     col_res = float(_norms(left @ design.cols(right.T) - meas.b_col))
     return row_res, col_res
@@ -314,21 +327,6 @@ def solve_core(
     return solve_psd_sylvester(np.linalg.eigh(p), np.linalg.eigh(q), c)
 
 
-def _errors(left: np.ndarray, right: np.ndarray, truths: GroundTruth) -> float | list[float]:
-    """The :func:`relative_error` of the estimate ``left @ right.T`` against
-    the ``GroundTruth`` ``truths``, or of each trial of a stack against its
-    trial of the stacked truth, from the factors (:func:`_factored_norms`)."""
-    factors = truths.left_factor, truths.right_factor
-    if tuple(f.shape[:-1] for f in factors) != (left.shape[:-1], right.shape[:-1]):
-        raise ValueError(
-            f"truth factors {factors[0].shape} and {factors[1].shape} do not match "
-            f"estimate factors {left.shape} and {right.shape}"
-        )
-    if not all(np.isfinite(f).all() for f in factors):
-        raise ValueError("truth entries must be finite")
-    return _ratios(*_factored_norms(*factors, left, right)).tolist()
-
-
 def _ratios(num, denom) -> np.ndarray:
     """``num / denom``; against a zero truth, 0.0 for a zero estimate, else inf."""
     zero = np.where(num == 0.0, 0.0, math.inf)
@@ -429,10 +427,9 @@ def cur_stack(
 
 
 def _check_one_trial(name, meas, design=None) -> None:
-    """ValueError if ``meas`` or ``design``, if given, is a stack: ``name``
-    takes one trial."""
-    stacked = design is not None and design.trial_shape
-    if stacked or meas.b_row.ndim > 2 or meas.b_col.ndim > 2:
+    """ValueError if ``meas`` or ``design``, if given, is a stack (its
+    ``trial_shape`` is not ``()``): ``name`` takes one trial."""
+    if meas.trial_shape or design is not None and design.trial_shape:
         raise ValueError(f"{name} takes one trial, not a stack")
 
 

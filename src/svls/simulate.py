@@ -14,7 +14,7 @@ on one trial in ``run_trial``.  An ``svls`` or ``cur`` point runs its
 trials in stacks, each drawn in one call of each generator of
 ``measurements`` (every trial from its own seeds), solved in one call of
 a stacked solver of ``recovery`` and scored in one call of
-``recovery._errors``; an ``als`` or ``svp`` trial is a stack of one,
+``recovery.relative_error``; an ``als`` or ``svp`` trial is a stack of one,
 solved and scored by its baseline.  A trial's truth stays its factors,
 and only the ``svp`` baseline's dense operator reads the m x n target,
 so a stack is sized by its factors, designs and blocks (``STACK_ENTRIES``).
@@ -51,7 +51,7 @@ from .measurements import (
 )
 # cur_recover and svls_recover go uncalled: the benchmark's tracer patches them (ROADMAP item 11)
 from .recovery import (
-    _check_cur, _check_svls, _errors, cur_recover, cur_stack, svls_recover, svls_stack,
+    _check_cur, _check_svls, cur_recover, cur_stack, relative_error, svls_recover, svls_stack,
 )
 
 ALGORITHMS = ("svls", "cur", "svp", "als")
@@ -357,9 +357,9 @@ def _run_point(
     trial.  The trials then run in stacks of at most ``STACK_ENTRIES``
     entries of factors, designs and blocks (at least one trial; one for
     ``_SINGLE``): one step draws a stack (:func:`_draw`), solves it and
-    scores it against its truths' factors (``_errors``).  A stack whose
-    step raises is split into stacks of one that take the same step, so
-    only a failing trial gets an error record.
+    scores it against its truths' factors (``relative_error``).  A stack
+    whose step raises is split into stacks of one that take the same step,
+    so only a failing trial gets an error record.
     """
     algo, fields = point.algorithm, _point_fields(point)
     try:
@@ -381,7 +381,7 @@ def _run_point(
             truth, design, meas = _draw(point, seeds)
             sol = solve(meas, design, point.rank)
             del design, meas  # and its design and blocks before it is scored
-            rels = _errors(sol.left, sol.right, truth)
+            rels = relative_error(sol.left, sol.right, truth)
         iterations = sol.iterations or 0
         return [
             _record(fields, seed, t, success_threshold, rel, iterations, sol.runtime_seconds)

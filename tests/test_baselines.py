@@ -26,6 +26,22 @@ class TestGaussianOperator:
         with pytest.raises(ValueError):
             gaussian_operator(400, 400, 10, seed=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 4.0, np.float64(4.0), True, "4", None])
+    @pytest.mark.parametrize("i", [0, 1, 2], ids=["m", "n", "k"])
+    def test_non_integer_dimension_rejected(self, i, bad):
+        dims = [4, 5, 7]
+        dims[i] = bad
+        with pytest.raises(ValueError, match="operator dimensions must be positive integers"):
+            gaussian_operator(*dims, seed=0)
+
+    def test_numpy_integer_dimensions(self):
+        want = gaussian_operator(4, 5, 7, seed=3)
+        got = gaussian_operator(np.int64(4), np.int64(5), np.int64(7), seed=3)
+        assert got.tobytes() == want.tobytes()
+        # m * n in int64 would wrap to 0, under the cap
+        with pytest.raises(ValueError, match="above the dense-operator cap"):
+            gaussian_operator(np.int64(2**32), np.int64(2**32), 1, seed=0)
+
     def test_draws_default_rng_stream(self):
         op = gaussian_operator(4, 5, 7, seed=2**64 - 1)
         ref = np.random.default_rng(2**64 - 1).standard_normal((7, 20))

@@ -68,6 +68,14 @@ class TestGenMatrix:
                     "--out", tmp_path / "x.csv")
         assert exc.value.code == 2
 
+    def test_non_integer_dimension_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen-matrix", "--m", "abc", "--n", 5, "--rank", 1,
+                    "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "--m: expected an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("gen-matrix", "--m", 2, "--n", 2, "--rank", 1,
@@ -276,6 +284,16 @@ class TestMeasureAndRecover:
             run_cli("measure", "--x", x, "--design", design, "--sigma", "inf",
                     "--out", out)
         assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_measure_non_numeric_sigma_is_usage_error(self, pipeline, tmp_path, capsys):
+        x, design, _ = pipeline
+        out = tmp_path / "meas-abc"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("measure", "--x", x, "--design", design, "--sigma", "abc",
+                    "--out", out)
+        assert exc.value.code == 2
+        assert "--sigma: expected a number, got 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_measure_dimension_mismatch(self, tmp_path, capsys):

@@ -91,6 +91,14 @@ class TestMatrixFormat:
             write_matrix(path, np.array([[1 + 2j]]))
         assert not path.exists()
 
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((0, 3)), np.ones((2, 0)), np.ones((1, 2, 2))],
+                             ids=["1d", "no_rows", "no_columns", "3d"])
+    def test_shape_rejected_before_the_file_opens(self, tmp_path, a):
+        path = tmp_path / "shape.csv"
+        with pytest.raises(ValueError, match="^only nonempty 2-d matrices can be written$"):
+            write_matrix(path, a)
+        assert not path.exists()
+
 
 def oracle_write_matrix(path, a):
     """Slow per-entry writer, the reference for write_matrix's bytes."""

@@ -647,6 +647,25 @@ class TestMeasurementSet:
     def test_good_sigma_accepted(self, sigma):
         assert MeasurementSet(np.ones((2, 3)), np.ones((4, 2)), sigma, 0).sigma == sigma
 
+    @pytest.mark.parametrize("b_row, b_col", [
+        (np.ones(3), np.ones((2, 2, 2, 2))),
+        (np.ones(3), np.ones((4, 2))),
+        (np.ones((2, 3)), np.ones(4)),
+        (np.ones((2, 3)), np.ones((1, 4, 2))),
+        (np.ones((2, 2, 3)), np.ones((3, 4, 2))),
+        (np.ones((1, 2, 2, 3)), np.ones((1, 2, 4, 2))),
+    ], ids=["1d_and_4d", "b_row_1d", "b_col_1d", "one_stacked", "unlike_stacks", "two_axes"])
+    def test_blocks_of_the_wrong_shape_rejected(self, b_row, b_col):
+        with pytest.raises(ValueError, match="must be 2-d blocks, or stacks of them stacked alike"):
+            MeasurementSet(b_row, b_col, 0.0, 0)
+
+    @pytest.mark.parametrize("seed, want", [(4, ()), ((4, 5, 6), (3,)), ((), (0,))])
+    def test_trial_shape(self, seed, want):
+        truth = gen_low_rank(5, 4, 1, seed)
+        design = gen_design(DesignKind.ROW_COL_SAMPLE, 5, 4, 2, 2, seed)
+        meas = measure(truth, design, 0.0, seed)
+        assert meas.trial_shape == design.trial_shape == want
+
 
 STACK_FUZZ = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 SEEDS = st.integers(0, 2**64 - 1)

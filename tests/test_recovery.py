@@ -559,6 +559,16 @@ class TestEstimateRank:
         with pytest.raises(ValueError, match="b_row and b_col entries must be finite"):
             estimate_rank(blocks["b_row"], blocks["b_col"], 0.01)
 
+    @pytest.mark.parametrize("b_row, b_col", [
+        (np.ones(3), np.ones(4)),
+        (np.ones((2, 3)), np.ones(4)),
+        (np.ones((2, 3)), np.ones((2, 2, 4, 2))),
+        (np.ones((2, 2, 3)), np.ones((3, 4, 2))),
+    ], ids=["both_1d", "b_col_1d", "b_col_4d", "unlike_stacks"])
+    def test_blocks_of_the_wrong_shape_rejected(self, b_row, b_col):
+        with pytest.raises(ValueError, match="must be 2-d blocks, or stacks of them stacked alike"):
+            estimate_rank(b_row, b_col, 0.0)
+
     @pytest.mark.parametrize("k", [3, 5])
     def test_noiseless_rank_three(self, k):
         truth = gen_low_rank(20, 20, 3, seed=2)
@@ -584,8 +594,9 @@ def no_svd(monkeypatch):
 
 @pytest.mark.usefixtures("no_svd")
 class TestOneTrialCallsRefuseAStack:
-    """svls_recover, cur_recover, als_recover and estimate_rank take one
-    trial: a stacked design or measurement set is refused before any SVD."""
+    """svls_recover, cur_recover, als_recover, estimate_rank and
+    block_residuals take one trial: a stacked design or measurement set is
+    refused before any SVD or product."""
 
     @pytest.mark.parametrize("kind", list(DesignKind))
     @pytest.mark.parametrize("stacked", ["both", "design", "blocks"])
@@ -611,6 +622,19 @@ class TestOneTrialCallsRefuseAStack:
         meas = measure(gen_low_rank(20, 16, 2, seed=(1, 2)), stack, 0.01, noise_seed=(5, 6))
         with pytest.raises(ValueError, match="^estimate_rank takes one trial, not a stack$"):
             estimate_rank(meas.b_row, meas.b_col, meas.sigma)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("stacked", ["both", "design", "blocks"])
+    def test_block_residuals_refuses_a_stack(self, kind, stacked):
+        one = gen_design(kind, 20, 16, 3, 3, seed=3)
+        stack = gen_design(kind, 20, 16, 3, 3, seed=(3, 4))
+        truth = gen_low_rank(20, 16, 2, seed=(1, 2))  # its factors are a stacked estimate
+        meas = measure(truth, stack, 0.01, noise_seed=(5, 6))
+        if stacked == "design":
+            meas = measure(gen_low_rank(20, 16, 2, seed=1), one, 0.01, noise_seed=5)
+        design = one if stacked == "blocks" else stack
+        with pytest.raises(ValueError, match="^block_residuals takes one trial, not a stack$"):
+            block_residuals(truth.left_factor, truth.right_factor, design, meas)
 
 
 class TestOneTrialThroughStackedSolvers:
@@ -879,13 +903,13 @@ class TestRelativeError:
         design = gen_design(DesignKind.GAUSSIAN_AFFINE, 20, 20, 4, 4, (4, 5, 6))
         meas = measure(truth, design, 0.0, (7, 8, 9))
         sol = recovery.svls_stack(meas, design, 2)
-        assert max(recovery._errors(sol.left, sol.right, truth)) < 1e-10
+        assert max(relative_error(sol.left, sol.right, truth)) < 1e-10
         for bad in [np.nan, np.inf, -np.inf]:
             right = np.array(truth.right_factor)
             right[1, 3, 1] = bad
             bad_truth = GroundTruth(truth.left_factor, right, truth.seed)
             with pytest.raises(ValueError, match="truth entries must be finite"):
-                recovery._errors(sol.left, sol.right, bad_truth)
+                relative_error(sol.left, sol.right, bad_truth)
 
     # at 1e-155 the truth's squared norm is normal and, 1e-3 off, the
     # difference's is subnormal, with about 35 bits
@@ -929,12 +953,12 @@ class TestRelativeError:
         truth_left = np.stack([truth.left_factor for truth in truths])
         right = np.stack([truth.right_factor for truth in truths])
         left = np.stack(lefts)
-        clean = recovery._errors(left, right, GroundTruth(truth_left, right, (11, 11, 11)))
+        clean = relative_error(left, right, GroundTruth(truth_left, right, (11, 11, 11)))
         truth_left[1] *= scale
         left[1] *= scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = recovery._errors(left, right, GroundTruth(truth_left, right, (11, 11, 11)))
+            got = relative_error(left, right, GroundTruth(truth_left, right, (11, 11, 11)))
         assert abs(got[1] - wants[1]) <= 1e-12 * wants[1]
         assert (got[0], got[2]) == (clean[0], clean[2])  # the others keep their bits
 
@@ -1012,11 +1036,19 @@ class TestFactoredTruth:
         design = gen_design(kind, 20, 16, 4, 4, (4, 5, 6))
         meas = measure(truth, design, 1e-3, (7, 8, 9))
         sol = recovery.svls_stack(meas, design, 2)
-        got = recovery._errors(sol.left, sol.right, truth)
+        got = relative_error(sol.left, sol.right, truth)
         for t, seed in enumerate(truth.seed):
             alone = GroundTruth(truth.left_factor[t], truth.right_factor[t], seed)
             assert got[t] == relative_error(sol.left[t], sol.right[t], alone)
         assert "x" not in vars(truth)
+
+    def test_dense_truth_refuses_a_stacked_estimate(self):
+        truth = gen_low_rank(20, 16, 2, (1, 2))
+        design = gen_design(DesignKind.GAUSSIAN_AFFINE, 20, 16, 4, 4, (4, 5))
+        sol = recovery.svls_stack(measure(truth, design, 0.0, (7, 8)), design, 2)
+        for x_true in (truth.x, truth.x[0]):
+            with pytest.raises(ValueError, match="^a dense truth scores one trial, not a stacked"):
+                relative_error(sol.left, sol.right, x_true)
 
     @pytest.mark.parametrize("kind", list(DesignKind))
     def test_large_trial_forms_no_dense_matrix(self, kind):

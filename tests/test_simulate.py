@@ -243,6 +243,7 @@ class TestExperimentConfig:
             {"m": True},
             {"sigmas": [math.nan]},
             {"sigmas": [math.inf]},
+            {"m": 0},
         ],
     )
     def test_invalid_config_rejected(self, bad):
@@ -257,7 +258,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"sigmas": (math.nan,)}, {"sigmas": (-1.0,)}, {"success_threshold": math.inf}],
+        [{"sigmas": (math.nan,)}, {"sigmas": (-1.0,)}, {"success_threshold": math.inf},
+         {"design_kinds": ("gaussian",)}],
     )
     def test_direct_construction_checked(self, bad):
         with pytest.raises(ValueError):
@@ -326,6 +328,16 @@ class TestRecordsCsv:
         write_records_csv(path, records)
         loaded = read_records_csv(path)
         assert loaded == records
+
+    def test_record_equality_is_the_csv_row(self):
+        # runtime_seconds is left out and nan equals nan, so equal records hash alike
+        records = [run_trial(point(algorithm=algo), seed=5) for algo in ("svls", "nope")]
+        assert math.isnan(records[1].relative_error)
+        for rec in records:
+            other = dataclasses.replace(rec, runtime_seconds=rec.runtime_seconds + 1.0)
+            assert other == rec and hash(other) == hash(rec)
+            assert rec.__eq__(rec.seed) is NotImplemented and rec != rec.seed
+            assert dataclasses.replace(rec, seed=rec.seed + 1) != rec
 
     def test_byte_identical_rewrites(self, tmp_path):
         cfg = small_config()
@@ -788,14 +800,14 @@ class TestStackContainment:
         bad = []  # the targets' truths' left factors
         for i in targets:
             bad.append(simulate._draw(record_point(clean[i]), clean[i].seed)[0].left_factor)
-        errors = simulate._errors
+        errors = simulate.relative_error
 
         def faulty(left, right, truths):
             if any(np.array_equal(x, f) for x in bad for f in truths.left_factor):
                 raise FloatingPointError("no score")
             return errors(left, right, truths)
 
-        monkeypatch.setattr(simulate, "_errors", faulty)
+        monkeypatch.setattr(simulate, "relative_error", faulty)
         records = sweep(cfg)
         assert [i for i, rec in enumerate(records) if rec.error] == targets
         for i in targets:
