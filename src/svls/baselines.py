@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import (
-    GroundTruth, MeasurementDesign, MeasurementSet, _check_rank, _freeze, _generator,
-    _is_finite_nonnegative, _is_int,
+    GroundTruth, MeasurementDesign, MeasurementSet, _check_dims, _check_rank, _freeze,
+    _generator, _is_finite_nonnegative, _is_int,
 )
 from .recovery import (
     CORE_EIG_RTOL,
@@ -80,8 +80,7 @@ def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
     row-major vec of X.  ``m``, ``n`` and ``k`` must be positive integers,
     Python's or numpy's, not bools, and targets above ``MAX_TARGET_ENTRIES``
     are refused (``ValueError``)."""
-    if not all(_is_int(d) and d >= 1 for d in (m, n, k)):
-        raise ValueError(f"operator dimensions must be positive integers, got {(m, n, k)}")
+    _check_dims("operator", m, n, k)
     m, n = int(m), int(n)  # numpy's m * n would wrap past the cap
     if m * n > MAX_TARGET_ENTRIES:
         raise ValueError(
@@ -91,24 +90,28 @@ def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
     return _freeze(_generator(seed).standard_normal((k, m * n)))
 
 
-def _truncate_svd(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(left, right)`` of the best rank-r approximation
-    ``left @ right.T`` of ``x``."""
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return u[:, :r] * s[:r], vt[:r].T
-
-
 def _operator(op: np.ndarray | MeasurementDesign, m: int, n: int) -> tuple:
-    """The forward map ``X -> A(X)`` and its adjoint ``res -> A*(res)``
-    (m x n) of a matrix acting on the row-major vec of X, or of a design,
-    whose measurements are ``rows(X).ravel()`` then ``cols(X).ravel()``."""
-    if not isinstance(op, MeasurementDesign):
-        return (lambda x: op @ x.ravel()), (lambda res: (op.T @ res).reshape(m, n))
-    split = op.k1 * n
-    return (
-        lambda x: np.concatenate([op.rows(x).ravel(), op.cols(x).ravel()]),
-        lambda res: op.adjoint(res[:split].reshape(-1, n), res[split:].reshape(m, -1)),
-    )
+    """SVP's operator on an m x n target, checked, as ``(k, forward, adjoint,
+    split)``: its k measurements, ``X -> A(X)``, ``res -> A*(res)`` (m x n)
+    and a residual's row-block length.  A finite k x (m*n) matrix acts on the
+    row-major vec of X (split None); an unstacked design measures
+    ``rows(X).ravel()`` then ``cols(X).ravel()`` (split ``k1*n``)."""
+    _check_dims("target", m, n)
+    if isinstance(op, MeasurementDesign):
+        if (op.m, op.n) != (m, n) or op.trial_shape:  # nor a stacked design
+            raise ValueError("design inconsistent with target dimensions")
+        split = op.k1 * n
+        return (
+            op.total_measurements,
+            lambda x: np.concatenate([op.rows(x).ravel(), op.cols(x).ravel()]),
+            lambda res: op.adjoint(res[:split].reshape(-1, n), res[split:].reshape(m, -1)),
+            split,
+        )
+    if op.ndim != 2 or op.shape[1] != m * n:
+        raise ValueError("operator shape inconsistent with target dimensions")
+    if not np.isfinite(op).all():
+        raise ValueError("operator entries must be finite")
+    return op.shape[0], (lambda x: op @ x.ravel()), (lambda res: (op.T @ res).reshape(m, n)), None
 
 
 def _projected_step(
@@ -121,7 +124,8 @@ def _projected_step(
     y = x - eta * grad
     if not np.isfinite(y).all():
         return None, None, None, None, math.inf
-    left, right = _truncate_svd(y, r)
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    left, right = u[:, :r] * s[:r], vt[:r].T
     x_new = left @ right.T
     resid = forward(x_new) - b
     return left, right, x_new, resid, float(resid @ resid)
@@ -161,28 +165,18 @@ def svp_recover(
     objective above float max reads inf.
 
     Nonconvergence is not an error: the result carries the iteration
-    count, the final objective and ``converged`` either way.  Non-finite
-    ``b`` or ``op`` entries raise ``ValueError``; a design checks its own
-    entries when it is built.
+    count, the final objective and ``converged`` either way.  ``m``, ``n``
+    and ``op`` are checked before ``b``; non-finite ``b`` or ``op`` entries
+    raise ``ValueError``, a design's when it is built.
     """
     cfg = cfg or IterativeSolverConfig()
+    k, forward, adjoint, split = _operator(op, m, n)
     b = np.asarray(b, dtype=np.float64).ravel()
-    if isinstance(op, MeasurementDesign):
-        if (op.m, op.n) != (m, n) or op.trial_shape:  # nor a stacked design
-            raise ValueError("design inconsistent with target dimensions")
-        k = op.total_measurements
-    elif op.ndim != 2 or op.shape[1] != m * n:
-        raise ValueError("operator shape inconsistent with target dimensions")
-    else:
-        k = op.shape[0]
     if b.shape[0] != k:
         raise ValueError(f"expected {k} measurements, got {b.shape[0]}")
     _check_rank(r, min(m, n))
     if not np.isfinite(b).all():
         raise ValueError("measurements must be finite")
-    if not (isinstance(op, MeasurementDesign) or np.isfinite(op).all()):
-        raise ValueError("operator entries must be finite")
-    forward, adjoint = _operator(op, m, n)
     shift = _exponent(b)
     b = np.ldexp(b, -shift)
     t0 = time.perf_counter()
@@ -226,8 +220,8 @@ def svp_recover(
     runtime = time.perf_counter() - t0
     row_res = col_res = None
     with np.errstate(over="ignore"):  # back to b's scale, where a norm may read inf
-        if isinstance(op, MeasurementDesign):  # the two blocks of the final residual
-            blocks = np.split(resid, [op.k1 * n])
+        if split is not None:  # a design's two blocks of the final residual
+            blocks = np.split(resid, [split])
             row_res, col_res = (float(np.ldexp(_norms(p[None]), shift)) for p in blocks)
         history = np.ldexp(history, 2 * shift).tolist()
         left = _freeze(np.ldexp(left, shift))

@@ -12,11 +12,11 @@ X: that design is its two index vectors, applied by the gathers
 ``X[rows]`` and ``X[:, cols]``, which for finite input give the same
 bits as products with 0/1 selection matrices.  ``MeasurementDesign.rows``
 and ``cols``, and their ``adjoint``, are the only places a design is
-applied, and no dense selection matrix is built.  A ground truth is
-held as its factors.  Given a tuple of seeds, ``gen_low_rank``,
-``gen_design`` and ``measure`` draw a stack of trials, on a leading
-trial axis, for the stacked solvers of ``recovery``; one seed is the
-one-trial case of the same code.
+applied, and build no selection matrix; ALS alone builds one, from a
+sampling design's indices (``baselines._refit_operators``).  A ground
+truth is held as its factors.  Given a tuple of seeds, ``gen_low_rank``,
+``gen_design`` and ``measure`` draw a stack of trials on a leading axis,
+for ``recovery``'s stacked solvers; one seed is the one-trial case.
 
 All randomness flows through numpy's PCG64 generator (as
 ``numpy.random.default_rng`` builds it) with a fixed stream order, so
@@ -83,6 +83,12 @@ def _check_rank(r, top: int) -> None:
         raise ValueError(f"rank must be an integer, got {r!r}")
     if not 1 <= r <= top:
         raise ValueError(f"rank {r} outside valid range [1, {top}]")
+
+
+def _check_dims(noun: str, *dims) -> None:
+    """ValueError unless each of ``dims`` is a positive integer (not a bool)."""
+    if not all(_is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"{noun} dimensions must be positive integers, got {dims}")
 
 
 def _is_finite_nonnegative(value) -> bool:
@@ -437,8 +443,7 @@ def gen_low_rank(m: int, n: int, r: int, seed: int | tuple[int, ...]) -> GroundT
     Deterministic for fixed ``(m, n, r, seed)``.  ``m``, ``n`` and ``r``
     must be positive integers, Python's or numpy's, not bools (``ValueError``).
     """
-    if not all(_is_int(d) and d >= 1 for d in (m, n)):
-        raise ValueError(f"matrix dimensions must be positive integers, got {(m, n)}")
+    _check_dims("matrix", m, n)
     _check_rank(r, min(m, n))
     left, right = map(_freeze, _normal(seed, (m, r), (n, r)))
     return GroundTruth(left_factor=left, right_factor=right, seed=seed)
@@ -457,8 +462,7 @@ def gen_design(
     integers, Python's or numpy's, not bools (``ValueError``).
     """
     kind = DesignKind(kind)
-    if not all(_is_int(d) and d >= 1 for d in (m, n, k1, k2)):
-        raise ValueError(f"design dimensions must be positive integers, got {(m, n, k1, k2)}")
+    _check_dims("design", m, n, k1, k2)
     if kind is DesignKind.GAUSSIAN_AFFINE:
         names, arrays = ("a_row", "a_col"), map(_freeze, _normal(seed, (k1, m), (n, k2)))
     else:

@@ -440,8 +440,8 @@ def _one_trial(name, solve, meas, design, r, truth) -> RecoveryResult:
     _check_one_trial(name, meas, design)
     sol = solve(meas, design, r)
     row_res, col_res = block_residuals(sol.left, sol.right, design, meas)
-    error = None if truth is None else relative_error(sol.left, sol.right, truth)
-    return dataclasses.replace(sol, row_residual=row_res, col_residual=col_res, relative_error=error)
+    err = None if truth is None else relative_error(sol.left, sol.right, truth)
+    return dataclasses.replace(sol, row_residual=row_res, col_residual=col_res, relative_error=err)
 
 
 def svls_recover(

@@ -285,6 +285,28 @@ class TestSvpRecover:
         with pytest.raises(ValueError):
             svp_recover(np.zeros(10), op, 4, 4, 5)
 
+    @pytest.mark.parametrize("bad", [4.0, np.float64(4.0), True, "4", 0], ids=repr)
+    @pytest.mark.parametrize("on", ["operator", "gaussian", "rowcol"])
+    def test_non_integer_target_rejected(self, on, bad):
+        # a 20-entry target, m rows as the bad m would stand for, so that no
+        # shape check refuses it first
+        m = int(bad) if isinstance(bad, (bool, float)) else 4
+        n = 20 // m
+        if on == "operator":
+            op = gaussian_operator(m, n, 12, seed=0)
+            k = op.shape[0]
+        else:
+            op = gen_design(DesignKind(on), m, n, 1, 1, seed=0)
+            k = op.total_measurements
+        with pytest.raises(ValueError, match="target dimensions must be positive integers"):
+            svp_recover(np.zeros(k), op, bad, n, 1)
+
+    def test_operator_checked_before_b(self):
+        op = np.array(gaussian_operator(6, 5, 20, seed=4))
+        op[3, 7] = np.nan
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            svp_recover(np.zeros(19), op, 6, 5, 1)
+
 
 class TestProjectedStep:
     """The guard that keeps a non-finite gradient step away from LAPACK's
@@ -293,7 +315,7 @@ class TestProjectedStep:
     def setup_method(self):
         truth = gen_low_rank(6, 5, 1, seed=3)
         self.op = gaussian_operator(6, 5, 20, seed=4)
-        self.forward, _ = baselines._operator(self.op, 6, 5)
+        _, self.forward, _, _ = baselines._operator(self.op, 6, 5)
         self.b = self.op @ truth.x.ravel()
         self.grad = (self.op.T @ -self.b).reshape(6, 5)  # the gradient at X = 0
 
@@ -605,7 +627,7 @@ class TestDesignOperator:
         m, n = 9, 7
         design = gen_design(kind, m, n, 4, 3, seed=5)
         op = rowcol_operator_matrix(design)
-        forward, adjoint = baselines._operator(design, m, n)
+        _, forward, adjoint, _ = baselines._operator(design, m, n)
         rng = np.random.default_rng(6)
         x, res = rng.standard_normal((m, n)), rng.standard_normal(op.shape[0])
         assert_close(forward(x), op @ x.ravel(), rtol=1e-12)

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svls
 from svls import cli
 from svls.cli import build_parser, main
 from svls.matio import (
@@ -546,6 +550,23 @@ class TestSweepAndSummarize:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_main(self, tmp_path):
+        # `python -m svls.cli` exits with main's code
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svls.__file__)))
+
+        def run(*argv):
+            command = [sys.executable, "-m", "svls.cli", *map(str, argv)]
+            return subprocess.run(command, env=env, capture_output=True, text=True)
+
+        usage = run("frobnicate")
+        assert usage.returncode == 2 and "invalid choice" in usage.stderr
+        out = tmp_path / "x.csv"
+        made = run("gen-matrix", "--m", 3, "--n", 2, "--rank", 1, "--seed", 4, "--out", out)
+        assert made.returncode == 0, made.stderr
+        assert np.array_equal(read_matrix(out), gen_low_rank(3, 2, 1, 4).x)
 
 
 SWEEP_CONFIG = {

@@ -306,6 +306,16 @@ class TestMatrixOracles:
             whole_text_read_matrix(path)
         assert str(oracle.value) == f"'utf-8' codec can't decode {where}"
 
+    def test_file_that_decodes_on_the_reread_keeps_the_first_error(self, tmp_path):
+        # the file changed since the read that failed: no line fails now
+        path = tmp_path / "fixed.csv"
+        path.write_text("1,2\n3,4\n", encoding="utf-8")
+        exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        err = matio.undecodable(path, exc)
+        assert isinstance(err, ValueError)
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert str(err) == f"{path}: {message}"
+
     @pytest.mark.parametrize("text", ["1_0\n", "1,\u0661\n", "\uff11\n"])
     def test_spellings_only_python_float_accepted_are_rejected(self, tmp_path, text):
         # underscores and non-ASCII digits: write_matrix never writes them
