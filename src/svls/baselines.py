@@ -34,7 +34,7 @@ import numpy as np
 
 from .measurements import (
     GroundTruth, MeasurementDesign, MeasurementSet, _check_dims, _check_rank, _freeze,
-    _generator, _is_finite_nonnegative, _is_int,
+    _is_finite_nonnegative, _is_int, _normal,
 )
 from .recovery import (
     CORE_EIG_RTOL,
@@ -50,6 +50,8 @@ from .recovery import (
 )
 # uncalled here: the benchmark's tracer patches these names (ROADMAP item 11)
 from .recovery import estimate_col_space, estimate_row_space, solve_core  # noqa: F401
+
+__all__ = ["IterativeSolverConfig", "als_recover", "gaussian_operator", "svp_recover"]
 
 MAX_TARGET_ENTRIES = 100_000
 # SVP divides a rejected trial step by BACKOFF, at most
@@ -87,7 +89,7 @@ def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
             f"target has {m * n} entries, above the dense-operator cap of "
             f"{MAX_TARGET_ENTRIES}"
         )
-    return _freeze(_generator(seed).standard_normal((k, m * n)))
+    return _freeze(_normal((seed,), (k, m * n))[0][0])
 
 
 def _operator(op: np.ndarray | MeasurementDesign, m: int, n: int) -> tuple:

@@ -54,6 +54,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "DesignKind", "GroundTruth", "MeasurementDesign", "MeasurementSet", "gen_design",
+    "gen_low_rank", "measure",
+]
+
 # _all_finite's fallback scan and recovery.relative_error against one
 # dense m x n truth visit it in row blocks of about this many entries
 # (512 KB of float64), so their scratch memory does not grow with m*n.
@@ -219,11 +224,6 @@ def _generators(seed: int | tuple[int, ...]) -> tuple[list[np.random.Generator],
     states = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     seeded = _state_seed_sequence()
     return [np.random.Generator(np.random.PCG64(seeded(s))) for s in states], stacked
-
-
-def _generator(seed: int) -> np.random.Generator:
-    """One seed's generator: the one ``np.random.default_rng(seed)`` builds."""
-    return _generators((seed,))[0][0]
 
 
 def _normal(seed: int | tuple[int, ...], *shapes: tuple[int, ...]) -> list[np.ndarray]:

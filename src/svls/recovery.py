@@ -54,6 +54,11 @@ from .measurements import (
     _freeze,
 )
 
+__all__ = [
+    "RecoveryResult", "SubspaceBasis", "cur_recover", "estimate_col_space", "estimate_rank",
+    "estimate_row_space", "relative_error", "solve_core", "svls_recover",
+]
+
 # Relative eigenvalue cutoff for the rank-deficient core solve.
 CORE_EIG_RTOL = 1e-12
 

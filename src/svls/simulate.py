@@ -45,14 +45,19 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .baselines import als_recover, gaussian_operator, svp_recover
-from .matio import format_float, undecodable
+from .matio import _create, format_float, undecodable
 from .measurements import (
-    DesignKind, _generator, _is_finite_nonnegative, _is_int, gen_design, gen_low_rank, measure,
+    DesignKind, _is_finite_nonnegative, _is_int, _normal, gen_design, gen_low_rank, measure,
 )
 # cur_recover and svls_recover go uncalled: the benchmark's tracer patches them (ROADMAP item 11)
 from .recovery import (
     _check_cur, _check_svls, cur_recover, cur_stack, relative_error, svls_recover, svls_stack,
 )
+
+__all__ = [
+    "ExperimentConfig", "SummaryRow", "TrialPoint", "TrialRecord", "aggregate", "run_trial",
+    "sweep", "trial_seed",
+]
 
 ALGORITHMS = ("svls", "cur", "svp", "als")
 # The algorithms whose trials run in stacks: the stacked solver, and the
@@ -318,7 +323,7 @@ def _svp(point: TrialPoint, seed: int):
     op = gaussian_operator(point.m, point.n, k, _subseed(seed, "design"))
     b = op @ truth.x.ravel()
     if point.sigma > 0:
-        noise = _generator(_subseed(seed, "noise")).standard_normal(b.shape)
+        noise = _normal((_subseed(seed, "noise"),), b.shape)[0][0]
         b = b + point.sigma * noise
     return svp_recover(b, op, point.m, point.n, point.rank, truth=truth)
 
@@ -460,7 +465,7 @@ def aggregate(records: Iterable[TrialRecord]) -> list[SummaryRow]:
 def _write_csv(
     path: str | Path, columns: Sequence[str], converters: tuple, objs: Iterable
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path, "w", "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(_row(obj, converters) for obj in objs)

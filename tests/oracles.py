@@ -121,8 +121,8 @@ def run_trial_oracle(
             op = simulate.gaussian_operator(point.m, point.n, k, simulate._subseed(seed, "design"))
             b = op @ truth.x.ravel()
             if point.sigma > 0:
-                noise_seed = simulate._subseed(seed, "noise")
-                b = b + point.sigma * simulate._generator(noise_seed).standard_normal(b.shape)
+                rng = np.random.default_rng(simulate._subseed(seed, "noise"))
+                b = b + point.sigma * rng.standard_normal(b.shape)
             result = simulate.svp_recover(b, op, point.m, point.n, point.rank, truth=truth)
         else:
             truth, design, meas = simulate._draw(point, seed)

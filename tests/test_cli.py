@@ -658,10 +658,12 @@ class TestNoExceptionEscapesMain:
             values = small_json if target == "sweep" else any_json
             edits = st.dictionaries(st.sampled_from(sorted(base)), values, min_size=1, max_size=3)
             text = json.dumps({**base, **data.draw(edits)})
+        path.unlink()  # new files: writing over one can wait on the disk
         path.write_text(text)
         try:
             code, err = main_outcome(argv)
         finally:
+            path.unlink()
             path.write_text(original)
         assert code in (0, 1, 2)
         if code == 1:
@@ -715,10 +717,12 @@ class TestNoExceptionEscapesMain:
         if form in ("ragged", "undecodable", "nonfinite", "exponent"):
             lines[line] = b",".join(fields) + b"\n"
             text = b"".join(lines)
+        path.unlink()  # new files: writing over one can wait on the disk
         path.write_bytes(text)
         try:
             code, err = main_outcome(argv)
         finally:
+            path.unlink()
             path.write_bytes(original)
         assert code in (0, 1, 2)
         if code == 1:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import stat
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import whole_text_read_matrix
-from svls import matio
+from svls import matio, simulate
 from svls.matio import (
     DESIGN_FIELDS,
     NOISE_FIELDS,
@@ -98,6 +100,44 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="^only nonempty 2-d matrices can be written$"):
             write_matrix(path, a)
         assert not path.exists()
+
+
+# each writer of matio and simulate, writing a fixed payload to a path
+WRITERS = {
+    "write_matrix": lambda path: write_matrix(path, np.array([[1.0, 0.5], [-2.0, 0.1]])),
+    "write_json": lambda path: matio.write_json(path, {"m": 2, "sigma": 0.1}),
+    "_write_csv": lambda path: simulate.write_records_csv(
+        path, [simulate.TrialRecord(4, 4, 1, "rowcol", 1, 1, 0.0, "svls", 0, 3, 1e-17, True, 0)]
+    ),
+}
+OLD_BYTES = b"longer than what the writer writes\n" * 100
+
+
+class TestNewFiles:
+    """A writer makes a new file: what is at its path is unlinked first."""
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_writing_over_a_file_gives_a_new_files_bytes(self, tmp_path, writer):
+        new, old, hard_link = tmp_path / "new", tmp_path / "old", tmp_path / "hard_link"
+        WRITERS[writer](new)
+        old.write_bytes(OLD_BYTES)
+        old.chmod(0o400)
+        os.link(old, hard_link)
+        WRITERS[writer](old)
+        assert old.read_bytes() == new.read_bytes()
+        # the mode comes from the umask, as a new file's does
+        assert stat.S_IMODE(old.stat().st_mode) == stat.S_IMODE(new.stat().st_mode)
+        assert hard_link.read_bytes() == OLD_BYTES
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_a_symlink_is_replaced_not_written_through(self, tmp_path, writer):
+        new, target, path = tmp_path / "new", tmp_path / "target", tmp_path / "path"
+        WRITERS[writer](new)
+        target.write_bytes(OLD_BYTES)
+        path.symlink_to(target)
+        WRITERS[writer](path)
+        assert not path.is_symlink() and path.read_bytes() == new.read_bytes()
+        assert target.read_bytes() == OLD_BYTES
 
 
 def oracle_write_matrix(path, a):
@@ -354,6 +394,7 @@ class TestMatrixFuzz:
     @given(text=st.one_of(matrix_like_text, st.text()))
     def test_any_text_parses_or_raises_value_error(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "fuzz_text.csv"
+        path.unlink(missing_ok=True)  # a new file: writing over one can wait on the disk
         path.write_bytes(text.encode("utf-8"))
         try:
             a = read_matrix(path)
@@ -366,6 +407,7 @@ class TestMatrixFuzz:
     def test_writer_bytes_match_oracle(self, tmp_path_factory, a):
         new, old = (tmp_path_factory.getbasetemp() / f"fuzz_{n}.csv" for n in ("new", "old"))
         write_matrix(new, a)
+        old.unlink(missing_ok=True)  # a new file: writing over one can wait on the disk
         oracle_write_matrix(old, a)
         assert new.read_bytes() == old.read_bytes()
 
@@ -373,6 +415,7 @@ class TestMatrixFuzz:
     @given(data=matrix_like_bytes)
     def test_streaming_reader_matches_whole_text_reader(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz_stream.csv"
+        path.unlink(missing_ok=True)  # a new file: writing over one can wait on the disk
         path.write_bytes(data)
         try:
             want = whole_text_read_matrix(path).tobytes()
@@ -1016,6 +1059,7 @@ class TestManifestFuzz:
                 manifest.pop(key, None)
             else:
                 manifest[key] = value
+        path.unlink()  # new files: writing over one can wait on the disk
         path.write_text(json.dumps(manifest if whole is None else whole))
         try:
             for read in (read_design, read_measurement_set):
@@ -1031,4 +1075,5 @@ class TestManifestFuzz:
                     assert got[0].b_row.shape == (design.k1, design.n)
                     assert got[0].b_col.shape == (design.m, design.k2)
         finally:
+            path.unlink()
             path.write_text(original)
