@@ -89,6 +89,7 @@ def gaussian_operator(m: int, n: int, k: int, seed: int) -> np.ndarray:
             f"target has {m * n} entries, above the dense-operator cap of "
             f"{MAX_TARGET_ENTRIES}"
         )
+    # drawn as a one-seed stack, so that a tuple seed is refused, not stacked
     return _freeze(_normal((seed,), (k, m * n))[0][0])
 
 

@@ -155,13 +155,6 @@ def _chunk_text(v: np.ndarray, first: int, n: int) -> bytes:
     return raw % tuple(v[text].tolist()) if len(text) else raw
 
 
-def _create(path: str | Path, mode: str, newline: str | None = None):
-    """``open(path, mode)`` on a new file: whatever is at ``path`` (a symlink,
-    not its target) is unlinked first, as writing over a file just written can wait."""
-    Path(path).unlink(missing_ok=True)
-    return open(path, mode, newline=newline)
-
-
 def write_matrix(path: str | Path, a: np.ndarray) -> None:
     a = np.asarray(a)
     if a.ndim != 2 or a.size == 0:
@@ -175,7 +168,7 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
     if not all(np.isfinite(v).all() for v in chunks):  # before the file is opened
         raise ValueError("matrix entries must be finite")
     chunks.reset()
-    with _create(path, "wb") as fh, np.errstate(all="ignore"):
+    with open(path, "wb") as fh, np.errstate(all="ignore"):
         for v in chunks:
             fh.write(_chunk_text(v, (n - 1 - chunks.iterindex) % n, n))
 
@@ -304,8 +297,9 @@ def read_truth(path: str | Path) -> np.ndarray:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    with _create(path, "w", "\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n"
+    )
 
 
 def read_json(path: str | Path) -> dict:

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .baselines import als_recover, gaussian_operator, svp_recover
-from .matio import _create, format_float, undecodable
+from .matio import format_float, undecodable
 from .measurements import (
     DesignKind, _is_finite_nonnegative, _is_int, _normal, gen_design, gen_low_rank, measure,
 )
@@ -323,7 +323,7 @@ def _svp(point: TrialPoint, seed: int):
     op = gaussian_operator(point.m, point.n, k, _subseed(seed, "design"))
     b = op @ truth.x.ravel()
     if point.sigma > 0:
-        noise = _normal((_subseed(seed, "noise"),), b.shape)[0][0]
+        noise = _normal(_subseed(seed, "noise"), b.shape)[0]
         b = b + point.sigma * noise
     return svp_recover(b, op, point.m, point.n, point.rank, truth=truth)
 
@@ -465,7 +465,7 @@ def aggregate(records: Iterable[TrialRecord]) -> list[SummaryRow]:
 def _write_csv(
     path: str | Path, columns: Sequence[str], converters: tuple, objs: Iterable
 ) -> None:
-    with _create(path, "w", "") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(_row(obj, converters) for obj in objs)

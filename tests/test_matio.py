@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+import threading
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -113,31 +114,46 @@ WRITERS = {
 OLD_BYTES = b"longer than what the writer writes\n" * 100
 
 
-class TestNewFiles:
-    """A writer makes a new file: what is at its path is unlinked first."""
+class TestWritingOverPaths:
+    """A writer opens what is at its path and writes through it."""
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_writing_over_a_file_gives_a_new_files_bytes(self, tmp_path, writer):
         new, old, hard_link = tmp_path / "new", tmp_path / "old", tmp_path / "hard_link"
         WRITERS[writer](new)
         old.write_bytes(OLD_BYTES)
-        old.chmod(0o400)
+        old.chmod(0o600)
         os.link(old, hard_link)
         WRITERS[writer](old)
-        assert old.read_bytes() == new.read_bytes()
-        # the mode comes from the umask, as a new file's does
-        assert stat.S_IMODE(old.stat().st_mode) == stat.S_IMODE(new.stat().st_mode)
-        assert hard_link.read_bytes() == OLD_BYTES
+        assert old.read_bytes() == new.read_bytes() == hard_link.read_bytes()
+        assert stat.S_IMODE(old.stat().st_mode) == 0o600
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
-    def test_a_symlink_is_replaced_not_written_through(self, tmp_path, writer):
+    def test_a_symlink_is_written_through(self, tmp_path, writer):
         new, target, path = tmp_path / "new", tmp_path / "target", tmp_path / "path"
         WRITERS[writer](new)
         target.write_bytes(OLD_BYTES)
         path.symlink_to(target)
         WRITERS[writer](path)
-        assert not path.is_symlink() and path.read_bytes() == new.read_bytes()
-        assert target.read_bytes() == OLD_BYTES
+        assert path.is_symlink() and target.read_bytes() == new.read_bytes()
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_the_null_device_stays(self, writer):
+        WRITERS[writer](os.devnull)
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_a_fifo_is_written_through_and_stays(self, tmp_path, writer):
+        new, fifo = tmp_path / "new", tmp_path / "fifo"
+        WRITERS[writer](new)
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        WRITERS[writer](fifo)
+        reader.join(timeout=10)
+        assert got == [new.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 def oracle_write_matrix(path, a):
@@ -387,6 +403,7 @@ class TestMatrixFuzz:
     @given(a=finite_matrices)
     def test_round_trip_bit_exact(self, tmp_path_factory, a):
         path = tmp_path_factory.getbasetemp() / "fuzz_round_trip.csv"
+        path.unlink(missing_ok=True)  # a new file: writing over one can wait on the disk
         write_matrix(path, a)
         assert read_matrix(path).tobytes() == a.tobytes()
 
@@ -406,8 +423,9 @@ class TestMatrixFuzz:
     @given(a=finite_matrices)
     def test_writer_bytes_match_oracle(self, tmp_path_factory, a):
         new, old = (tmp_path_factory.getbasetemp() / f"fuzz_{n}.csv" for n in ("new", "old"))
+        for path in (new, old):  # new files: writing over one can wait on the disk
+            path.unlink(missing_ok=True)
         write_matrix(new, a)
-        old.unlink(missing_ok=True)  # a new file: writing over one can wait on the disk
         oracle_write_matrix(old, a)
         assert new.read_bytes() == old.read_bytes()
 
